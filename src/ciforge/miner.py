@@ -29,7 +29,7 @@ from .concepts import (
 )
 from .errors import CiforgeError, ResourceCapError
 from .graphs import DEFAULT_NODE_CAP
-from .mmsc import DepthReport, adaptable_depth, mmsc_adaptive
+from .mmsc import DepthReport, adaptable_depth, mmsc_adaptive, mmsc_at_depth
 from .oracles import enumerate_concepts
 from .reasoner import Reasoner
 from .simulation import equivalent_empty, semantic_extension
@@ -93,7 +93,9 @@ def attribute_set(
         for combo in itertools.combinations(elements, n):
             report = adaptable_depth(i, combo, node_cap=node_cap)
             depth_reports.append((combo, report))
-            mmsc_by_set[combo] = mmsc_adaptive(i, combo, node_cap=node_cap)
+            mmsc_by_set[combo] = mmsc_at_depth(
+                i, combo, report.chosen_depth, node_cap=node_cap
+            )
     for role in sorted(sig.role_names):
         for combo, concept in mmsc_by_set.items():
             # mmsc output is canonical and never Bottom for non-empty sets,
@@ -101,22 +103,22 @@ def attribute_set(
             candidates.append(Exists(role, concept))
     # Dedup: drop an attribute only when an earlier one has both the same
     # extension and mutual empty-TBox subsumption (adaptable depths differ
-    # per X, so equal extensions alone are not enough).  Identical rendered
-    # forms short-circuit the simulation check.
+    # per X, so equal extensions alone are not enough).  A candidate that
+    # renders like an earlier one is that concept again and shares its
+    # verdict, so the simulation check runs once per distinct concept.
     kept: list[Concept] = []
     kept_ext: list[frozenset] = []
-    groups: dict = {}  # extension -> [(rendered, concept)]
+    seen: set = set()  # rendered forms of all earlier candidates
+    groups: dict = {}  # extension -> kept concepts
     for c in candidates:
         c_ext = semantic_extension(c, i, memo)
         rendered = render_concept(c)
+        if rendered in seen:
+            continue
+        seen.add(rendered)
         group = groups.setdefault(c_ext, [])
-        duplicate = False
-        for other_rendered, other in group:
-            if other_rendered == rendered or equivalent_empty(c, other):
-                duplicate = True
-                break
-        if not duplicate:
-            group.append((rendered, c))
+        if not any(equivalent_empty(c, other) for other in group):
+            group.append(c)
             kept.append(c)
             kept_ext.append(c_ext)
     order = sorted(range(len(kept)), key=lambda k: concept_sort_key(kept[k]))
@@ -325,9 +327,12 @@ def check_base_complete(
     by_ext: dict = {}
     for c in concepts:
         by_ext.setdefault(semantic_extension(c, i, memo), []).append(c)
+    # The extension memo covers every subconcept; free it before the query
+    # phase builds its own per-concept completion memo.
+    del memo
 
     mmsc_by_ext = {
-        ext: canonicalize(mmsc_at_depth_for_check(i, ext, depth)) for ext in by_ext
+        ext: canonicalize(mmsc_at_depth(i, ext, depth)) for ext in by_ext
     }
     reasoner = Reasoner(tbox, rhs_concepts=mmsc_by_ext.values())
 
@@ -360,9 +365,3 @@ def check_base_complete(
                     if not fallback.entails_registered(c, d):
                         counterexamples.append(ConceptInclusion(c, d))
     return CompletenessReport(checked, tuple(counterexamples))
-
-
-def mmsc_at_depth_for_check(i: Interpretation, ext: frozenset, depth: int) -> Concept:
-    from .mmsc import mmsc_at_depth
-
-    return mmsc_at_depth(i, ext, depth)

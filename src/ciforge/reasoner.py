@@ -4,6 +4,15 @@ Independent of the mining code: normalizes a TBox to the usual normal forms
 (A ⊑ B, A1 ⊓ A2 ⊑ B, A ⊑ ∃r.B, ∃r.A ⊑ B, A ⊑ ⊥), saturates subsumer sets
 once, and answers C ⊑ D queries by completing the canonical tree model of C
 against the saturated axioms.
+
+Query completions are memoized per subconcept and built compositionally: an
+atom is closed from {⊤, A}; ∃r.F from the consequences of an r-edge to the
+completion of F; a conjunction C1 ⊓ … ⊓ Cn from the completions of its prefix
+C1 ⊓ … ⊓ Cn-1 and of Cn.  Both sides are already closed, so only conjunction
+axioms pairing an atom new from Cn with one of the union can fire before the
+closure resumes.  Queries enumerated in prefix order (as the completeness
+check does) thus cost one such join each.  Equal completions share one
+interned frozenset.
 """
 
 from __future__ import annotations
@@ -19,7 +28,6 @@ from .concepts import (
     Exists,
     Top,
     canonicalize,
-    conjuncts_of,
 )
 
 _TOP = "⊤"
@@ -97,9 +105,10 @@ class _Normalizer:
 class Reasoner:
     """Saturates a TBox once; answers arbitrarily many C ⊑ D queries.
 
-    Query right-hand sides must be registered up front (so their recognition
-    axioms take part in the one-time saturation); `entails` registers lazily
-    by re-saturating, which stays cheap for the incremental axioms.
+    Query right-hand sides should be registered up front, so that their
+    recognition axioms take part in the one-time saturation.  `entails`
+    registers a new right-hand side lazily, and that discards the saturation
+    and the query memo: the next query saturates again from scratch.
     """
 
     def __init__(self, tbox, rhs_concepts=()):
@@ -115,6 +124,9 @@ class Reasoner:
     # -- saturation --------------------------------------------------------
 
     def register_rhs(self, d: Concept):
+        """Atom name recognizing d.  A right-hand side not seen before adds
+        normal-form axioms and drops the saturation, which the next query
+        recomputes from scratch."""
         d = canonicalize(d)
         if d not in self.rhs_names:
             self.rhs_names[d] = self.norm.name_of(d)
@@ -191,7 +203,8 @@ class Reasoner:
                         sx.add(_BOT)
                         changed = True
                         break
-                    for a in subsumers[b]:
+                    # On a self-edge (b == x) sx grows while it is read.
+                    for a in tuple(sx) if b == x else subsumers[b]:
                         for c in norm.ax_exists_lhs.get((role, a), ()):
                             if c not in sx:
                                 sx.add(c)
@@ -215,6 +228,10 @@ class Reasoner:
         self.edges = edges
         # Per-role consequences of pointing at a saturated atom's element.
         self._succ_conseq: dict = {}
+        # Query completions per concept, and one shared frozenset per
+        # distinct completion; both depend on the axioms saturated here.
+        self._completions: dict = {}
+        self._interned: dict = {}
 
     def _conseq_via(self, role: str, atom: str) -> frozenset:
         """Atoms forced on any element with an `role`-edge to atom's canonical
@@ -234,25 +251,71 @@ class Reasoner:
 
     # -- queries -----------------------------------------------------------
 
-    def _complete_tree(self, c: Concept) -> set:
+    def _complete_tree(self, c: Concept) -> frozenset:
         """Subsumer set of the root of C's canonical tree model, completed
-        against the saturated TBox; base saturation is never mutated."""
-        child_sets = []
-        told_roles = []
-        s = {_TOP}
-        for part in conjuncts_of(c):
-            if isinstance(part, Atom):
-                s.add(part.name)
-            elif isinstance(part, Bottom):
-                s.add(_BOT)
-            elif isinstance(part, Exists):
-                child_sets.append(self._complete_tree(part.filler))
-                told_roles.append(part.role)
+        against the saturated TBox; base saturation is never mutated.
+        Memoized per concept, with every conjunction prefix memoized too."""
+        memo = self._completions
+        known = memo.get(c)
+        if known is not None:
+            return known
+        if isinstance(c, And):
+            # Fold from the longest memoized prefix (in enumeration order
+            # the one just shorter), memoizing each longer prefix.  A loop,
+            # not recursion, so wide conjunctions cannot exhaust the stack.
+            parts = c.conjuncts
+            k = len(parts) - 1
+            s = None
+            while k > 1:
+                s = memo.get(And(parts[:k]))
+                if s is not None:
+                    break
+                k -= 1
+            if s is None:
+                s = self._complete_tree(parts[0])
+            for j in range(k, len(parts)):
+                s = self._join(s, self._complete_tree(parts[j]))
+                memo[And(parts[: j + 1]) if j + 1 < len(parts) else c] = s
+            return s
+        if isinstance(c, Exists):
+            # Told-child rule: an r-edge to the filler's completion.
+            child = self._complete_tree(c.filler)
+            s = {_TOP, _BOT} if _BOT in child else {_TOP}
+            exists_lhs = self.norm.ax_exists_lhs
+            for a in child:
+                s.update(exists_lhs.get((c.role, a), ()))
+        elif isinstance(c, Atom):
+            s = {_TOP, c.name}
+        elif isinstance(c, Bottom):
+            s = {_TOP, _BOT}
+        else:
+            s = {_TOP}
+        s = self._close(s, list(s))
+        memo[c] = s
+        return s
+
+    def _join(self, left: frozenset, right: frozenset) -> frozenset:
+        """Completion of L ⊓ R from the closed completions of L and R: an
+        axiom A1 ⊓ A2 ⊑ B can only add B when A1 is new from the right."""
+        if right <= left:
+            return left
+        if left <= right:
+            return right
+        s = set(left)
+        s.update(right)
+        queue = []
+        conj = self.norm.ax_conj
+        for a in right - left:
+            for a2, b in conj.get(a, ()):
+                if a2 in s and b not in s:
+                    s.add(b)
+                    queue.append(b)
+        return self._close(s, queue)
+
+    def _close(self, s: set, queue: list) -> frozenset:
+        """Closes s, whose atoms outside `queue` are already processed, and
+        returns the interned result."""
         norm = self.norm
-        # successors: told children (query elements) + derived edges to
-        # canonical base elements.
-        derived_edges: set = set()
-        queue = list(s)
         while queue:
             a = queue.pop()
             for b in norm.ax_sub.get(a, ()):
@@ -263,25 +326,14 @@ class Reasoner:
                 if a2 in s and b not in s:
                     s.add(b)
                     queue.append(b)
+            # Derived edge to the canonical base element of b.
             for role, b in norm.ax_exists_rhs.get(a, ()):
-                if (role, b) not in derived_edges:
-                    derived_edges.add((role, b))
-                    for cq in self._conseq_via(role, b):
-                        if cq not in s:
-                            s.add(cq)
-                            queue.append(cq)
-            if not queue:
-                # told-child rule: ∃r.A ⊑ B with A holding at a child.
-                for role, child in zip(told_roles, child_sets):
-                    if _BOT in child and _BOT not in s:
-                        s.add(_BOT)
-                        queue.append(_BOT)
-                    for a2 in child:
-                        for b in norm.ax_exists_lhs.get((role, a2), ()):
-                            if b not in s:
-                                s.add(b)
-                                queue.append(b)
-        return s
+                for cq in self._conseq_via(role, b):
+                    if cq not in s:
+                        s.add(cq)
+                        queue.append(cq)
+        result = frozenset(s)
+        return self._interned.setdefault(result, result)
 
     def entails_registered(self, lhs: Concept, rhs: Concept) -> bool:
         """lhs, rhs canonical; rhs must have been registered."""

@@ -88,6 +88,19 @@ def test_axioms_with_conjunction_left_hand_sides():
     assert not entails(tbox, ci(A, C))
 
 
+def test_successor_that_is_its_own_canonical_element():
+    # The r-successor of C is again a C, so saturation meets a self-edge
+    # whose target's subsumers grow while they are read.
+    tbox = frozenset(
+        {
+            ci(C, Exists("r", And((C, Exists("s", B), Exists("s", TOP))))),
+            ci(And((C, Exists("r", TOP), Exists("s", TOP))), A),
+        }
+    )
+    assert entails(tbox, ci(C, Exists("r", And((A, C)))))
+    assert not entails(tbox, ci(C, A))
+
+
 def test_batch_reasoner_matches_single_queries():
     tbox = frozenset({ci(A, Exists("r", B)), ci(B, C)})
     targets = [Exists("r", C), Exists("r", B), C]
@@ -96,6 +109,42 @@ def test_batch_reasoner_matches_single_queries():
         assert r.entails_registered(A, canonicalize(target)) == entails(
             tbox, ci(A, target)
         )
+
+
+def test_new_rhs_after_a_query_is_not_answered_from_a_stale_completion():
+    # Registering ∃r.⊤ adds the axiom ∃r.⊤ ⊑ N; a completion of A ⊓ C
+    # memoized before that registration lacks N.
+    tbox = frozenset({ci(A, Exists("r", B))})
+    r = Reasoner(tbox)
+    assert r.entails(ci(And((A, C)), C))
+    assert r.entails(ci(And((A, C)), Exists("r", TOP)))
+    assert not r.entails(ci(And((A, C)), Exists("s", TOP)))
+
+
+def test_shared_reasoner_answers_like_fresh_ones_in_any_order():
+    # Query completions are memoized per concept and per conjunction prefix.
+    # The pool holds every prefix of its conjunctions; shuffled, it meets
+    # prefixes both before and after their extensions.
+    sig = Signature(frozenset({"A", "B", "C"}), frozenset({"r", "s"}))
+    pool = list(enumerate_concepts(sig, 1, 6))
+    verdicts = set()
+    for seed in range(10):
+        rng = random.Random(seed)
+        axioms = [
+            ci(random_concept(rng, sig, 2), random_concept(rng, sig, 2))
+            for _ in range(4)
+        ]
+        if seed % 3 == 0:
+            axioms.append(ci(random_concept(rng, sig, 1), BOTTOM))
+        tbox = frozenset(axioms)
+        queries = [ci(lhs, random_concept(rng, sig, 1)) for lhs in pool]
+        rng.shuffle(queries)
+        shared = Reasoner(tbox, rhs_concepts=[q.rhs for q in queries])
+        for q in queries:
+            verdict = shared.entails_registered(q.lhs, q.rhs)
+            assert verdict == entails(tbox, q), f"seed {seed}: {q}"
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # -- agreement with the empty-TBox decision procedure -----------------------

@@ -12,7 +12,7 @@ from .graphs import DEFAULT_NODE_CAP, graph_of_interpretation
 from .miner import build_base, check_base_complete, check_base_sound
 from .mmsc import adaptable_depth, mmsc_adaptive, mmsc_at_depth
 from .mvf import mvf
-from .reasoner import entails
+from .reasoner import Reasoner
 from .storage import load_interpretation, load_tbox, parse_inclusion, save_tbox
 
 
@@ -116,7 +116,9 @@ def _cmd_mmsc(args) -> int:
 def _cmd_entails(args) -> int:
     tbox = load_tbox(args.tbox)
     inclusions = parse_inclusion(args.ci)
-    verdict = all(entails(tbox, ci) for ci in inclusions)
+    # Both directions of an EquivalentTo share one saturation.
+    reasoner = Reasoner(tbox, rhs_concepts=[ci.rhs for ci in inclusions])
+    verdict = all(reasoner.entails(ci) for ci in inclusions)
     print("true" if verdict else "false")
     return 0
 

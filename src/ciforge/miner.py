@@ -347,21 +347,18 @@ def check_base_complete(
                 suspects.append((c, ext))
     if suspects:
         # Literal fallback: scan all enumerated D with a superset extension.
-        # One fresh reasoner with every needed right-hand side registered up
-        # front, so the saturation runs once instead of per pair.
+        # Every needed right-hand side is registered before the first query,
+        # so the next query saturates them into the reasoner in one batch.
         needed_exts = {ext for _, ext in suspects}
-        rhs_pool = [
-            d
-            for other_ext, ds in by_ext.items()
-            if any(ext <= other_ext for ext in needed_exts)
-            for d in ds
-        ]
-        fallback = Reasoner(tbox, rhs_concepts=rhs_pool)
+        for other_ext, ds in by_ext.items():
+            if any(ext <= other_ext for ext in needed_exts):
+                for d in ds:
+                    reasoner.register_rhs(d)
         for c, ext in suspects:
             for other_ext, ds in by_ext.items():
                 if not ext <= other_ext:
                     continue
                 for d in ds:
-                    if not fallback.entails_registered(c, d):
+                    if not reasoner.entails_registered(c, d):
                         counterexamples.append(ConceptInclusion(c, d))
     return CompletenessReport(checked, tuple(counterexamples))

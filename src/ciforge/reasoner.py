@@ -2,8 +2,16 @@
 
 Independent of the mining code: normalizes a TBox to the usual normal forms
 (A ⊑ B, A1 ⊓ A2 ⊑ B, A ⊑ ∃r.B, ∃r.A ⊑ B, A ⊑ ⊥), saturates subsumer sets
-once, and answers C ⊑ D queries by completing the canonical tree model of C
-against the saturated axioms.
+with the completion rules of Baader, Brandt & Lutz (IJCAI 2005), and answers
+C ⊑ D queries by completing the canonical tree model of C against the
+saturated axioms.
+
+Saturation runs one worklist over batches of normal-form axioms, with a
+predecessor index from each atom to the atoms whose canonical elements point
+at it, as in ELK (Kazakov, Krötzsch & Simančík, JAR 2014).  The TBox and the
+right-hand sides given up front are the first batch.  A right-hand side
+registered later is a batch of the few axioms that name it: they fire on the
+saturation already there, which stays, and only the query memos are dropped.
 
 Query completions are memoized per subconcept and built compositionally: an
 atom is closed from {⊤, A}; ∃r.F from the consequences of an r-edge to the
@@ -17,8 +25,6 @@ interned frozenset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .concepts import (
     And,
     Atom,
@@ -28,7 +34,9 @@ from .concepts import (
     Exists,
     Top,
     canonicalize,
+    render_concept,
 )
+from .errors import CiforgeError
 
 _TOP = "⊤"
 _BOT = "⊥"
@@ -36,7 +44,11 @@ _BOT = "⊥"
 
 class _Normalizer:
     """Assigns a stable atom name to every subconcept and emits normal-form
-    axioms making the name equivalent to the subconcept."""
+    axioms making the name equivalent to the subconcept.
+
+    Every emitted axiom is indexed by its premise, for rule application, and
+    appended to `log` as (premise, atoms it mentions), the form in which
+    saturation takes it up."""
 
     def __init__(self):
         self.names: dict = {}
@@ -45,6 +57,7 @@ class _Normalizer:
         self.ax_conj: dict = {}  # A1 -> [(A2, B)]   (A1 ⊓ A2 ⊑ B), both orders
         self.ax_exists_rhs: dict = {}  # A -> [(r, B)]  (A ⊑ ∃r.B)
         self.ax_exists_lhs: dict = {}  # (r, A) -> [B]  (∃r.A ⊑ B)
+        self.log: list = []  # (premise, atoms) per axiom, in emission order
 
     def fresh(self) -> str:
         self.counter += 1
@@ -52,16 +65,21 @@ class _Normalizer:
 
     def add_sub(self, a, b):
         self.ax_sub.setdefault(a, []).append(b)
+        self.log.append((a, (a, b)))
 
     def add_conj(self, a1, a2, b):
         self.ax_conj.setdefault(a1, []).append((a2, b))
         self.ax_conj.setdefault(a2, []).append((a1, b))
+        # One premise suffices: firing a1 on an element checks a2 there.
+        self.log.append((a1, (a1, a2, b)))
 
     def add_exists_rhs(self, a, role, b):
         self.ax_exists_rhs.setdefault(a, []).append((role, b))
+        self.log.append((a, (a, b)))
 
     def add_exists_lhs(self, role, a, b):
         self.ax_exists_lhs.setdefault((role, a), []).append(b)
+        self.log.append((a, (a, b)))
 
     def name_of(self, c: Concept) -> str:
         """Definitional name for c; emits axioms in both directions so the
@@ -105,10 +123,10 @@ class _Normalizer:
 class Reasoner:
     """Saturates a TBox once; answers arbitrarily many C ⊑ D queries.
 
-    Query right-hand sides should be registered up front, so that their
-    recognition axioms take part in the one-time saturation.  `entails`
-    registers a new right-hand side lazily, and that discards the saturation
-    and the query memo: the next query saturates again from scratch.
+    Right-hand sides given up front are saturated with the TBox.  One
+    registered later, by `register_rhs` or `entails`, adds its few
+    recognition axioms to the saturation before the next query; the
+    saturation stays, and only the query memos are dropped.
     """
 
     def __init__(self, tbox, rhs_concepts=()):
@@ -118,114 +136,86 @@ class Reasoner:
         self.rhs_names: dict = {}
         for d in rhs_concepts:
             self.register_rhs(d)
-        self.subsumers: dict = {}
+        self.subsumers: dict = {}  # atom -> subsumers of its canonical element
+        # Predecessor index: atom y -> role -> atoms whose canonical element
+        # has a role-edge to y's.
+        self._preds: dict = {}
+        self._saturated = 0  # log entries taken up by saturation so far
         self._saturate()
 
     # -- saturation --------------------------------------------------------
 
     def register_rhs(self, d: Concept):
-        """Atom name recognizing d.  A right-hand side not seen before adds
-        normal-form axioms and drops the saturation, which the next query
-        recomputes from scratch."""
+        """Atom name recognizing d.  A right-hand side not seen before logs
+        its recognition axioms; the next query saturates them into the
+        existing subsumer sets."""
         d = canonicalize(d)
         if d not in self.rhs_names:
             self.rhs_names[d] = self.norm.name_of(d)
-            self.subsumers = {}
         return self.rhs_names[d]
 
-    def _atoms(self):
-        atoms = {_TOP, _BOT}
-        atoms.update(self.norm.ax_sub)
-        for bs in self.norm.ax_sub.values():
-            atoms.update(bs)
-        for a, pairs in self.norm.ax_conj.items():
-            atoms.add(a)
-            for a2, b in pairs:
-                atoms.add(a2)
-                atoms.add(b)
-        for a, pairs in self.norm.ax_exists_rhs.items():
-            atoms.add(a)
-            for _, b in pairs:
-                atoms.add(b)
-        for (role, a), bs in self.norm.ax_exists_lhs.items():
-            atoms.add(a)
-            atoms.update(bs)
-        return atoms
-
     def _saturate(self):
-        """Standard completion over one canonical element per atom."""
+        """Completion rules over the axioms logged since the last call.
+
+        One worklist of (x, c) pairs: c is a subsumer of x, and the axioms
+        with premise c are still to fire on x.  An atom new to the batch
+        starts from {a, ⊤}; every (x, c) whose c is a premise of a batch
+        axiom goes back on the list, so that the batch fires on the
+        saturation already there.  A subsumer c joining S(y) fires the
+        axioms ∃r.c ⊑ B, and ⊥ its inheritance, on every r-predecessor of y.
+        """
         norm = self.norm
-        subsumers = {a: {a, _TOP} for a in self._atoms()}
-        edges: dict = {a: set() for a in subsumers}  # a -> {(role, b)}
-        queue = [(a, s) for a in subsumers for s in tuple(subsumers[a])]
+        subsumers = self.subsumers
+        preds = self._preds
+        batch = norm.log[self._saturated :]
+        self._saturated = len(norm.log)
+        premises = {premise for premise, _ in batch}
+        queue = [(x, c) for x, s in subsumers.items() for c in premises & s]
+        atoms = [_TOP, _BOT]
+        for _, mentioned in batch:
+            atoms += mentioned
+        for a in atoms:
+            if a not in subsumers:
+                subsumers[a] = {a, _TOP}
+                queue += ((a, a), (a, _TOP))
 
         def add(x, c):
-            if c not in subsumers[x]:
-                subsumers[x].add(c)
+            s = subsumers[x]
+            if c not in s:
+                s.add(c)
                 queue.append((x, c))
 
-        edge_queue: list = []
-
-        def add_edge(x, role, b):
-            if (role, b) not in edges[x]:
-                edges[x].add((role, b))
-                edge_queue.append((x, role, b))
-
-        while queue or edge_queue:
-            while queue:
-                x, c = queue.pop()
-                for b in norm.ax_sub.get(c, ()):
+        while queue:
+            x, c = queue.pop()
+            for b in norm.ax_sub.get(c, ()):
+                add(x, b)
+            sx = subsumers[x]
+            for a2, b in norm.ax_conj.get(c, ()):
+                if a2 in sx:
                     add(x, b)
-                for a2, b in norm.ax_conj.get(c, ()):
-                    if a2 in subsumers[x]:
+            for role, y in norm.ax_exists_rhs.get(c, ()):
+                into_y = preds.setdefault(y, {}).setdefault(role, set())
+                if x not in into_y:
+                    into_y.add(x)
+                    # Collected before adding: on a self-edge S(y) is S(x).
+                    sy = subsumers[y]
+                    got = [
+                        b for a in sy for b in norm.ax_exists_lhs.get((role, a), ())
+                    ]
+                    if _BOT in sy:
+                        got.append(_BOT)
+                    for b in got:
                         add(x, b)
-                for role, b in norm.ax_exists_rhs.get(c, ()):
-                    add_edge(x, role, b)
-            while edge_queue:
-                x, role, b = edge_queue.pop()
-                for a in tuple(subsumers[b]):
-                    for c in norm.ax_exists_lhs.get((role, a), ()):
-                        add(x, c)
-                if _BOT in subsumers[b]:
-                    add(x, _BOT)
-                # New subsumers of b discovered later must re-trigger the
-                # edge; handled by re-checking successors when b grows.
-        # Close under late-growing successors: iterate to a fixpoint.
-        changed = True
-        while changed:
-            changed = False
-            for x in subsumers:
-                sx = subsumers[x]
-                if _BOT in sx:
-                    continue
-                for role, b in edges[x]:
-                    if _BOT in subsumers[b]:
-                        sx.add(_BOT)
-                        changed = True
-                        break
-                    # On a self-edge (b == x) sx grows while it is read.
-                    for a in tuple(sx) if b == x else subsumers[b]:
-                        for c in norm.ax_exists_lhs.get((role, a), ()):
-                            if c not in sx:
-                                sx.add(c)
-                                changed = True
-                if _BOT in sx:
-                    continue
-                for c in tuple(sx):
-                    for b2 in norm.ax_sub.get(c, ()):
-                        if b2 not in sx:
-                            sx.add(b2)
-                            changed = True
-                    for a2, b2 in norm.ax_conj.get(c, ()):
-                        if a2 in sx and b2 not in sx:
-                            sx.add(b2)
-                            changed = True
-                    for role, b2 in norm.ax_exists_rhs.get(c, ()):
-                        if (role, b2) not in edges[x]:
-                            edges[x].add((role, b2))
-                            changed = True
-        self.subsumers = subsumers
-        self.edges = edges
+            into_x = preds.get(x)
+            if into_x:
+                for role, xs in into_x.items():
+                    if c == _BOT:
+                        got = (_BOT,)
+                    else:
+                        got = norm.ax_exists_lhs.get((role, c), ())
+                    for p in xs:
+                        for b in got:
+                            add(p, b)
         # Per-role consequences of pointing at a saturated atom's element.
         self._succ_conseq: dict = {}
         # Query completions per concept, and one shared frozenset per
@@ -336,11 +326,18 @@ class Reasoner:
         return self._interned.setdefault(result, result)
 
     def entails_registered(self, lhs: Concept, rhs: Concept) -> bool:
-        """lhs, rhs canonical; rhs must have been registered."""
+        """lhs, rhs canonical; rhs must have been registered, and a
+        CiforgeError names it otherwise.  Right-hand sides registered since
+        the last query are saturated first."""
         if isinstance(rhs, Top) or isinstance(lhs, Bottom):
             return True
-        target = self.rhs_names[rhs]
-        if not self.subsumers:
+        target = self.rhs_names.get(rhs)
+        if target is None:
+            raise CiforgeError(
+                f"right-hand side {render_concept(rhs)} is not registered; "
+                "pass it to register_rhs first"
+            )
+        if self._saturated < len(self.norm.log):
             self._saturate()
         s = self._complete_tree(lhs)
         return target in s or _BOT in s

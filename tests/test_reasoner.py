@@ -17,6 +17,7 @@ from ciforge.concepts import (
     canonicalize,
     make_interpretation,
 )
+from ciforge.errors import CiforgeError
 from ciforge.oracles import enumerate_concepts, random_concept
 from ciforge.reasoner import Reasoner, entails
 from ciforge.simulation import semantic_extension, subsumed_empty
@@ -145,6 +146,98 @@ def test_shared_reasoner_answers_like_fresh_ones_in_any_order():
             assert verdict == entails(tbox, q), f"seed {seed}: {q}"
             verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_unregistered_right_hand_side_is_a_clear_error():
+    r = Reasoner(frozenset({ci(A, B)}), rhs_concepts=[B])
+    assert r.entails_registered(A, B)
+    with pytest.raises(CiforgeError, match=r"some r\.\(A and C\)"):
+        r.entails_registered(A, canonicalize(Exists("r", And((A, C)))))
+
+
+# -- incremental right-hand-side registration -------------------------------
+
+
+def _same_saturation(late: Reasoner, upfront: Reasoner):
+    """Subsumer sets agree; on an unsatisfiable atom only ⊥ is compared."""
+    # Queries with a trivial answer do not saturate what is pending.
+    late._saturate()
+    assert late.norm.names == upfront.norm.names
+    assert late.subsumers.keys() == upfront.subsumers.keys()
+    for atom, s in upfront.subsumers.items():
+        if "⊥" in s or "⊥" in late.subsumers[atom]:
+            assert ("⊥" in s) == ("⊥" in late.subsumers[atom]), atom
+        else:
+            assert late.subsumers[atom] == s, atom
+
+
+def test_a_late_rhs_is_recognized_through_a_predecessor_edge():
+    # C's element has an r-edge to D's, which gains A ⊓ B only once the
+    # late right-hand side names that conjunction; C must then gain
+    # ∃r.(A ⊓ B) through the edge, and F's query reads it from S(C).
+    D, F = Atom("D"), Atom("F")
+    tbox = frozenset(
+        {ci(F, Exists("s", C)), ci(C, Exists("r", D)), ci(D, A), ci(D, B)}
+    )
+    r = Reasoner(tbox)
+    assert r.entails(ci(F, Exists("s", Exists("r", A))))
+    late = Exists("r", And((A, B)))
+    assert r.entails(ci(F, Exists("s", late)))
+    assert r.norm.names[canonicalize(late)] in r.subsumers["C"]
+    assert not r.entails(ci(F, Exists("s", Exists("r", And((A, F))))))
+    _same_saturation(r, Reasoner(tbox, rhs_concepts=list(r.rhs_names)))
+
+
+def test_bottom_reaches_a_late_rhs_through_its_successors():
+    # A ⊓ B is unsatisfiable only through ∃s.C; the late right-hand side
+    # ∃t.∃r.(A ⊓ B) names it, and ⊥ must climb two edges to its name.
+    tbox = frozenset({ci(A, Exists("s", C)), ci(And((B, Exists("s", C))), BOTTOM)})
+    r = Reasoner(tbox)
+    assert not r.entails(ci(A, B))
+    late = Exists("t", Exists("r", And((A, B))))
+    names = [r.register_rhs(late), r.norm.names[Exists("r", And((A, B)))]]
+    assert r.entails(ci(late, BOTTOM))
+    assert all("⊥" in r.subsumers[n] for n in names)
+    assert "⊥" not in r.subsumers["A"]
+    _same_saturation(r, Reasoner(tbox, rhs_concepts=list(r.rhs_names)))
+
+
+def test_late_registration_matches_fresh_reasoners():
+    # Random TBoxes with ⊥ axioms and self-edges (X ⊑ ∃r.X); right-hand
+    # sides arrive one at a time and in batches, with queries in between.
+    sig = Signature(frozenset({"A", "B", "C"}), frozenset({"r", "s"}))
+    atoms = [A, B, C]
+    seen = {"bottom atoms": 0, "true": 0, "false": 0}
+    for seed in range(40):
+        rng = random.Random(seed)
+        axioms = [
+            ci(random_concept(rng, sig, 2), random_concept(rng, sig, 2))
+            for _ in range(rng.randint(2, 5))
+        ]
+        x = rng.choice(atoms)
+        axioms.append(ci(x, Exists(rng.choice("rs"), And((x, rng.choice(atoms))))))
+        axioms.append(ci(x, Exists("r", x)))
+        if seed % 2 == 0:
+            axioms.append(ci(random_concept(rng, sig, 2), BOTTOM))
+        tbox = frozenset(axioms)
+        r = Reasoner(tbox)
+        registered = []
+        for _ in range(5):
+            batch = [
+                canonicalize(random_concept(rng, sig, 2))
+                for _ in range(rng.choice((1, 1, 3)))
+            ]
+            for d in batch:
+                r.register_rhs(d)
+                registered.append(d)
+            for _ in range(3):
+                q = ci(random_concept(rng, sig, 2), rng.choice(registered))
+                verdict = r.entails(q)
+                assert verdict == entails(tbox, q), f"seed {seed}: {q}"
+                seen["true" if verdict else "false"] += 1
+            _same_saturation(r, Reasoner(tbox, rhs_concepts=registered))
+        seen["bottom atoms"] += sum("⊥" in s for s in r.subsumers.values()) > 1
+    assert all(seen.values()), seen
 
 
 # -- agreement with the empty-TBox decision procedure -----------------------

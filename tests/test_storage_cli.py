@@ -212,6 +212,34 @@ def test_cli_mine_entails_check_pipeline(tmp_path, capsys):
     assert "complete within fragment" in out
 
 
+@pytest.mark.parametrize(
+    "query, expected",
+    [
+        ("A EquivalentTo A and B", "true"),
+        # A ⊑ B holds, B ⊑ A does not: both directions must be asked.
+        ("A EquivalentTo B", "false"),
+    ],
+)
+def test_cli_entails_equivalence_saturates_once(
+    tmp_path, capsys, monkeypatch, query, expected
+):
+    from ciforge.reasoner import Reasoner
+
+    path = tmp_path / "base.owlish"
+    path.write_text("A SubClassOf B\nC SubClassOf some r.A\n")
+    saturations = []
+    original = Reasoner._saturate
+
+    def counted(self):
+        saturations.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Reasoner, "_saturate", counted)
+    assert main(["entails", "--tbox", str(path), "--ci", query]) == 0
+    assert capsys.readouterr().out.strip() == expected
+    assert len(saturations) == 1
+
+
 def test_cli_check_flags_an_unsound_incomplete_tbox(tmp_path, capsys):
     path = tmp_path / "bad.owlish"
     path.write_text("Top SubClassOf Bottom\n")

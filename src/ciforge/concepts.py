@@ -337,6 +337,9 @@ class Interpretation:
     def __post_init__(self):
         if not self.domain:
             raise ValidationError("interpretation domain must be non-empty")
+        for x in self.domain:
+            if not isinstance(x, str):
+                raise ValidationError(f"element id {x!r} is not a string")
         for name, ext in self.concept_ext.items():
             bad = ext - self.domain
             if bad:

@@ -10,6 +10,7 @@ intersection ("naive") or by NextClosure over closed attribute sets
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .concepts import (
@@ -65,11 +66,12 @@ class MiningReport:
         yield f"intents: {self.intent_count}"
         yield f"axioms: {self.axiom_count}"
         yield f"max role depth: {self.max_role_depth}"
-        for elements, report in self.depth_reports:
-            yield (
-                f"depth {','.join(elements)}: branch={report.branch} "
-                f"product_mvf={report.product_mvf} chosen={report.chosen_depth}"
-            )
+        histogram = Counter(
+            (report.branch, report.chosen_depth) for _, report in self.depth_reports
+        )
+        for (branch, depth), count in sorted(histogram.items()):
+            yield f"depth branch={branch} chosen={depth} subsets={count}"
+        yield f"max chosen depth: {max((d for _, d in histogram), default=0)}"
 
 
 def attribute_set(

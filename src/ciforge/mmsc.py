@@ -20,12 +20,13 @@ from .concepts import (
 from .errors import ValidationError
 from .graphs import (
     DEFAULT_NODE_CAP,
+    DescriptionGraph,
     concept_of_tree,
     graph_of_interpretation,
     product_reachable,
     unravel,
 )
-from .mvf import condensation, max_weight, mmvf, mvf, scc
+from .mvf import condensation, mmvf, mvf, scc
 from .simulation import extension, subsumed_empty
 
 
@@ -37,24 +38,55 @@ class DepthReport:
     branch: str  # "bounded" | "cyclic"
 
 
+class _Context:
+    """The facts about one interpretation that do not depend on the element
+    set: G(I), the elements with only bounded walks, and mmvf(G(I)).  Built
+    on first use and kept on the interpretation (see `_context`)."""
+
+    __slots__ = ("graph", "bounded", "mmvf", "_product")
+
+    def __init__(self, i: Interpretation):
+        g = graph_of_interpretation(i)
+        partition = scc(g)
+        cond = condensation(g, partition)
+        # Components come out successors first, so every successor's verdict
+        # is known when its predecessor is reached.
+        unbounded: list[bool] = []
+        for comp in range(cond.node_count):
+            unbounded.append(cond.cyclic[comp] or any(unbounded[s] for s in cond.succ[comp]))
+        self.graph = g
+        self.bounded = frozenset(
+            x for x in g.vertices if not unbounded[partition.component_of[x]]
+        )
+        self.mmvf = mmvf(g)
+        self._product = None  # ((elements, node_cap), product) of the last call
+
+    def product(self, elements: tuple, node_cap: int) -> DescriptionGraph:
+        """Reachable product at the elements tuple.  The last one is kept, so
+        `adaptable_depth` and then `mmsc_at_depth` on the same set, as the
+        miner calls them, build it once."""
+        key = (elements, node_cap)
+        if self._product is None or self._product[0] != key:
+            self._product = (key, product_reachable(self.graph, elements, node_cap=node_cap))
+        return self._product[1]
+
+
+def _context(i: Interpretation) -> _Context:
+    # Cached in the instance's __dict__ like And's hash: fields, equality and
+    # repr are untouched, and a new interpretation gets a new context.
+    ctx = i.__dict__.get("_mmsc_context")
+    if ctx is None:
+        ctx = _Context(i)
+        object.__setattr__(i, "_mmsc_context", ctx)
+    return ctx
+
+
 def bounded_walks(i: Interpretation, x) -> bool:
     """True iff every walk from x in G(I) has bounded length, i.e. x cannot
     reach a cyclic component (size > 1 or self-loop)."""
     if x not in i.domain:
         raise ValidationError(f"{x!r} is not a domain element")
-    g = graph_of_interpretation(i)
-    partition = scc(g)
-    seen = {x}
-    frontier = [x]
-    while frontier:
-        v = frontier.pop()
-        if partition.cyclic[partition.component_of[v]]:
-            return False
-        for _, w in g.successors(v):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return True
+    return x in _context(i).bounded
 
 
 def _sorted_elements(X) -> tuple:
@@ -70,13 +102,12 @@ def adaptable_depth(
     elements = _sorted_elements(X)
     if not elements:
         raise ValidationError("adaptable depth needs a non-empty element set")
-    g = graph_of_interpretation(i)
-    product = product_reachable(g, elements, node_cap=node_cap)
-    d = mvf(product, elements)
+    ctx = _context(i)
+    d = mvf(ctx.product(elements, node_cap), elements)
     x_lim = frozenset(x for x in elements if bounded_walks(i, x))
     if x_lim:
         return DepthReport(x_lim, d, d - 1, "bounded")
-    return DepthReport(x_lim, d, d * mmvf(g), "cyclic")
+    return DepthReport(x_lim, d, d * ctx.mmvf, "cyclic")
 
 
 def prune_subsumed_conjuncts(c: Concept) -> Concept:
@@ -120,8 +151,7 @@ def mmsc_at_depth(
     elements = _sorted_elements(X)
     if not elements:
         return BOTTOM
-    g = graph_of_interpretation(i)
-    product = product_reachable(g, elements, node_cap=node_cap)
+    product = _context(i).product(elements, node_cap)
     tree = unravel(product, elements, d, node_cap=node_cap)
     concept = concept_of_tree(tree)
     if prune:

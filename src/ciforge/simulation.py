@@ -14,7 +14,7 @@ from .concepts import (
     conjuncts_of,
 )
 from .errors import ValidationError
-from .graphs import DescriptionGraph, graph_of_interpretation, tree_of_concept
+from .graphs import DescriptionGraph, tree_of_concept
 
 
 def greatest_simulation(g1: DescriptionGraph, g2: DescriptionGraph) -> set:
@@ -114,6 +114,13 @@ def functional_subsimulation(pairs, g1: DescriptionGraph, v1, g2: DescriptionGra
     return chosen
 
 
+def _graph_of(i: Interpretation) -> DescriptionGraph:
+    """G(I) from the interpretation's cached context."""
+    from .mmsc import _context  # mmsc imports this module
+
+    return _context(i).graph
+
+
 def member(x, c: Concept, i: Interpretation) -> bool:
     """x ∈ C^I, decided through simulation of C's tree into G(I)."""
     if x not in i.domain:
@@ -123,7 +130,7 @@ def member(x, c: Concept, i: Interpretation) -> bool:
     if isinstance(c, Top):
         return True
     tree = tree_of_concept(c)
-    return simulates(tree.graph, tree.root, graph_of_interpretation(i), x)
+    return simulates(tree.graph, tree.root, _graph_of(i), x)
 
 
 def extension(c: Concept, i: Interpretation) -> frozenset:
@@ -133,7 +140,7 @@ def extension(c: Concept, i: Interpretation) -> frozenset:
     if isinstance(c, Top):
         return i.domain
     tree = tree_of_concept(c)
-    sim = greatest_simulation(tree.graph, graph_of_interpretation(i))
+    sim = greatest_simulation(tree.graph, _graph_of(i))
     return frozenset(x for x in i.domain if (tree.root, x) in sim)
 
 

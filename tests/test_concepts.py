@@ -160,6 +160,16 @@ def test_interpretation_validation():
         make_interpretation(["a"], role_ext={"r": [("a", "b")]})
 
 
+def test_interpretation_rejects_non_string_element_ids():
+    with pytest.raises(ValidationError, match="element id 1 is not a string"):
+        make_interpretation([1, 2], concept_ext={"A": [1]})
+    # Mixed ids name the non-string one.
+    with pytest.raises(ValidationError, match="element id 1 is not a string"):
+        make_interpretation([1, "b"], role_ext={"r": [(1, "b")]})
+    with pytest.raises(ValidationError, match=r"element id \('a',\) is not a string"):
+        make_interpretation(["b", ("a",)])
+
+
 def test_active_signature_ignores_empty_extensions():
     i = make_interpretation(
         ["a"], concept_ext={"A": ["a"], "B": []}, role_ext={"r": [], "s": [("a", "a")]}

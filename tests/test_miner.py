@@ -186,6 +186,23 @@ def test_axiom_counts_are_stable():
         assert len(tbox) >= count  # equivalences count once, expand to two
 
 
+def test_summary_has_a_depth_histogram_not_a_line_per_subset():
+    tbox, report = fixture_base("fig3", "intents")
+    assert len(report.depth_reports) == 127
+    assert list(report.summary_lines()) == [
+        "attributes: 33",
+        "intents: 10",
+        "axioms: 106",
+        "max role depth: 10",
+        "depth branch=bounded chosen=0 subsets=120",
+        "depth branch=bounded chosen=1 subsets=2",
+        "depth branch=bounded chosen=2 subsets=2",
+        "depth branch=cyclic chosen=3 subsets=1",
+        "depth branch=cyclic chosen=9 subsets=2",
+        "max chosen depth: 9",
+    ]
+
+
 def test_mined_bases_are_sound_on_their_interpretation():
     for name in ("fig4i", "fig4ii", "fig7"):
         for mode in ("naive", "intents"):

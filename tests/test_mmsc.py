@@ -1,5 +1,7 @@
 """Most specific concepts at fixed and adaptively chosen depths."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -17,10 +19,13 @@ from ciforge.concepts import (
     make_interpretation,
     role_depth,
 )
-from ciforge.errors import ValidationError
+from ciforge.errors import ResourceCapError, ValidationError
 from ciforge.fixtures import builtin_fixture
 from ciforge.graphs import graph_of_interpretation, product_trees, unravel
+from ciforge import mmsc as mmsc_module
+from ciforge.miner import attribute_set, build_base
 from ciforge.mmsc import (
+    _context,
     adaptable_depth,
     bounded_walks,
     lower_approximation,
@@ -28,12 +33,19 @@ from ciforge.mmsc import (
     mmsc_at_depth,
     prune_subsumed_conjuncts,
 )
-from ciforge.oracles import enumerate_concepts, random_mineable_interpretation
+from ciforge.mvf import scc
+from ciforge.oracles import (
+    enumerate_concepts,
+    random_interpretation,
+    random_mineable_interpretation,
+)
 from ciforge.simulation import (
     equivalent_empty,
+    extension,
     semantic_extension,
     subsumed_empty,
 )
+from ciforge.storage import interpretation_to_document
 
 from conftest import concepts, interpretations
 
@@ -59,6 +71,48 @@ def test_bounded_walks_golden_values():
 def test_bounded_walks_validates_the_element():
     with pytest.raises(ValidationError):
         bounded_walks(builtin_fixture("fig7"), "zz")
+
+
+def bounded_walks_by_search(i, x) -> bool:
+    """Reference: search every element reachable from x for a cyclic SCC."""
+    g = graph_of_interpretation(i)
+    partition = scc(g)
+    seen = {x}
+    frontier = [x]
+    while frontier:
+        v = frontier.pop()
+        if partition.cyclic[partition.component_of[v]]:
+            return False
+        for _, w in g.successors(v):
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return True
+
+
+def test_bounded_walks_agrees_with_the_search_on_random_interpretations():
+    self_loops = reconvergent = checked = 0
+    for seed in range(300):
+        i = random_interpretation(random.Random(seed), max_elements=6, density=0.15)
+        edges = {(src, tgt) for pairs in i.role_ext.values() for src, tgt in pairs}
+        self_loops += any(src == tgt for src, tgt in edges)
+        # Two distinct edges into one element from different sources.
+        targets = [tgt for src, tgt in edges if src != tgt]
+        reconvergent += len(targets) != len(set(targets))
+        for x in sorted(i.domain):
+            assert bounded_walks(i, x) == bounded_walks_by_search(i, x), (seed, x)
+            checked += 1
+    assert self_loops and reconvergent and checked > 900
+
+
+def test_bounded_walks_on_a_chain_into_a_cycle():
+    # a -> b -> c <-> d, plus a reconvergent a -> c and a bounded spur b -> e.
+    i = make_interpretation(
+        ["a", "b", "c", "d", "e"],
+        role_ext={"r": [("a", "b"), ("b", "c"), ("c", "d"), ("d", "c"), ("a", "c")],
+                  "s": [("b", "e")]},
+    )
+    assert [bounded_walks(i, x) for x in "abcde"] == [False] * 4 + [True]
 
 
 # -- depth selection --------------------------------------------------------
@@ -110,6 +164,79 @@ def test_depth_report_internal_consistency(seed):
         g = graph_of_interpretation(i)
         assert report.chosen_depth == report.product_mvf * mmvf(g)
     assert all(bounded_walks(i, x) for x in report.x_lim)
+
+
+def test_depth_and_mmsc_respect_a_small_node_cap():
+    hubs = {"x1", "x2", "x3"}
+    with pytest.raises(ResourceCapError):
+        adaptable_depth(builtin_fixture("fig5"), hubs, node_cap=5)
+    with pytest.raises(ResourceCapError):
+        mmsc_at_depth(builtin_fixture("fig5"), hubs, 29, node_cap=5)
+    # The 30-vertex product fits a cap of 100 but its unravelling at the
+    # chosen depth (a 151-node chain) does not, also right after the depth
+    # report built that product.
+    i = builtin_fixture("fig5")
+    report = adaptable_depth(i, hubs, node_cap=100)
+    assert (report.product_mvf, report.chosen_depth) == (30, 150)
+    with pytest.raises(ResourceCapError):
+        mmsc_at_depth(i, hubs, report.chosen_depth, node_cap=100)
+    # A product built under a larger cap is not reused under a smaller one.
+    adaptable_depth(i, hubs)
+    with pytest.raises(ResourceCapError):
+        adaptable_depth(i, hubs, node_cap=5)
+
+
+def test_random_mineable_interpretations_are_unchanged():
+    # random_mineable_interpretation resamples on ResourceCapError, so a
+    # change in where the caps fire would change the instances picked.
+    docs = [interpretation_to_document(seeded_instance(seed)) for seed in range(40)]
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == "1c66cf201f70206e5f7dbd2f9743160f912980e303daaee99bff7a6c2a5aa9a9"
+
+
+# -- the per-interpretation context -----------------------------------------
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_mining_builds_the_graph_once_and_each_product_once(monkeypatch):
+    graphs = _counting(monkeypatch, mmsc_module, "graph_of_interpretation")
+    products = _counting(monkeypatch, mmsc_module, "product_reachable")
+    build_base(builtin_fixture("fig3"))
+    assert len(graphs) == 1
+    products.clear()
+    i = builtin_fixture("fig3")
+    a = attribute_set(i)
+    assert len(products) == len(a.depth_reports) == 2 ** len(i.domain) - 1
+
+
+def test_simulation_reads_the_cached_graph(monkeypatch):
+    graphs = _counting(monkeypatch, mmsc_module, "graph_of_interpretation")
+    i = builtin_fixture("fig3")
+    c = Exists("partof", Atom("Region"))
+    assert extension(c, i) == semantic_extension(c, i)
+    assert extension(Atom("City"), i) == semantic_extension(Atom("City"), i)
+    assert len(graphs) == 1
+
+
+def test_interpretations_differing_in_roles_do_not_share_a_context():
+    looped = make_interpretation(["a", "b"], {"A": ["a"]}, {"r": [("a", "b"), ("b", "b")]})
+    chained = make_interpretation(["a", "b"], {"A": ["a"]}, {"r": [("a", "b")]})
+    assert not bounded_walks(looped, "a")
+    assert bounded_walks(chained, "a")
+    assert _context(looped) is not _context(chained)
+    assert adaptable_depth(looped, {"a"}).branch == "cyclic"
+    assert adaptable_depth(chained, {"a"}).branch == "bounded"
 
 
 # -- fixed-depth most specific concepts -------------------------------------

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Mine a base for every built-in fixture and print the mining reports.
 
-Usage: python scripts/mine_fixtures.py [--mode naive|intents] [--out DIR]
+Usage: python scripts/mine_fixtures.py [--out DIR]
 """
 
 import argparse
@@ -18,7 +18,6 @@ from ciforge.storage import save_tbox
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--mode", choices=["naive", "intents"], default="intents")
     parser.add_argument("--out", help="directory for the mined TBox files")
     args = parser.parse_args()
 
@@ -29,15 +28,15 @@ def main() -> int:
     for name in FIXTURE_NAMES:
         i = builtin_fixture(name)
         t0 = time.perf_counter()
-        tbox, report = build_base(i, mode=args.mode)
+        tbox, report = build_base(i)
         elapsed = time.perf_counter() - t0
         sound = check_base_sound(i, tbox)
-        print(f"== {name} ({args.mode} mode, {elapsed:.1f}s, sound={sound})")
+        print(f"== {name} ({elapsed:.1f}s, sound={sound})")
         for line in report.summary_lines():
             if not line.startswith("depth "):
                 print(f"   {line}")
         if out_dir:
-            path = out_dir / f"{name}.{args.mode}.owlish"
+            path = out_dir / f"{name}.owlish"
             save_tbox(tbox, path, report=report)
             print(f"   wrote {path}")
     return 0

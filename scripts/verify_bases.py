@@ -31,33 +31,31 @@ def main() -> int:
 
     for name in FIXTURE_NAMES:
         i = builtin_fixture(name)
-        tbox, report = build_base(i, mode="intents")
+        tbox, report = build_base(i)
         ok = check_base_sound(i, tbox)
         failures += not ok
         print(f"{name}: {report.axiom_count} axioms, sound={ok}")
 
     for seed in range(args.seeds):
         i = random_mineable_interpretation(random.Random(seed))
-        for mode in ("naive", "intents"):
-            tbox, _ = build_base(i, mode=mode)
-            if not check_base_sound(i, tbox):
-                failures += 1
-                print(f"seed {seed} ({mode}): UNSOUND")
-    print(f"random soundness: {args.seeds} seeds x 2 modes checked")
+        tbox, _ = build_base(i)
+        if not check_base_sound(i, tbox):
+            failures += 1
+            print(f"seed {seed}: UNSOUND")
+    print(f"random soundness: {args.seeds} seeds checked")
 
     for name in COMPLETENESS_FIXTURES:
         i = builtin_fixture(name)
-        for mode in ("naive", "intents"):
-            t0 = time.perf_counter()
-            tbox, _ = build_base(i, mode=mode)
-            rep = check_base_complete(i, tbox, args.depth, args.size_cap)
-            failures += not rep.complete
-            print(
-                f"{name} ({mode}): complete={rep.complete} "
-                f"({rep.checked} concepts, {time.perf_counter() - t0:.1f}s)"
-            )
-            for ci in rep.counterexamples[:5]:
-                print(f"   missing: {ci}")
+        t0 = time.perf_counter()
+        tbox, _ = build_base(i)
+        rep = check_base_complete(i, tbox, args.depth, args.size_cap)
+        failures += not rep.complete
+        print(
+            f"{name}: complete={rep.complete} "
+            f"({rep.checked} concepts, {time.perf_counter() - t0:.1f}s)"
+        )
+        for ci in rep.counterexamples[:5]:
+            print(f"   missing: {ci}")
 
     print(f"total: {time.perf_counter() - t_all:.1f}s, failures={failures}")
     return 1 if failures else 0

@@ -50,9 +50,9 @@ from .mmsc import (
     mmsc_adaptive,
     mmsc_at_depth,
 )
-from .mvf import mmvf, mvf, mvf_oracle, reach_count
+from .mvf import mmvf, mvf_oracle, reach_count
 from .reasoner import Reasoner, entails
-from .simulation import extension, member, semantic_extension, simulates, subsumed_empty
+from .simulation import semantic_extension, simulates, subsumed_empty
 from .storage import load_interpretation, load_tbox, save_interpretation, save_tbox
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -39,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mine = sub.add_parser("mine", help="mine a base TBox from an interpretation")
     _add_input_options(p_mine)
-    p_mine.add_argument("--mode", choices=["naive", "intents"], default="intents")
     p_mine.add_argument("--output", required=True, help="TBox output file")
     p_mine.add_argument("--max-attrs", type=int, default=12,
                         help="domain-size cap for attribute enumeration")
@@ -72,9 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_mine(args) -> int:
     i = _load(args)
-    tbox, report = build_base(
-        i, mode=args.mode, domain_cap=args.max_attrs, node_cap=args.product_cap
-    )
+    tbox, report = build_base(i, domain_cap=args.max_attrs, node_cap=args.product_cap)
     save_tbox(tbox, args.output, report=report)
     if args.stats:
         for line in report.summary_lines():

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import ConceptSyntaxError, ValidationError
 
@@ -315,13 +315,6 @@ class ConceptInclusion:
 
     def __str__(self):
         return f"{render_concept(self.lhs)} SubClassOf {render_concept(self.rhs)}"
-
-
-TBox = frozenset  # of ConceptInclusion
-
-
-def make_tbox(axioms: Iterable[ConceptInclusion]) -> TBox:
-    return frozenset(axioms)
 
 
 # ---------------------------------------------------------------------------

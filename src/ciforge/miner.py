@@ -1,10 +1,9 @@
 """Mining a sound and complete TBox ("base") from a finite interpretation.
 
 Attributes are ⊥, the active concept names, and one existential ∃r.mmsc(X)
-per active role and non-empty X ⊆ Δ (deduplicated).  Conjunctions of
-attributes are enumerated either by closing attribute extensions under
-intersection ("naive") or by NextClosure over closed attribute sets
-("intents"); each representative is tied to the MMSC of its extension.
+per active role and non-empty X ⊆ Δ (deduplicated).  The closed attribute
+sets of the induced formal context are enumerated with NextClosure (Ganter
+1984); each one's conjunction is tied to the MMSC of its extension.
 """
 
 from __future__ import annotations
@@ -193,13 +192,14 @@ def build_base(
 ):
     """Returns (TBox, MiningReport).
 
-    Both modes emit, per extension-distinct representative R (the conjunction
-    of all attributes valid on R's extension): R ≡ mmsc(extension(R)), plus
-    one equivalence per single attribute, the Top equivalence, and inclusion
-    axioms between representatives (all comparable pairs in naive mode,
-    lattice cover edges plus pairwise meets in intents mode).
+    Emits, per extension-distinct representative R (the conjunction of all
+    attributes valid on R's extension): R ≡ mmsc(extension(R)), plus one
+    equivalence per single attribute, the Top equivalence, the cover edges
+    of the closed-extension lattice and the pairwise meets.  There is one
+    mining mode; `mode` stays so that callers passing "intents" keep working,
+    and any other value is rejected.
     """
-    if mode not in ("naive", "intents"):
+    if mode != "intents":
         raise CiforgeError(f"unknown mining mode {mode!r}")
     attrs = attribute_set(i, domain_cap=domain_cap, node_cap=node_cap)
     memo: dict = {}
@@ -239,19 +239,14 @@ def build_base(
 
     ordered = sorted(reps.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
-    # (3) inclusions between representatives.
-    if mode == "naive":
-        for (ext1, rep1), (ext2, rep2) in itertools.permutations(ordered, 2):
-            if ext1 < ext2:
-                axioms.add(ConceptInclusion(rep1, rep2))
-    else:
-        # cover edges of the closed-extension lattice
-        extents = [ext for ext, _ in ordered]
-        for ext1 in extents:
-            uppers = [e for e in extents if ext1 < e]
-            for ext2 in uppers:
-                if not any(ext1 < mid < ext2 for mid in uppers):
-                    axioms.add(ConceptInclusion(reps[ext1], reps[ext2]))
+    # (3) inclusions between representatives: the cover edges of the
+    # closed-extension lattice.
+    extents = [ext for ext, _ in ordered]
+    for ext1 in extents:
+        uppers = [e for e in extents if ext1 < e]
+        for ext2 in uppers:
+            if not any(ext1 < mid < ext2 for mid in uppers):
+                axioms.add(ConceptInclusion(reps[ext1], reps[ext2]))
     # (4) meet axioms: R1 ⊓ R2 ⊑ representative of the meet extension.  The
     # attribute equivalences route any conjunction of attributes through the
     # closed representatives, and the meets close the lattice downwards; both

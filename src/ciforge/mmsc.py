@@ -27,7 +27,7 @@ from .graphs import (
     unravel,
 )
 from .mvf import condensation, mmvf, mvf, scc
-from .simulation import extension, subsumed_empty
+from .simulation import semantic_extension, subsumed_empty
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ def lower_approximation(c: Concept, i: Interpretation) -> Concept:
     parts: list[Concept] = []
     for d in conjuncts_of(c):
         if isinstance(d, Exists):
-            filler_ext = extension(d.filler, i)
+            filler_ext = semantic_extension(d.filler, i)
             parts.append(Exists(d.role, mmsc_adaptive(i, filler_ext)))
         else:
             parts.append(d)

@@ -15,20 +15,23 @@ from .concepts import (
     And,
     Atom,
     BOTTOM,
+    Bottom,
     Concept,
     Exists,
     Interpretation,
     Signature,
     TOP,
+    Top,
     canonicalize,
     concept_sort_key,
     exists_chain,
     make_interpretation,
     node_count,
 )
-from .graphs import DescriptionGraph
+from .errors import ValidationError
+from .graphs import DescriptionGraph, graph_of_interpretation, tree_of_concept
 from .mvf import mvf
-from .simulation import bounded_simulates, semantic_extension
+from .simulation import bounded_simulates, greatest_simulation, semantic_extension
 
 DEFAULT_SEED = 20260823
 
@@ -37,6 +40,47 @@ def harness_seed() -> int:
     """Seed for randomized suites; override with CIFORGE_SEED."""
     raw = os.environ.get("CIFORGE_SEED")
     return int(raw) if raw else DEFAULT_SEED
+
+
+# ---------------------------------------------------------------------------
+# Extensions by simulation
+
+
+def extension(c: Concept, i: Interpretation) -> frozenset:
+    """{x ∈ Δ | x ∈ C^I} via one greatest simulation of C's tree into G(I);
+    independent of the recursive `semantic_extension`."""
+    if isinstance(c, Bottom):
+        return frozenset()
+    if isinstance(c, Top):
+        return i.domain
+    tree = tree_of_concept(c)
+    sim = greatest_simulation(tree.graph, graph_of_interpretation(i))
+    return frozenset(x for x in i.domain if (tree.root, x) in sim)
+
+
+def member(x, c: Concept, i: Interpretation) -> bool:
+    """x ∈ C^I, decided through simulation of C's tree into G(I)."""
+    if x not in i.domain:
+        raise ValidationError(f"{x!r} is not a domain element")
+    return x in extension(c, i)
+
+
+# ---------------------------------------------------------------------------
+# Closed extents
+
+
+def closed_extents(domain, extents) -> frozenset:
+    """Every intersection of a subfamily of `extents` (the empty one gives
+    `domain`): {domain} ∪ extents closed under pairwise intersection.  The
+    extents of the closed attribute sets NextClosure enumerates, by brute
+    force."""
+    closed = {frozenset(domain)} | {frozenset(e) for e in extents}
+    frontier = set(closed)
+    while frontier:
+        new = {a & b for a in frontier for b in closed} - closed
+        closed |= new
+        frontier = new
+    return frozenset(closed)
 
 
 # ---------------------------------------------------------------------------

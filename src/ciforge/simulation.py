@@ -1,5 +1,5 @@
-"""Greatest simulations between description graphs; concept membership,
-extensions, and empty-TBox subsumption derived from them."""
+"""Greatest simulations between description graphs, semantic extensions, and
+empty-TBox subsumption decided by simulation between concept trees."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from .concepts import (
     Exists,
     Interpretation,
     Top,
-    conjuncts_of,
 )
 from .errors import ValidationError
 from .graphs import DescriptionGraph, tree_of_concept
@@ -20,7 +19,7 @@ from .graphs import DescriptionGraph, tree_of_concept
 def greatest_simulation(g1: DescriptionGraph, g2: DescriptionGraph) -> set:
     """All pairs (w1, w2) such that (g1, w1) is simulated by (g2, w2).
 
-    Naive refinement: start from the label-compatible pairs and repeatedly
+    Fixpoint refinement: start from the label-compatible pairs and repeatedly
     drop pairs with an unmatched edge until nothing changes.
     """
     candidates = {
@@ -114,39 +113,9 @@ def functional_subsimulation(pairs, g1: DescriptionGraph, v1, g2: DescriptionGra
     return chosen
 
 
-def _graph_of(i: Interpretation) -> DescriptionGraph:
-    """G(I) from the interpretation's cached context."""
-    from .mmsc import _context  # mmsc imports this module
-
-    return _context(i).graph
-
-
-def member(x, c: Concept, i: Interpretation) -> bool:
-    """x ∈ C^I, decided through simulation of C's tree into G(I)."""
-    if x not in i.domain:
-        raise ValidationError(f"{x!r} is not a domain element")
-    if isinstance(c, Bottom):
-        return False
-    if isinstance(c, Top):
-        return True
-    tree = tree_of_concept(c)
-    return simulates(tree.graph, tree.root, _graph_of(i), x)
-
-
-def extension(c: Concept, i: Interpretation) -> frozenset:
-    """{x ∈ Δ | x ∈ C^I} via one greatest-simulation computation."""
-    if isinstance(c, Bottom):
-        return frozenset()
-    if isinstance(c, Top):
-        return i.domain
-    tree = tree_of_concept(c)
-    sim = greatest_simulation(tree.graph, _graph_of(i))
-    return frozenset(x for x in i.domain if (tree.root, x) in sim)
-
-
 def semantic_extension(c: Concept, i: Interpretation, _memo=None) -> frozenset:
-    """Recursive evaluation of C^I straight from the semantics; mutual oracle
-    for the simulation route, and the fast path for bulk enumeration."""
+    """Recursive evaluation of C^I straight from the semantics; the simulation
+    route in `oracles.extension` cross-checks it."""
     if _memo is None:
         _memo = {}
     hit = _memo.get(c)

@@ -94,19 +94,19 @@ def tbox_lines(tbox) -> list[str]:
     EquivalentTo line."""
     axioms = set(tbox)
     lines = []
-    for ci in sorted(axioms, key=str):
+    # The final sort fixes the order, so each axiom is rendered once.
+    for ci in list(axioms):
         if ci not in axioms:
             continue
+        axioms.discard(ci)
         reverse = ConceptInclusion(ci.rhs, ci.lhs)
-        if reverse in axioms and reverse != ci:
-            axioms.discard(ci)
+        if reverse in axioms:
             axioms.discard(reverse)
             first, second = sorted(
                 [render_concept(ci.lhs), render_concept(ci.rhs)]
             )
             lines.append(f"{first} EquivalentTo {second}")
-        elif ci in axioms:
-            axioms.discard(ci)
+        else:
             lines.append(str(ci))
     return sorted(lines)
 

@@ -184,7 +184,7 @@ def test_acceptance_06_unbounded_depth_families():
             canonicalize(Exists("s", exists_chain("r", n, Atom("B")))), i2, memo2
         ) <= semantic_extension(Atom("A"), i2, memo2)
 
-    tbox, _ = build_base(i1, mode="intents")
+    tbox, _ = build_base(i1)
     targets = [canonicalize(exists_chain("r", n, TOP)) for n in range(1, 21)]
     reasoner = Reasoner(tbox, rhs_concepts=targets)
     for target in targets:
@@ -199,13 +199,12 @@ def test_acceptance_07_base_soundness_everywhere():
     t0 = time.perf_counter()
     for name in FIXTURE_NAMES:
         i = builtin_fixture(name)
-        tbox, _ = build_base(i, mode="intents")
+        tbox, _ = build_base(i)
         assert check_base_sound(i, tbox), name
     for seed in range(50):
         i = random_mineable_interpretation(random.Random(seed))
-        for mode in ("naive", "intents"):
-            tbox, _ = build_base(i, mode=mode)
-            assert check_base_sound(i, tbox), (seed, mode)
+        tbox, _ = build_base(i)
+        assert check_base_sound(i, tbox), seed
     assert time.perf_counter() - t0 < 60.0
 
 
@@ -216,14 +215,9 @@ def test_acceptance_08_base_completeness_at_desk_scale():
     t0 = time.perf_counter()
     for name in ("fig3", "fig4i", "fig4ii", "fig7"):
         i = builtin_fixture(name)
-        for mode in ("naive", "intents"):
-            tbox, _ = build_base(i, mode=mode)
-            report = check_base_complete(i, tbox, depth=2, size_cap=9)
-            assert report.complete, (
-                name,
-                mode,
-                report.counterexamples[:3],
-            )
+        tbox, _ = build_base(i)
+        report = check_base_complete(i, tbox, depth=2, size_cap=9)
+        assert report.complete, (name, report.counterexamples[:3])
     assert time.perf_counter() - t0 < 300.0
 
 

@@ -26,7 +26,7 @@ from ciforge.miner import (
     enumerate_intents,
     intent_closure,
 )
-from ciforge.oracles import random_mineable_interpretation
+from ciforge.oracles import closed_extents, random_mineable_interpretation
 from ciforge.reasoner import Reasoner
 from ciforge.simulation import equivalent_empty, semantic_extension
 
@@ -37,8 +37,8 @@ def seeded_instance(seed):
 
 
 @functools.lru_cache(maxsize=None)
-def fixture_base(name, mode):
-    return build_base(builtin_fixture(name), mode=mode)
+def fixture_base(name):
+    return build_base(builtin_fixture(name))
 
 
 # -- attribute sets ---------------------------------------------------------
@@ -168,26 +168,37 @@ def test_closed_sets_are_closed_and_unique():
         assert common == ext
 
 
+def _assert_lattice_matches_the_oracle(i, label):
+    attrs = attribute_set(i)
+    lattice = enumerate_intents(attrs, i)
+    extents = [ext for _, ext in lattice.intents]
+    assert len(set(extents)) == len(extents), label
+    assert set(extents) == closed_extents(i.domain, attrs.ext), label
+
+
+def test_closed_extents_match_the_brute_force_oracle_on_fixtures():
+    for name in ("fig3", "fig4i", "fig4ii", "fig7"):
+        _assert_lattice_matches_the_oracle(builtin_fixture(name), name)
+
+
+def test_closed_extents_match_the_brute_force_oracle_on_random_seeds():
+    for seed in range(50):
+        _assert_lattice_matches_the_oracle(seeded_instance(seed), seed)
+
+
 # -- base construction ------------------------------------------------------
 
 
 def test_axiom_counts_are_stable():
-    expected = {
-        ("fig4i", "naive"): 17,
-        ("fig4i", "intents"): 16,
-        ("fig4ii", "naive"): 74,
-        ("fig4ii", "intents"): 64,
-        ("fig7", "naive"): 26,
-        ("fig7", "intents"): 25,
-    }
-    for (name, mode), count in expected.items():
-        tbox, report = fixture_base(name, mode)
-        assert report.axiom_count == count, (name, mode)
+    expected = {"fig4i": 16, "fig4ii": 64, "fig7": 25}
+    for name, count in expected.items():
+        tbox, report = fixture_base(name)
+        assert report.axiom_count == count, name
         assert len(tbox) >= count  # equivalences count once, expand to two
 
 
 def test_summary_has_a_depth_histogram_not_a_line_per_subset():
-    tbox, report = fixture_base("fig3", "intents")
+    tbox, report = fixture_base("fig3")
     assert len(report.depth_reports) == 127
     assert list(report.summary_lines()) == [
         "attributes: 33",
@@ -205,14 +216,13 @@ def test_summary_has_a_depth_histogram_not_a_line_per_subset():
 
 def test_mined_bases_are_sound_on_their_interpretation():
     for name in ("fig4i", "fig4ii", "fig7"):
-        for mode in ("naive", "intents"):
-            tbox, _ = fixture_base(name, mode)
-            assert check_base_sound(builtin_fixture(name), tbox)
+        tbox, _ = fixture_base(name)
+        assert check_base_sound(builtin_fixture(name), tbox)
 
 
 def test_equivalence_axioms_are_extension_faithful():
     i = builtin_fixture("fig4ii")
-    tbox, _ = fixture_base("fig4ii", "intents")
+    tbox, _ = fixture_base("fig4ii")
     memo: dict = {}
     for ci in tbox:
         reverse = ConceptInclusion(ci.rhs, ci.lhs)
@@ -225,7 +235,7 @@ def test_equivalence_axioms_are_extension_faithful():
 def test_base_entails_an_unbounded_depth_family():
     from ciforge.concepts import exists_chain
 
-    tbox, _ = fixture_base("fig4i", "intents")
+    tbox, _ = fixture_base("fig4i")
     family = [
         ConceptInclusion(Atom("A"), canonicalize(exists_chain("r", n, TOP)))
         for n in range(1, 21)
@@ -236,7 +246,7 @@ def test_base_entails_an_unbounded_depth_family():
 
 
 def test_base_entails_valid_fixture_inclusions():
-    tbox, _ = fixture_base("fig3", "intents")
+    tbox, _ = fixture_base("fig3")
     from ciforge.reasoner import entails
 
     assert entails(
@@ -250,7 +260,7 @@ def test_base_entails_valid_fixture_inclusions():
 
 
 def test_disjoint_attribute_meet_is_entailed_to_be_empty():
-    tbox, _ = fixture_base("fig4ii", "naive")
+    tbox, _ = fixture_base("fig4ii")
     from ciforge.reasoner import entails
 
     assert entails(
@@ -261,28 +271,27 @@ def test_disjoint_attribute_meet_is_entailed_to_be_empty():
 
 def test_trivial_interpretation_base_entails_nothing_substantial():
     i = make_interpretation(["a"])
-    for mode in ("naive", "intents"):
-        tbox, report = build_base(i, mode=mode)
-        memo: dict = {}
-        for ci in tbox:
-            lhs_ext = semantic_extension(ci.lhs, i, memo)
-            rhs_ext = semantic_extension(ci.rhs, i, memo)
-            assert lhs_ext <= rhs_ext
-            assert not lhs_ext or rhs_ext == i.domain
+    tbox, report = build_base(i)
+    memo: dict = {}
+    for ci in tbox:
+        lhs_ext = semantic_extension(ci.lhs, i, memo)
+        rhs_ext = semantic_extension(ci.rhs, i, memo)
+        assert lhs_ext <= rhs_ext
+        assert not lhs_ext or rhs_ext == i.domain
 
 
 def test_unknown_mode_is_rejected():
-    with pytest.raises(CiforgeError):
-        build_base(builtin_fixture("fig7"), mode="fancy")
+    for mode in ("fancy", "naive"):
+        with pytest.raises(CiforgeError, match="mining mode"):
+            build_base(builtin_fixture("fig7"), mode=mode)
 
 
 @settings(max_examples=15)
 @given(st.integers(min_value=0, max_value=500))
 def test_random_bases_are_sound(seed):
     i = seeded_instance(seed % 15)
-    for mode in ("naive", "intents"):
-        tbox, _ = build_base(i, mode=mode)
-        assert check_base_sound(i, tbox)
+    tbox, _ = build_base(i)
+    assert check_base_sound(i, tbox)
 
 
 # -- verification helpers ---------------------------------------------------
@@ -305,7 +314,7 @@ def test_empty_tbox_is_incomplete_for_structured_data():
 
 def test_depth_zero_completeness_of_a_mined_base():
     i = builtin_fixture("fig4ii")
-    tbox, _ = fixture_base("fig4ii", "intents")
+    tbox, _ = fixture_base("fig4ii")
     report = check_base_complete(i, tbox, depth=0, size_cap=5)
     assert report.complete
 
@@ -313,7 +322,6 @@ def test_depth_zero_completeness_of_a_mined_base():
 def test_mined_bases_are_complete_at_desk_scale():
     for name in ("fig4i", "fig4ii", "fig7"):
         i = builtin_fixture(name)
-        for mode in ("naive", "intents"):
-            tbox, _ = fixture_base(name, mode)
-            report = check_base_complete(i, tbox, depth=2, size_cap=9)
-            assert report.complete, (name, mode, report.counterexamples[:3])
+        tbox, _ = fixture_base(name)
+        report = check_base_complete(i, tbox, depth=2, size_cap=9)
+        assert report.complete, (name, report.counterexamples[:3])

@@ -41,7 +41,6 @@ from ciforge.oracles import (
 )
 from ciforge.simulation import (
     equivalent_empty,
-    extension,
     semantic_extension,
     subsumed_empty,
 )
@@ -218,15 +217,6 @@ def test_mining_builds_the_graph_once_and_each_product_once(monkeypatch):
     i = builtin_fixture("fig3")
     a = attribute_set(i)
     assert len(products) == len(a.depth_reports) == 2 ** len(i.domain) - 1
-
-
-def test_simulation_reads_the_cached_graph(monkeypatch):
-    graphs = _counting(monkeypatch, mmsc_module, "graph_of_interpretation")
-    i = builtin_fixture("fig3")
-    c = Exists("partof", Atom("Region"))
-    assert extension(c, i) == semantic_extension(c, i)
-    assert extension(Atom("City"), i) == semantic_extension(Atom("City"), i)
-    assert len(graphs) == 1
 
 
 def test_interpretations_differing_in_roles_do_not_share_a_context():

@@ -1,6 +1,7 @@
 """SCCs, condensations, and the walk-coverage measures."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,6 +28,15 @@ def fig3_graph():
 
 def fig5_graph():
     return graph_of_interpretation(builtin_fixture("fig5"))
+
+
+def test_the_package_attribute_is_the_module_not_the_function():
+    import ciforge
+    import ciforge.mvf as m
+
+    assert m is sys.modules["ciforge.mvf"]
+    assert ciforge.mvf is m
+    assert m.scc is scc and m.mvf is mvf
 
 
 # -- strongly connected components ------------------------------------------

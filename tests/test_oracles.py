@@ -18,6 +18,7 @@ from ciforge.errors import ResourceCapError
 from ciforge.oracles import (
     DEFAULT_SEED,
     claim_dsim_check,
+    closed_extents,
     enumerate_concepts,
     exponential_depth_check,
     fbp_witness_check,
@@ -31,6 +32,29 @@ from ciforge.oracles import (
 SIG_1A1R = Signature(frozenset({"A"}), frozenset({"r"}))
 SIG_2A1R = Signature(frozenset({"A", "B"}), frozenset({"r"}))
 SIG_2A2R = Signature(frozenset({"A", "B"}), frozenset({"r", "s"}))
+
+
+# -- closed extents -----------------------------------------------------------
+
+
+def test_closed_extents_are_all_intersections():
+    domain = {"a", "b", "c"}
+    extents = [{"a", "b"}, {"b", "c"}, {"a", "c"}]
+    assert closed_extents(domain, extents) == {
+        frozenset(x) for x in ({"a", "b", "c"}, {"a", "b"}, {"b", "c"},
+                               {"a", "c"}, {"a"}, {"b"}, {"c"}, set())
+    }
+    assert closed_extents(domain, []) == {frozenset(domain)}
+
+
+def test_closed_extents_reach_intersections_of_many_sets():
+    # Every subset of the domain is the intersection of the complements of
+    # its missing points, and the empty set needs all six of them.
+    domain = set(range(6))
+    extents = [domain - {k} for k in range(6)]
+    closed = closed_extents(domain, extents)
+    assert len(closed) == 2 ** 6
+    assert frozenset() in closed
 
 
 # -- concept enumeration -----------------------------------------------------

@@ -13,14 +13,13 @@ from ciforge.concepts import (
 from ciforge.errors import ValidationError
 from ciforge.fixtures import builtin_fixture
 from ciforge.graphs import graph_of_interpretation, tree_of_concept, unravel
+from ciforge.oracles import extension, member
 from ciforge.simulation import (
     bounded_simulates,
     equivalent_empty,
-    extension,
     functional_subsimulation,
     greatest_simulation,
     is_simulation,
-    member,
     semantic_extension,
     simulates,
     subsumed_empty,

@@ -137,12 +137,39 @@ def test_mined_base_survives_a_file_round_trip(tmp_path):
     from ciforge.miner import build_base
 
     i = builtin_fixture("fig4ii")
-    tbox, report = build_base(i, mode="intents")
+    tbox, report = build_base(i)
     path = tmp_path / "base.owlish"
     save_tbox(tbox, path, report=report)
     text = path.read_text()
     assert text.startswith("# attributes:")
     assert load_tbox(path) == tbox
+
+
+def test_tbox_lines_render_each_axiom_once(monkeypatch):
+    import ciforge.concepts as concepts_module
+    import ciforge.storage as storage_module
+    from ciforge.miner import build_base
+
+    original = concepts_module.render_concept
+    outermost = []
+    depth = [0]
+
+    def counted(c):
+        if not depth[0]:
+            outermost.append(c)
+        depth[0] += 1
+        try:
+            return original(c)
+        finally:
+            depth[0] -= 1
+
+    tbox, _ = build_base(builtin_fixture("fig4ii"))
+    expected = tbox_lines(tbox)
+    monkeypatch.setattr(concepts_module, "render_concept", counted)
+    monkeypatch.setattr(storage_module, "render_concept", counted)
+    assert tbox_lines(tbox) == expected
+    # Both sides of every line, SubClassOf or EquivalentTo, once each.
+    assert len(outermost) == 2 * len(expected) < 2 * len(tbox)
 
 
 # -- command-line interface ---------------------------------------------------
@@ -184,8 +211,6 @@ def test_cli_mine_entails_check_pipeline(tmp_path, capsys):
             "mine",
             "--fixture",
             "fig4i",
-            "--mode",
-            "intents",
             "--output",
             str(out_path),
             "--stats",
@@ -283,3 +308,12 @@ def test_cli_usage_errors_exit_with_code_two():
     with pytest.raises(SystemExit) as exc:
         main(["mine", "--fixture", "nope", "--output", "x"])
     assert exc.value.code == 2
+
+
+def test_cli_mine_has_no_mode_option(tmp_path, capsys):
+    out_path = tmp_path / "base.owlish"
+    with pytest.raises(SystemExit) as exc:
+        main(["mine", "--fixture", "fig7", "--mode", "naive", "--output", str(out_path)])
+    assert exc.value.code != 0
+    assert "--mode" in capsys.readouterr().err
+    assert not out_path.exists()

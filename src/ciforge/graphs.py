@@ -26,14 +26,17 @@ class DescriptionGraph:
     """Vertex-labeled digraph with role-labeled edges.
 
     Vertices are opaque hashable ids; labels map each vertex to a frozenset of
-    concept names.  Adjacency is indexed at construction time.
+    concept names.  Adjacency is indexed at construction time; each vertex's
+    successors keep the order of `edges`, duplicates dropped, so a builder
+    that passes its edges in a fixed order gets a fixed successor order.
     """
 
     __slots__ = ("vertices", "edges", "labels", "_succ")
 
     def __init__(self, vertices, edges, labels):
         self.vertices = frozenset(vertices)
-        self.edges = frozenset(edges)
+        ordered = dict.fromkeys(edges)
+        self.edges = frozenset(ordered)
         self.labels = {v: frozenset(labels.get(v, ())) for v in self.vertices}
         for src, role, tgt in self.edges:
             if src not in self.vertices or tgt not in self.vertices:
@@ -42,7 +45,7 @@ class DescriptionGraph:
             if v not in self.vertices:
                 raise ValidationError(f"label key {v!r} is not a vertex")
         succ = {v: [] for v in self.vertices}
-        for src, role, tgt in sorted(self.edges, key=repr):
+        for src, role, tgt in ordered:
             succ[src].append((role, tgt))
         self._succ = succ
 
@@ -99,11 +102,11 @@ def graph_of_interpretation(i: Interpretation) -> DescriptionGraph:
     for name, ext in i.concept_ext.items():
         for x in ext:
             labels[x].add(name)
-    edges = {
+    edges = [
         (src, role, tgt)
-        for role, pairs in i.role_ext.items()
-        for src, tgt in pairs
-    }
+        for role in sorted(i.role_ext)
+        for src, tgt in sorted(i.role_ext[role])
+    ]
     return DescriptionGraph(i.domain, edges, labels)
 
 
@@ -209,7 +212,7 @@ def product_trees(trees, node_cap: int = DEFAULT_NODE_CAP) -> DescriptionTree:
     root = tuple(t.root for t in trees)
     vertices = {root}
     labels = {}
-    edges = set()
+    edges = []
     frontier = [root]
     while frontier:
         tup = frontier.pop()
@@ -231,7 +234,7 @@ def product_trees(trees, node_cap: int = DEFAULT_NODE_CAP) -> DescriptionTree:
                         f"tree product exceeded the node cap of {node_cap}"
                     )
                 vertices.add(combo)
-                edges.add((tup, role, combo))
+                edges.append((tup, role, combo))
                 frontier.append(combo)
     return DescriptionTree(DescriptionGraph(vertices, edges, labels), root)
 
@@ -246,7 +249,7 @@ def product_reachable(
         if v not in g.vertices:
             raise ValidationError(f"{v!r} is not a vertex")
     vertices = {start}
-    edges = set()
+    edges = []
     labels = {}
     frontier = [start]
     while frontier:
@@ -262,7 +265,7 @@ def product_reachable(
             shared = set(roles) if shared is None else shared & set(roles)
         for role in sorted(shared):
             for combo in itertools.product(*(roles[role] for roles in per_vertex)):
-                edges.add((tup, role, combo))
+                edges.append((tup, role, combo))
                 if combo not in vertices:
                     if len(vertices) >= node_cap:
                         raise ResourceCapError(

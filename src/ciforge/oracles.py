@@ -159,12 +159,12 @@ def random_graph(rng: random.Random, max_vertices=8, roles=("r", "s"), density=0
                  atom_names=("A", "B")) -> DescriptionGraph:
     n = rng.randint(1, max_vertices)
     vertices = [f"n{k}" for k in range(n)]
-    edges = set()
+    edges = []
     for role in roles:
         for src in vertices:
             for tgt in vertices:
                 if rng.random() < density:
-                    edges.add((src, role, tgt))
+                    edges.append((src, role, tgt))
     labels = {
         v: {a for a in atom_names if rng.random() < 0.5} for v in vertices
     }

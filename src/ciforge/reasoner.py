@@ -20,7 +20,15 @@ C1 ⊓ … ⊓ Cn-1 and of Cn.  Both sides are already closed, so only conjuncti
 axioms pairing an atom new from Cn with one of the union can fire before the
 closure resumes.  Queries enumerated in prefix order (as the completeness
 check does) thus cost one such join each.  Equal completions share one
-interned frozenset.
+interned frozenset, and the join of two completions and the completion of
+∃r.F are memoized per interned completion (per role and completion of F),
+so concepts with equal parts share one closure.
+
+Closing a set reads the saturation: an atom reached brings its saturated
+subsumer set S(a) in one union.  S(a) is closed under the sub, ∃ and ⊥ rules
+and under the conjunction axioms among its own atoms, so only a conjunction
+axiom pairing an atom new from S(a) with an atom already in the set is
+checked.
 """
 
 from __future__ import annotations
@@ -131,7 +139,8 @@ class Reasoner:
 
     def __init__(self, tbox, rhs_concepts=()):
         self.norm = _Normalizer()
-        for ci in sorted(tbox, key=str):
+        # Internal names follow the caller's order; no answer depends on it.
+        for ci in tbox:
             self.norm.add_inclusion(ci)
         self.rhs_names: dict = {}
         for d in rhs_concepts:
@@ -216,28 +225,13 @@ class Reasoner:
                     for p in xs:
                         for b in got:
                             add(p, b)
-        # Per-role consequences of pointing at a saturated atom's element.
-        self._succ_conseq: dict = {}
-        # Query completions per concept, and one shared frozenset per
-        # distinct completion; both depend on the axioms saturated here.
+        # Query completions per concept, one shared frozenset per distinct
+        # completion, and joins and told children per interned completion;
+        # all depend on the axioms saturated here.
         self._completions: dict = {}
         self._interned: dict = {}
-
-    def _conseq_via(self, role: str, atom: str) -> frozenset:
-        """Atoms forced on any element with an `role`-edge to atom's canonical
-        element (cached)."""
-        key = (role, atom)
-        cached = self._succ_conseq.get(key)
-        if cached is not None:
-            return cached
-        out = set()
-        if _BOT in self.subsumers[atom]:
-            out.add(_BOT)
-        for a in self.subsumers[atom]:
-            out.update(self.norm.ax_exists_lhs.get((role, a), ()))
-        result = frozenset(out)
-        self._succ_conseq[key] = result
-        return result
+        self._joins: dict = {}
+        self._told: dict = {}
 
     # -- queries -----------------------------------------------------------
 
@@ -268,13 +262,19 @@ class Reasoner:
                 memo[And(parts[: j + 1]) if j + 1 < len(parts) else c] = s
             return s
         if isinstance(c, Exists):
-            # Told-child rule: an r-edge to the filler's completion.
+            # Told-child rule: an r-edge to the filler's completion, which
+            # alone decides the result.
             child = self._complete_tree(c.filler)
-            s = {_TOP, _BOT} if _BOT in child else {_TOP}
-            exists_lhs = self.norm.ax_exists_lhs
-            for a in child:
-                s.update(exists_lhs.get((c.role, a), ()))
-        elif isinstance(c, Atom):
+            s = self._told.get((c.role, child))
+            if s is None:
+                s = {_TOP, _BOT} if _BOT in child else {_TOP}
+                exists_lhs = self.norm.ax_exists_lhs
+                for a in child:
+                    s.update(exists_lhs.get((c.role, a), ()))
+                s = self._told[c.role, child] = self._close(s, list(s))
+            memo[c] = s
+            return s
+        if isinstance(c, Atom):
             s = {_TOP, c.name}
         elif isinstance(c, Bottom):
             s = {_TOP, _BOT}
@@ -286,11 +286,16 @@ class Reasoner:
 
     def _join(self, left: frozenset, right: frozenset) -> frozenset:
         """Completion of L ⊓ R from the closed completions of L and R: an
-        axiom A1 ⊓ A2 ⊑ B can only add B when A1 is new from the right."""
+        axiom A1 ⊓ A2 ⊑ B can only add B when A1 is new from the right.
+        Memoized per pair of interned completions."""
         if right <= left:
             return left
         if left <= right:
             return right
+        key = (left, right)
+        known = self._joins.get(key)
+        if known is not None:
+            return known
         s = set(left)
         s.update(right)
         queue = []
@@ -300,28 +305,28 @@ class Reasoner:
                 if a2 in s and b not in s:
                     s.add(b)
                     queue.append(b)
-        return self._close(s, queue)
+        self._joins[key] = result = self._close(s, queue)
+        return result
 
     def _close(self, s: set, queue: list) -> frozenset:
         """Closes s, whose atoms outside `queue` are already processed, and
-        returns the interned result."""
-        norm = self.norm
+        returns the interned result.  A popped atom brings its saturated
+        subsumer set, already closed under every rule but conjunctions that
+        pair one of its atoms with an atom of s outside it."""
+        subsumers = self.subsumers
+        conj = self.norm.ax_conj
         while queue:
             a = queue.pop()
-            for b in norm.ax_sub.get(a, ()):
-                if b not in s:
-                    s.add(b)
-                    queue.append(b)
-            for a2, b in norm.ax_conj.get(a, ()):
-                if a2 in s and b not in s:
-                    s.add(b)
-                    queue.append(b)
-            # Derived edge to the canonical base element of b.
-            for role, b in norm.ax_exists_rhs.get(a, ()):
-                for cq in self._conseq_via(role, b):
-                    if cq not in s:
-                        s.add(cq)
-                        queue.append(cq)
+            new = [a]
+            sa = subsumers.get(a)
+            if sa is not None:
+                new += sa - s
+                s |= sa
+            for x in new:
+                for a2, b in conj.get(x, ()):
+                    if a2 in s and b not in s:
+                        s.add(b)
+                        queue.append(b)
         result = frozenset(s)
         return self._interned.setdefault(result, result)
 

@@ -63,6 +63,23 @@ def test_graph_of_loop_fixture():
     assert g.label("v1") == {"A"}
 
 
+def test_successors_keep_the_edge_order_without_duplicates():
+    g = DescriptionGraph(
+        ["a", "b", "c"], [("a", "s", "c"), ("a", "r", "b"), ("a", "s", "c")], {}
+    )
+    assert g.successors("a") == [("s", "c"), ("r", "b")]
+    assert g.edges == {("a", "s", "c"), ("a", "r", "b")}
+    # The interpretation graph passes its edges sorted, whatever the hash seed.
+    i = make_interpretation(
+        ["a", "b", "c"], {}, {"s": [("a", "c"), ("a", "b")], "r": [("a", "c")]}
+    )
+    assert graph_of_interpretation(i).successors("a") == [
+        ("r", "c"),
+        ("s", "b"),
+        ("s", "c"),
+    ]
+
+
 def test_graph_validation():
     with pytest.raises(ValidationError):
         DescriptionGraph(["a"], [("a", "r", "b")], {})

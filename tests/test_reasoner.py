@@ -155,6 +155,122 @@ def test_unregistered_right_hand_side_is_a_clear_error():
         r.entails_registered(A, canonicalize(Exists("r", And((A, C)))))
 
 
+# -- memoized query completion against a rule-by-rule closure -------------
+
+
+def _rule_by_rule_close(r: Reasoner, start) -> frozenset:
+    """Closure of `start` under the sub, conjunction and ∃ rules, one atom
+    at a time; an ∃-edge to b's canonical element brings ⊥ and the ∃r.a ⊑ B
+    consequences of every a in the saturated S(b)."""
+    norm = r.norm
+
+    def conseq_via(role, b):
+        sb = r.subsumers[b]
+        out = {"⊥"} if "⊥" in sb else set()
+        for a in sb:
+            out.update(norm.ax_exists_lhs.get((role, a), ()))
+        return out
+
+    s = set(start)
+    queue = list(s)
+    while queue:
+        a = queue.pop()
+        derived = list(norm.ax_sub.get(a, ()))
+        derived += [b for a2, b in norm.ax_conj.get(a, ()) if a2 in s]
+        for role, b in norm.ax_exists_rhs.get(a, ()):
+            derived += conseq_via(role, b)
+        for b in derived:
+            if b not in s:
+                s.add(b)
+                queue.append(b)
+    return frozenset(s)
+
+
+def _told_start(r: Reasoner, role, child) -> set:
+    """Atoms forced on an element with a role-edge to a child completed to
+    `child`, before closing."""
+    start = {"⊤", "⊥"} if "⊥" in child else {"⊤"}
+    for a in child:
+        start.update(r.norm.ax_exists_lhs.get((role, a), ()))
+    return start
+
+
+def _oracle_completion(r: Reasoner, c) -> frozenset:
+    if isinstance(c, And):
+        start = set().union(*(_oracle_completion(r, d) for d in c.conjuncts))
+    elif isinstance(c, Exists):
+        start = _told_start(r, c.role, _oracle_completion(r, c.filler))
+    elif isinstance(c, Atom):
+        start = {"⊤", c.name}
+    else:
+        start = {"⊤", "⊥"} if c == BOTTOM else {"⊤"}
+    return _rule_by_rule_close(r, start)
+
+
+def _memos_match_the_oracle(r: Reasoner) -> int:
+    """Every memoized completion, join and told child equals the rule-by-rule
+    closure of its start set; returns how many memo entries were checked."""
+    for c, s in r._completions.items():
+        assert s == _oracle_completion(r, c), c
+    for (left, right), s in r._joins.items():
+        assert s == _rule_by_rule_close(r, left | right)
+    for (role, child), s in r._told.items():
+        assert s == _rule_by_rule_close(r, _told_start(r, role, child))
+    return len(r._completions) + len(r._joins) + len(r._told)
+
+
+def _count_closes(r: Reasoner) -> list:
+    calls = []
+    close = r._close
+
+    def counting(s, queue):
+        calls.append(1)
+        return close(s, queue)
+
+    r._close = counting
+    return calls
+
+
+def test_a_repeated_join_is_closed_once():
+    r = Reasoner(frozenset({ci(And((A, B)), C)}))
+    left, right = r._complete_tree(A), r._complete_tree(B)
+    calls = _count_closes(r)
+    first = r._join(left, right)
+    assert r._join(left, right) is first
+    assert "C" in first and len(calls) == 1
+
+
+def test_restrictions_on_equally_completed_fillers_share_one_closure():
+    # C ≡ D, so ∃r.C and ∃r.D both reach ∃r.C ⊑ B through one completion.
+    tbox = frozenset({ci(C, Atom("D")), ci(Atom("D"), C), ci(Exists("r", C), B)})
+    r = Reasoner(tbox)
+    assert r._complete_tree(C) is r._complete_tree(Atom("D"))
+    calls = _count_closes(r)
+    first = r._complete_tree(Exists("r", C))
+    assert r._complete_tree(Exists("r", Atom("D"))) is first
+    assert "B" in first and len(calls) == 1
+
+
+def test_joins_and_told_children_from_before_a_late_rhs_are_not_reused():
+    # The late right-hand sides A ⊓ C and ∃s.B leave the completions of A,
+    # C and B as they were, but add axioms that fire on their join and on
+    # an s-edge to B's completion.
+    r = Reasoner(frozenset({ci(A, Exists("r", B))}))
+    assert not r.entails(ci(And((A, C)), B))
+    assert r.entails(ci(And((A, C)), And((A, C))))
+    assert not r.entails(ci(Exists("s", B), C))
+    assert r.entails(ci(Exists("s", B), Exists("s", B)))
+
+
+def test_a_subsumer_from_the_saturation_meets_an_earlier_conjunct():
+    # Joining D to A ⊓ C derives the name of A ⊓ D, whose saturated
+    # subsumers bring X; X ⊓ C ⊑ Z must then fire with the C already there.
+    D, X, Z = Atom("D"), Atom("X"), Atom("Z")
+    tbox = frozenset({ci(And((A, D)), X), ci(And((C, X)), Z)})
+    assert entails(tbox, ci(And((A, C, D)), Z))
+    assert not entails(tbox, ci(And((A, C)), Z))
+
+
 # -- incremental right-hand-side registration -------------------------------
 
 
@@ -207,7 +323,7 @@ def test_late_registration_matches_fresh_reasoners():
     # sides arrive one at a time and in batches, with queries in between.
     sig = Signature(frozenset({"A", "B", "C"}), frozenset({"r", "s"}))
     atoms = [A, B, C]
-    seen = {"bottom atoms": 0, "true": 0, "false": 0}
+    seen = {"bottom atoms": 0, "true": 0, "false": 0, "memo entries": 0}
     for seed in range(40):
         rng = random.Random(seed)
         axioms = [
@@ -235,6 +351,7 @@ def test_late_registration_matches_fresh_reasoners():
                 verdict = r.entails(q)
                 assert verdict == entails(tbox, q), f"seed {seed}: {q}"
                 seen["true" if verdict else "false"] += 1
+            seen["memo entries"] += _memos_match_the_oracle(r)
             _same_saturation(r, Reasoner(tbox, rhs_concepts=registered))
         seen["bottom atoms"] += sum("⊥" in s for s in r.subsumers.values()) > 1
     assert all(seen.values()), seen

@@ -28,7 +28,6 @@ from .graphs import (
     concept_of_tree,
     graph_of_interpretation,
     product_reachable,
-    product_trees,
     tree_of_concept,
     unravel,
 )
@@ -50,7 +49,7 @@ from .mmsc import (
     mmsc_adaptive,
     mmsc_at_depth,
 )
-from .mvf import mmvf, mvf_oracle, reach_count
+from .mvf import mmvf, mvf_oracle
 from .reasoner import Reasoner, entails
 from .simulation import semantic_extension, simulates, subsumed_empty
 from .storage import load_interpretation, load_tbox, save_interpretation, save_tbox

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import ConceptSyntaxError, ValidationError
 
@@ -28,10 +28,18 @@ class Concept:
 class Top(Concept):
     __slots__ = ()
 
+    def __hash__(self):
+        # Field-less dataclasses all hash as (); a dictionary holding both
+        # Top and Bottom would compare them on every lookup of either.
+        return hash("Top")
+
 
 @dataclass(frozen=True)
 class Bottom(Concept):
     __slots__ = ()
+
+    def __hash__(self):
+        return hash("Bottom")
 
 
 @dataclass(frozen=True)
@@ -117,14 +125,16 @@ def concept_sort_key(c: Concept) -> str:
 
 def canonicalize(c: Concept) -> Concept:
     """Unique canonical form: flattened, sorted, duplicate-free conjunctions,
-    Top dropped from conjunctions, Bottom absorbing (also through fillers)."""
+    Top dropped from conjunctions, Bottom absorbing (also through fillers).
+    A concept already in canonical form is returned as it is, so that a
+    dictionary keyed by the result finds its argument by identity."""
     if isinstance(c, (Top, Bottom, Atom)):
         return c
     if isinstance(c, Exists):
         filler = canonicalize(c.filler)
         if isinstance(filler, Bottom):
             return BOTTOM
-        return Exists(c.role, filler)
+        return c if filler is c.filler else Exists(c.role, filler)
     if isinstance(c, And):
         flat: list[Concept] = []
         for d in c.conjuncts:
@@ -142,12 +152,12 @@ def canonicalize(c: Concept) -> Concept:
             return TOP
         if len(unique) == 1:
             return unique[0]
+        if len(unique) == len(c.conjuncts) and all(
+            d is e for d, e in zip(unique, c.conjuncts)
+        ):
+            return c
         return And(tuple(unique))
     raise TypeError(f"not a concept: {c!r}")
-
-
-def is_canonical(c: Concept) -> bool:
-    return canonicalize(c) == c
 
 
 def conjuncts_of(c: Concept) -> tuple:
@@ -174,15 +184,6 @@ def node_count(c: Concept) -> int:
     if isinstance(c, Exists):
         return 1 + node_count(c.filler)
     return 1 + sum(node_count(d) for d in c.conjuncts)
-
-
-def subconcepts(c: Concept) -> Iterator[Concept]:
-    yield c
-    if isinstance(c, Exists):
-        yield from subconcepts(c.filler)
-    elif isinstance(c, And):
-        for d in c.conjuncts:
-            yield from subconcepts(d)
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +297,6 @@ class Signature:
         overlap = self.concept_names & self.role_names
         if overlap:
             raise ValidationError(f"names used as both concept and role: {sorted(overlap)}")
-
-
-def signature_of(c: Concept) -> Signature:
-    atoms, roles = set(), set()
-    for d in subconcepts(c):
-        if isinstance(d, Atom):
-            atoms.add(d.name)
-        elif isinstance(d, Exists):
-            roles.add(d.role)
-    return Signature(frozenset(atoms), frozenset(roles))
 
 
 @dataclass(frozen=True)

@@ -177,9 +177,12 @@ def concept_of_tree(t: DescriptionTree) -> Concept:
 
 def unravel(g: DescriptionGraph, x, d: int, node_cap: int = DEFAULT_NODE_CAP) -> DescriptionTree:
     """Tree of walks from x of length <= d; node ids are ints, the walk is
-    recoverable through the parent structure (kept implicitly via edges)."""
+    recoverable through the parent structure (kept implicitly via edges).
+    A negative depth is a ValidationError."""
     if x not in g.vertices:
         raise ValidationError(f"{x!r} is not a vertex")
+    if d < 0:
+        raise ValidationError(f"unravelling depth must be at least 0, got {d}")
     # node -> (last graph vertex of the walk, remaining depth)
     vertices = [0]
     labels = {0: g.label(x)}
@@ -200,43 +203,6 @@ def unravel(g: DescriptionGraph, x, d: int, node_cap: int = DEFAULT_NODE_CAP) ->
             edges.append((node, role, child))
             frontier.append((child, tgt, budget - 1))
     return DescriptionTree(DescriptionGraph(vertices, edges, labels), 0)
-
-
-def product_trees(trees, node_cap: int = DEFAULT_NODE_CAP) -> DescriptionTree:
-    """Product of description trees, restricted to the part reachable from the
-    tuple of roots.  An edge exists iff every factor has a same-role edge;
-    labels are intersections."""
-    trees = list(trees)
-    if not trees:
-        raise ValidationError("product of zero trees is undefined")
-    root = tuple(t.root for t in trees)
-    vertices = {root}
-    labels = {}
-    edges = []
-    frontier = [root]
-    while frontier:
-        tup = frontier.pop()
-        labels[tup] = frozenset.intersection(
-            *(t.graph.label(v) for t, v in zip(trees, tup))
-        )
-        per_role = []
-        shared = None
-        for t, v in zip(trees, tup):
-            roles = {}
-            for role, child in t.children(v):
-                roles.setdefault(role, []).append(child)
-            per_role.append(roles)
-            shared = set(roles) if shared is None else shared & set(roles)
-        for role in sorted(shared):
-            for combo in itertools.product(*(roles[role] for roles in per_role)):
-                if len(vertices) >= node_cap:
-                    raise ResourceCapError(
-                        f"tree product exceeded the node cap of {node_cap}"
-                    )
-                vertices.add(combo)
-                edges.append((tup, role, combo))
-                frontier.append(combo)
-    return DescriptionTree(DescriptionGraph(vertices, edges, labels), root)
 
 
 def product_reachable(

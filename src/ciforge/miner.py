@@ -311,41 +311,68 @@ def check_base_complete(
 ) -> CompletenessReport:
     """Enumerates canonical concepts over the active signature up to the given
     role depth and node count; every valid inclusion among them must be
-    entailed by the TBox.
+    entailed by the TBox.  A negative depth or a size cap below 1 is a
+    ValidationError.
 
     Fast path: for each C it suffices that T ⊨ C ⊑ mmsc(extension(C)) at the
     enumeration depth, since that MMSC is below every valid right-hand side
     of the fragment; on failure the literal pair scan produces concrete
     counterexamples.
+
+    One pass over the enumeration computes every extension.  The basic
+    concepts come first (see `enumerate_concepts`) and are evaluated one by
+    one; every conjunct of a later conjunction is one of them.  A
+    conjunction follows its prefix, so a slot per conjunct count keeps the
+    last conjuncts seen with their extension, and a conjunction whose
+    conjuncts but the last are the slot one shorter costs one intersection.
+    The queries then run in enumeration order, which the reasoner's own
+    prefix slots suit.
     """
     sig = active_signature(i)
-    concepts = list(enumerate_concepts(sig, depth, size_cap))
-    memo: dict = {}
-    by_ext: dict = {}
-    for c in concepts:
-        by_ext.setdefault(semantic_extension(c, i, memo), []).append(c)
-    # The extension memo covers every subconcept; free it before the query
-    # phase builds its own per-concept completion memo.
-    del memo
+    memo: dict = {}  # semantic_extension's, for the basic concepts' fillers
+    basic: dict = {}  # basic concept -> extension
+    exts: dict = {}  # distinct extensions, interned, in order of appearance
+    slots: dict = {}  # conjunct count -> (conjuncts, extension) seen last
+    enumerated = []  # (concept, extension) in enumeration order
+    for c in enumerate_concepts(sig, depth, size_cap):
+        if isinstance(c, And):
+            parts = c.conjuncts
+            prefix = slots.get(len(parts) - 1)
+            if prefix is not None and prefix[0] == parts[:-1]:
+                ext = prefix[1] & basic[parts[-1]]
+            else:
+                ext = i.domain
+                for d in parts:
+                    ext = ext & basic[d]
+            ext = exts.setdefault(ext, ext)
+            slots[len(parts)] = (parts, ext)
+        else:
+            ext = semantic_extension(c, i, memo)
+            ext = basic[c] = exts.setdefault(ext, ext)
+        enumerated.append((c, ext))
+    # Only the interned extensions outlive the pass.
+    del memo, basic, slots
 
-    mmsc_by_ext = {
-        ext: canonicalize(mmsc_at_depth(i, ext, depth)) for ext in by_ext
-    }
-    reasoner = Reasoner(tbox, rhs_concepts=mmsc_by_ext.values())
-
+    targets = {ext: canonicalize(mmsc_at_depth(i, ext, depth)) for ext in exts}
+    reasoner = Reasoner(tbox, rhs_concepts=targets.values())
+    suspects = [
+        (c, ext)
+        for c, ext in enumerated
+        if not reasoner.entails_registered(c, targets[ext])
+    ]
     counterexamples = []
-    checked = 0
-    suspects = []
-    for ext, cs in by_ext.items():
-        target = mmsc_by_ext[ext]
-        for c in cs:
-            checked += 1
-            if not reasoner.entails_registered(c, target):
-                suspects.append((c, ext))
     if suspects:
         # Literal fallback: scan all enumerated D with a superset extension.
-        # Every needed right-hand side is registered before the first query,
-        # so the next query saturates them into the reasoner in one batch.
+        # Concepts are grouped by extension, groups in order of first
+        # appearance, so that counterexamples are listed per group of the
+        # left-hand side and then per group of the right-hand side.  Every
+        # needed right-hand side is registered before the first query, so the
+        # next query saturates them into the reasoner in one batch.
+        by_ext: dict = {ext: [] for ext in exts}
+        for c, ext in enumerated:
+            by_ext[ext].append(c)
+        rank = {ext: k for k, ext in enumerate(exts)}
+        suspects.sort(key=lambda suspect: rank[suspect[1]])
         needed_exts = {ext for _, ext in suspects}
         for other_ext, ds in by_ext.items():
             if any(ext <= other_ext for ext in needed_exts):
@@ -358,4 +385,4 @@ def check_base_complete(
                 for d in ds:
                     if not reasoner.entails_registered(c, d):
                         counterexamples.append(ConceptInclusion(c, d))
-    return CompletenessReport(checked, tuple(counterexamples))
+    return CompletenessReport(len(enumerated), tuple(counterexamples))

@@ -168,21 +168,6 @@ def mmvf(g: DescriptionGraph) -> int:
     return best
 
 
-def reach_count(g: DescriptionGraph, v) -> int:
-    """Number of vertices reachable from v, including v itself."""
-    if v not in g.vertices:
-        raise ValidationError(f"{v!r} is not a vertex")
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        u = frontier.pop()
-        for _, w in g.successors(u):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen)
-
-
 MVF_ORACLE_CAP = 12
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from bisect import bisect_left
+from operator import itemgetter
 
 from .concepts import (
     And,
@@ -23,13 +25,18 @@ from .concepts import (
     TOP,
     Top,
     canonicalize,
-    concept_sort_key,
     exists_chain,
     make_interpretation,
     node_count,
 )
-from .errors import ValidationError
-from .graphs import DescriptionGraph, graph_of_interpretation, tree_of_concept
+from .errors import ResourceCapError, ValidationError
+from .graphs import (
+    DEFAULT_NODE_CAP,
+    DescriptionGraph,
+    DescriptionTree,
+    graph_of_interpretation,
+    tree_of_concept,
+)
 from .mvf import mvf
 from .simulation import bounded_simulates, greatest_simulation, semantic_extension
 
@@ -89,66 +96,195 @@ def closed_extents(domain, extents) -> frozenset:
 
 def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
     """Every canonical concept over sig with role_depth <= depth and at most
-    size_cap AST nodes, each exactly once."""
-    atoms = [Atom(name) for name in sorted(sig.concept_names)]
+    size_cap AST nodes, each exactly once.  A negative depth or a size cap
+    below 1 raises ValidationError when iteration starts.
+
+    Order: Top, Bottom, the basic concepts (atoms and restrictions) in
+    canonical conjunct order, then the conjunctions in depth-first pre-order
+    of their conjunct lists.  So for n >= 3 the last conjunction of n - 1
+    conjuncts yielded before one of n conjuncts is its prefix, the
+    conjunction of its conjuncts but the last; the completeness check
+    evaluates each conjunction from that prefix.
+    """
+    if depth < 0:
+        raise ValidationError(f"role depth must be at least 0, got {depth}")
+    if size_cap < 1:
+        raise ValidationError(f"size cap must be at least 1, got {size_cap}")
+    atoms = [(Atom(name), 1, name) for name in sorted(sig.concept_names)]
     roles = sorted(sig.role_names)
 
-    # pool[d] = basic (non-And, non-Top, non-Bottom) concepts of role depth
-    # exactly <= d, paired with node counts, in canonical conjunct order.
-    def basics(d: int) -> list:
-        items = list(atoms)
+    def level(d: int, top: bool) -> list:
+        """Concepts of role depth <= d within the cap, in yield order.  Below
+        the top level they come as (concept, node count, sort key) triples,
+        from which the restrictions of level d + 1 are built; the sort key
+        is the rendered form, `concept_sort_key`."""
+        pool = list(atoms)
         if d > 0:
-            for f, f_size in all_concepts(d - 1):
-                if f is BOTTOM or f_size + 1 > size_cap:
+            lower = level(d - 1, False)
+            # The restrictions of level d - 1 are reused, so that each basic
+            # concept is one object at every level and memo lookups of it
+            # hit by identity.
+            built = {key: c for c, _, key in lower if isinstance(c, Exists)}
+            for f, f_size, f_key in lower:
+                if f is BOTTOM or f_size == size_cap:
                     continue
+                if isinstance(f, (And, Exists)):
+                    f_key = f"({f_key})"
                 for role in roles:
-                    items.append(Exists(role, f))
-        items = [c for c in items if node_count(c) <= size_cap]
-        items.sort(key=concept_sort_key)
-        return items
+                    key = f"some {role}.{f_key}"
+                    c = built.get(key)
+                    if c is None:
+                        c = Exists(role, f)
+                    pool.append((c, f_size + 1, key))
+        pool.sort(key=itemgetter(2))
+        if top:
+            out = [TOP, BOTTOM] + [c for c, _, _ in pool]
+        else:
+            out = [(TOP, 1, "Top"), (BOTTOM, 1, "Bottom")] + pool
+        # Conjunctions: index-increasing lists of pool positions.  The pool
+        # holds distinct concepts in canonical order, so each canonical And
+        # is built exactly once.  `fitting[b]` lists the positions of the
+        # conjuncts of at most b nodes, so that no conjunct that cannot fit
+        # is scanned.
+        fitting = [
+            [k for k, (_, size, _) in enumerate(pool) if size <= budget]
+            for budget in range(size_cap)
+        ]
 
-    memo: dict = {}
-
-    def all_concepts(d: int) -> list:
-        """(concept, node count) pairs of role depth <= d, size <= cap."""
-        cached = memo.get(d)
-        if cached is not None:
-            return cached
-        result = [(TOP, 1), (BOTTOM, 1)]
-        pool = [(c, node_count(c)) for c in basics(d)]
-        result.extend(pool)
-        # conjunctions: index-increasing subsets of the sorted pool, so each
-        # canonical And is produced exactly once.  Per-budget index lists keep
-        # the recursion from rescanning conjuncts that cannot fit.
-        fitting = {
-            budget: [k for k, (_, size) in enumerate(pool) if size <= budget]
-            for budget in range(size_cap + 1)
-        }
-        from bisect import bisect_left
-
-        def extend(start: int, chosen: list, used: int):
-            budget = size_cap - used
-            candidates = fitting[budget] if budget >= 0 else ()
+        def extend(start: int, chosen: list, used: int, key: str):
+            # `used` counts the And node and the chosen conjuncts; `key` is
+            # their rendered conjunction, kept below the top level only.
+            candidates = fitting[size_cap - used]
             for k in candidates[bisect_left(candidates, start):]:
-                c, c_size = pool[k]
-                total = (used if chosen else 1) + c_size
-                if total > size_cap:
-                    continue
+                c, c_size, c_key = pool[k]
+                total = used + c_size
                 chosen.append(c)
-                if len(chosen) >= 2:
-                    result.append((And(tuple(chosen)), total))
-                extend(k + 1, chosen, total)
+                if not top:
+                    if isinstance(c, Exists):
+                        c_key = f"({c_key})"
+                    if key:
+                        c_key = f"{key} and {c_key}"
+                if len(chosen) > 1:
+                    conj = And(tuple(chosen))
+                    out.append(conj if top else (conj, total, c_key))
+                if total < size_cap:
+                    extend(k + 1, chosen, total, c_key)
                 chosen.pop()
 
-        extend(0, [], 0)
-        memo[d] = result
-        return result
+        extend(0, [], 1, "")
+        return out
 
-    seen = set()
-    for c, _ in all_concepts(depth):
-        if c not in seen:
-            seen.add(c)
-            yield c
+    yield from level(depth, True)
+
+
+# ---------------------------------------------------------------------------
+# Reference constructions and checks
+
+
+def is_canonical(c: Concept) -> bool:
+    return canonicalize(c) == c
+
+
+def signature_of(c: Concept) -> Signature:
+    """Concept and role names occurring in c."""
+    atoms, roles = set(), set()
+    stack = [c]
+    while stack:
+        d = stack.pop()
+        if isinstance(d, Atom):
+            atoms.add(d.name)
+        elif isinstance(d, Exists):
+            roles.add(d.role)
+            stack.append(d.filler)
+        elif isinstance(d, And):
+            stack.extend(d.conjuncts)
+    return Signature(frozenset(atoms), frozenset(roles))
+
+
+def reach_count(g: DescriptionGraph, v) -> int:
+    """Number of vertices reachable from v, including v itself."""
+    if v not in g.vertices:
+        raise ValidationError(f"{v!r} is not a vertex")
+    seen = {v}
+    frontier = [v]
+    while frontier:
+        u = frontier.pop()
+        for _, w in g.successors(u):
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return len(seen)
+
+
+def product_trees(trees, node_cap: int = DEFAULT_NODE_CAP) -> DescriptionTree:
+    """Product of description trees, restricted to the part reachable from the
+    tuple of roots.  An edge exists iff every factor has a same-role edge;
+    labels are intersections.  Checks `graphs.product_reachable`, which
+    builds the product of unravellings from the product graph instead."""
+    trees = list(trees)
+    if not trees:
+        raise ValidationError("product of zero trees is undefined")
+    root = tuple(t.root for t in trees)
+    vertices = {root}
+    labels = {}
+    edges = []
+    frontier = [root]
+    while frontier:
+        tup = frontier.pop()
+        labels[tup] = frozenset.intersection(
+            *(t.graph.label(v) for t, v in zip(trees, tup))
+        )
+        per_role = []
+        shared = None
+        for t, v in zip(trees, tup):
+            roles = {}
+            for role, child in t.children(v):
+                roles.setdefault(role, []).append(child)
+            per_role.append(roles)
+            shared = set(roles) if shared is None else shared & set(roles)
+        for role in sorted(shared):
+            for combo in itertools.product(*(roles[role] for roles in per_role)):
+                if len(vertices) >= node_cap:
+                    raise ResourceCapError(
+                        f"tree product exceeded the node cap of {node_cap}"
+                    )
+                vertices.add(combo)
+                edges.append((tup, role, combo))
+                frontier.append(combo)
+    return DescriptionTree(DescriptionGraph(vertices, edges, labels), root)
+
+
+def is_simulation(pairs, g1: DescriptionGraph, v1, g2: DescriptionGraph, v2) -> bool:
+    """Check the three defining conditions of a simulation relation."""
+    if (v1, v2) not in pairs:
+        return False
+    for w1, w2 in pairs:
+        if not g1.label(w1) <= g2.label(w2):
+            return False
+        for role, u1 in g1.successors(w1):
+            if not any((u1, u2) in pairs for u2 in g2.successors_by_role(w2, role)):
+                return False
+    return True
+
+
+def functional_subsimulation(pairs, g1: DescriptionGraph, v1, g2: DescriptionGraph, v2):
+    """Extract a functional sub-simulation (one partner per g1 vertex along the
+    tree of matches) from a full simulation containing (v1, v2)."""
+    chosen = set()
+    frontier = [(v1, v2)]
+    mapped = {}
+    while frontier:
+        w1, w2 = frontier.pop()
+        if w1 in mapped:
+            continue
+        mapped[w1] = w2
+        chosen.add((w1, w2))
+        for role, u1 in g1.successors(w1):
+            for u2 in g2.successors_by_role(w2, role):
+                if (u1, u2) in pairs:
+                    frontier.append((u1, u2))
+                    break
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +346,6 @@ def random_mineable_interpretation(
     whose cyclic structure forces huge concepts are resampled; the acceptance
     suites need bases that are cheap to re-verify, not adversarial ones.
     """
-    from .errors import ResourceCapError
     from .mmsc import adaptable_depth, mmsc_at_depth
 
     for _ in range(max_attempts):

@@ -13,13 +13,17 @@ right-hand sides given up front are the first batch.  A right-hand side
 registered later is a batch of the few axioms that name it: they fire on the
 saturation already there, which stays, and only the query memos are dropped.
 
-Query completions are memoized per subconcept and built compositionally: an
-atom is closed from {⊤, A}; ∃r.F from the consequences of an r-edge to the
-completion of F; a conjunction C1 ⊓ … ⊓ Cn from the completions of its prefix
-C1 ⊓ … ⊓ Cn-1 and of Cn.  Both sides are already closed, so only conjunction
-axioms pairing an atom new from Cn with one of the union can fire before the
-closure resumes.  Queries enumerated in prefix order (as the completeness
-check does) thus cost one such join each.  Equal completions share one
+Query completions are built compositionally: an atom is closed from {⊤, A};
+∃r.F from the consequences of an r-edge to the completion of F; a
+conjunction C1 ⊓ … ⊓ Cn by joining completions of its parts.  Both sides of
+a join are already closed, so only conjunction axioms pairing an atom new
+from one side with one of the union can fire before the closure resumes.
+Atoms and restrictions are memoized per concept.  Conjunctions are not: a
+slot per conjunct count keeps the last conjunction completed, and one whose
+prefix C1 ⊓ … ⊓ Cn-1 is in the slot one shorter joins that completion with
+the completion of Cn.  Queries in the order of `oracles.enumerate_concepts`
+(as the completeness check asks them) thus cost one join each, and no
+conjunction on the left of a query is hashed.  Equal completions share one
 interned frozenset, and the join of two completions and the completion of
 ∃r.F are memoized per interned completion (per role and completion of F),
 so concepts with equal parts share one closure.
@@ -225,10 +229,12 @@ class Reasoner:
                     for p in xs:
                         for b in got:
                             add(p, b)
-        # Query completions per concept, one shared frozenset per distinct
-        # completion, and joins and told children per interned completion;
-        # all depend on the axioms saturated here.
+        # Query completions per basic concept, the last conjunction completed
+        # per conjunct count, one shared frozenset per distinct completion,
+        # and joins and told children per interned completion; all depend on
+        # the axioms saturated here.
         self._completions: dict = {}
+        self._slots: dict = {}  # conjunct count -> (conjuncts, completion)
         self._interned: dict = {}
         self._joins: dict = {}
         self._told: dict = {}
@@ -238,33 +244,43 @@ class Reasoner:
     def _complete_tree(self, c: Concept) -> frozenset:
         """Subsumer set of the root of C's canonical tree model, completed
         against the saturated TBox; base saturation is never mutated.
-        Memoized per concept, with every conjunction prefix memoized too."""
+
+        Atoms, Top, Bottom and restrictions are memoized per concept.
+        Conjunctions are not: a slot per conjunct count holds the last
+        conjunction completed.  That conjunction asked again (the same
+        object, as in the completeness check's fallback) is answered from
+        its slot.  A conjunction whose conjuncts but the last equal those of
+        the slot one shorter costs one join; in the order of
+        `oracles.enumerate_concepts` every conjunction of three or more
+        conjuncts does.  Any other folds the memoized joins over its
+        conjuncts, in a loop, so that wide conjunctions cannot exhaust the
+        stack.  A restriction's filler is folded without the slots, which
+        stay with the conjunctions queried."""
+        if isinstance(c, And):
+            parts = c.conjuncts
+            slots = self._slots
+            last = slots.get(len(parts))
+            if last is not None and last[0] is parts:
+                return last[1]
+            prefix = slots.get(len(parts) - 1)
+            if prefix is not None and prefix[0] == parts[:-1]:
+                s = self._join(prefix[1], self._complete_tree(parts[-1]))
+            else:
+                s = self._fold(parts)
+            slots[len(parts)] = (parts, s)
+            return s
         memo = self._completions
         known = memo.get(c)
         if known is not None:
             return known
-        if isinstance(c, And):
-            # Fold from the longest memoized prefix (in enumeration order
-            # the one just shorter), memoizing each longer prefix.  A loop,
-            # not recursion, so wide conjunctions cannot exhaust the stack.
-            parts = c.conjuncts
-            k = len(parts) - 1
-            s = None
-            while k > 1:
-                s = memo.get(And(parts[:k]))
-                if s is not None:
-                    break
-                k -= 1
-            if s is None:
-                s = self._complete_tree(parts[0])
-            for j in range(k, len(parts)):
-                s = self._join(s, self._complete_tree(parts[j]))
-                memo[And(parts[: j + 1]) if j + 1 < len(parts) else c] = s
-            return s
         if isinstance(c, Exists):
             # Told-child rule: an r-edge to the filler's completion, which
             # alone decides the result.
-            child = self._complete_tree(c.filler)
+            filler = c.filler
+            if isinstance(filler, And):
+                child = self._fold(filler.conjuncts)
+            else:
+                child = self._complete_tree(filler)
             s = self._told.get((c.role, child))
             if s is None:
                 s = {_TOP, _BOT} if _BOT in child else {_TOP}
@@ -282,6 +298,13 @@ class Reasoner:
             s = {_TOP}
         s = self._close(s, list(s))
         memo[c] = s
+        return s
+
+    def _fold(self, parts) -> frozenset:
+        """Completion of the conjunction of `parts`, joined left to right."""
+        s = self._complete_tree(parts[0])
+        for d in parts[1:]:
+            s = self._join(s, self._complete_tree(d))
         return s
 
     def _join(self, left: frozenset, right: frozenset) -> frozenset:

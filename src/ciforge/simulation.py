@@ -80,39 +80,6 @@ def bounded_simulates(g1: DescriptionGraph, v1, g2: DescriptionGraph, v2, d: int
     return (v1, v2) in sim
 
 
-def is_simulation(pairs, g1: DescriptionGraph, v1, g2: DescriptionGraph, v2) -> bool:
-    """Check the three defining conditions of a simulation relation."""
-    if (v1, v2) not in pairs:
-        return False
-    for w1, w2 in pairs:
-        if not g1.label(w1) <= g2.label(w2):
-            return False
-        for role, u1 in g1.successors(w1):
-            if not any((u1, u2) in pairs for u2 in g2.successors_by_role(w2, role)):
-                return False
-    return True
-
-
-def functional_subsimulation(pairs, g1: DescriptionGraph, v1, g2: DescriptionGraph, v2):
-    """Extract a functional sub-simulation (one partner per g1 vertex along the
-    tree of matches) from a full simulation containing (v1, v2)."""
-    chosen = set()
-    frontier = [(v1, v2)]
-    mapped = {}
-    while frontier:
-        w1, w2 = frontier.pop()
-        if w1 in mapped:
-            continue
-        mapped[w1] = w2
-        chosen.add((w1, w2))
-        for role, u1 in g1.successors(w1):
-            for u2 in g2.successors_by_role(w2, role):
-                if (u1, u2) in pairs:
-                    frontier.append((u1, u2))
-                    break
-    return chosen
-
-
 def semantic_extension(c: Concept, i: Interpretation, _memo=None) -> frozenset:
     """Recursive evaluation of C^I straight from the semantics; the simulation
     route in `oracles.extension` cross-checks it."""

@@ -31,15 +31,15 @@ from ciforge.mmsc import (
 from ciforge.mvf import MemoStats, condensation, mvf, mvf_oracle
 from ciforge.oracles import (
     claim_dsim_check,
+    functional_subsimulation,
+    is_simulation,
     random_graph,
     random_mineable_interpretation,
 )
 from ciforge.reasoner import Reasoner
 from ciforge.simulation import (
     equivalent_empty,
-    functional_subsimulation,
     greatest_simulation,
-    is_simulation,
     semantic_extension,
     simulates,
     subsumed_empty,

@@ -15,15 +15,14 @@ from ciforge.concepts import (
     canonicalize,
     conjuncts_of,
     exists_chain,
-    is_canonical,
     make_interpretation,
     node_count,
     parse_concept,
     render_concept,
     role_depth,
-    signature_of,
 )
 from ciforge.errors import ConceptSyntaxError, ValidationError
+from ciforge.oracles import is_canonical, signature_of
 from ciforge.simulation import semantic_extension
 
 from conftest import concepts, interpretations
@@ -37,6 +36,19 @@ def test_canonicalize_is_idempotent(c):
     once = canonicalize(c)
     assert canonicalize(once) == once
     assert is_canonical(once)
+
+
+@given(concepts())
+def test_canonicalize_returns_a_canonical_concept_itself(c):
+    # Dictionaries keyed by canonical concepts then find the argument by
+    # identity, without a structural comparison.
+    once = canonicalize(c)
+    assert canonicalize(once) is once
+
+
+def test_top_and_bottom_hash_apart():
+    assert hash(TOP) != hash(BOTTOM)
+    assert {TOP: 1, BOTTOM: 2}[BOTTOM] == 2
 
 
 @given(concepts(), interpretations())

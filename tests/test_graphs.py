@@ -20,11 +20,10 @@ from ciforge.graphs import (
     concept_of_tree,
     graph_of_interpretation,
     product_reachable,
-    product_trees,
     tree_of_concept,
     unravel,
 )
-from ciforge.oracles import random_graph
+from ciforge.oracles import product_trees, random_graph
 from ciforge.simulation import equivalent_empty
 
 from conftest import concepts, interpretations
@@ -227,6 +226,12 @@ def test_unravel_agrees_with_truncation_of_deeper_unravelling(data):
     assert concept_of_tree(unravel(g, v, k, node_cap=50_000)) == concept_of_tree(
         _truncate(deep, k)
     )
+
+
+def test_unravel_rejects_a_negative_depth():
+    g = graph_of_interpretation(builtin_fixture("fig4i"))
+    with pytest.raises(ValidationError, match="got -1"):
+        unravel(g, "v1", -1)
 
 
 def test_unravel_honors_node_cap():

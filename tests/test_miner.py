@@ -16,7 +16,7 @@ from ciforge.concepts import (
     canonicalize,
     make_interpretation,
 )
-from ciforge.errors import CiforgeError, ResourceCapError
+from ciforge.errors import CiforgeError, ResourceCapError, ValidationError
 from ciforge.fixtures import builtin_fixture
 from ciforge.miner import (
     attribute_set,
@@ -312,11 +312,45 @@ def test_empty_tbox_is_incomplete_for_structured_data():
     assert any("City" in m and "partof" in m for m in missing)
 
 
+def test_completeness_check_does_not_depend_on_the_conjunction_order(monkeypatch):
+    # The check evaluates a conjunction from its prefix only when the prefix
+    # came just before; with the conjunctions reversed (the basic concepts
+    # still first) it must still give every verdict.
+    import ciforge.miner as miner_module
+
+    i = builtin_fixture("fig3")
+    in_order = check_base_complete(i, frozenset(), depth=1, size_cap=5)
+    enumerate_concepts = miner_module.enumerate_concepts
+
+    def conjunctions_reversed(*args):
+        produced = list(enumerate_concepts(*args))
+        basics = [c for c in produced if not isinstance(c, And)]
+        return basics + [c for c in reversed(produced) if isinstance(c, And)]
+
+    monkeypatch.setattr(miner_module, "enumerate_concepts", conjunctions_reversed)
+    reversed_order = check_base_complete(i, frozenset(), depth=1, size_cap=5)
+    assert reversed_order.checked == in_order.checked
+    assert set(reversed_order.counterexamples) == set(in_order.counterexamples)
+    assert len(reversed_order.counterexamples) == len(in_order.counterexamples)
+
+
 def test_depth_zero_completeness_of_a_mined_base():
     i = builtin_fixture("fig4ii")
     tbox, _ = fixture_base("fig4ii")
     report = check_base_complete(i, tbox, depth=0, size_cap=5)
     assert report.complete
+
+
+@pytest.mark.parametrize(
+    "depth, size_cap, message",
+    [(-1, 3, "role depth must be at least 0, got -1"),
+     (2, 0, "size cap must be at least 1, got 0")],
+)
+def test_completeness_check_rejects_an_empty_fragment(depth, size_cap, message):
+    i = builtin_fixture("fig3")
+    tbox, _ = fixture_base("fig3")
+    with pytest.raises(ValidationError, match=message):
+        check_base_complete(i, tbox, depth=depth, size_cap=size_cap)
 
 
 def test_mined_bases_are_complete_at_desk_scale():

@@ -21,7 +21,7 @@ from ciforge.concepts import (
 )
 from ciforge.errors import ResourceCapError, ValidationError
 from ciforge.fixtures import builtin_fixture
-from ciforge.graphs import graph_of_interpretation, product_trees, unravel
+from ciforge.graphs import graph_of_interpretation, unravel
 from ciforge import mmsc as mmsc_module
 from ciforge.miner import attribute_set, build_base
 from ciforge.mmsc import (
@@ -36,6 +36,7 @@ from ciforge.mmsc import (
 from ciforge.mvf import scc
 from ciforge.oracles import (
     enumerate_concepts,
+    product_trees,
     random_interpretation,
     random_mineable_interpretation,
 )
@@ -235,6 +236,12 @@ def test_interpretations_differing_in_roles_do_not_share_a_context():
 def test_mmsc_of_the_empty_set_is_bottom():
     assert mmsc_at_depth(builtin_fixture("fig7"), (), 3) == BOTTOM
     assert mmsc_adaptive(builtin_fixture("fig7"), ()) == BOTTOM
+
+
+def test_mmsc_at_a_negative_depth_is_rejected():
+    # On fig5's cycles an unbounded unravelling would run into the node cap.
+    with pytest.raises(ValidationError, match="depth must be at least 0, got -1"):
+        mmsc_at_depth(builtin_fixture("fig5"), ["x1"], -1)
 
 
 def test_mmsc_of_the_two_cities_at_depth_one():

@@ -16,10 +16,9 @@ from ciforge.mvf import (
     mmvf,
     mvf,
     mvf_oracle,
-    reach_count,
     scc,
 )
-from ciforge.oracles import random_graph
+from ciforge.oracles import random_graph, reach_count
 
 
 def fig3_graph():

@@ -10,11 +10,16 @@ from ciforge.concepts import (
     BOTTOM,
     Signature,
     TOP,
+    active_signature,
+    Exists,
     canonicalize,
+    concept_sort_key,
+    conjuncts_of,
     node_count,
     role_depth,
 )
-from ciforge.errors import ResourceCapError
+from ciforge.errors import ResourceCapError, ValidationError
+from ciforge.fixtures import builtin_fixture
 from ciforge.oracles import (
     DEFAULT_SEED,
     claim_dsim_check,
@@ -79,6 +84,44 @@ def test_enumerated_concepts_are_canonical_unique_and_in_bounds():
         assert canonicalize(c) == c
         assert role_depth(c) <= 2
         assert node_count(c) <= 7
+
+
+@pytest.mark.parametrize(
+    "sig, depth, size_cap",
+    [(SIG_2A2R, 2, 9), (active_signature(builtin_fixture("fig3")), 2, 6)],
+    ids=["2A2R", "fig3"],
+)
+def test_enumeration_order_is_prefix_first_and_yields_nothing_twice(sig, depth, size_cap):
+    produced = list(enumerate_concepts(sig, depth, size_cap))
+    assert len(set(produced)) == len(produced)
+    assert produced[:2] == [TOP, BOTTOM]
+    basics = [c for c in produced[2:] if not isinstance(c, And)]
+    # Basic concepts first, in canonical conjunct order; then conjunctions.
+    assert produced[2:2 + len(basics)] == basics
+    assert basics == sorted(basics, key=concept_sort_key)
+    # Every conjunct, of a conjunction or of a restriction's filler, is the
+    # basic concept yielded earlier, as one object.
+    basic_ids = {id(c) for c in basics}
+    for c in basics:
+        if isinstance(c, Exists) and c.filler not in (TOP, BOTTOM):
+            assert all(id(d) in basic_ids for d in conjuncts_of(c.filler)), c
+    last = {}  # conjunct count -> conjuncts of the last conjunction yielded
+    for c in produced[2 + len(basics):]:
+        parts = c.conjuncts
+        assert all(id(d) in basic_ids for d in parts)
+        if len(parts) >= 3:
+            assert last[len(parts) - 1] == parts[:-1], c
+        last[len(parts)] = parts
+    assert max(last) >= 3
+
+
+@pytest.mark.parametrize("depth, size_cap, message", [
+    (-1, 3, "role depth must be at least 0, got -1"),
+    (1, 0, "size cap must be at least 1, got 0"),
+])
+def test_enumeration_rejects_an_empty_fragment(depth, size_cap, message):
+    with pytest.raises(ValidationError, match=message):
+        list(enumerate_concepts(SIG_2A2R, depth, size_cap))
 
 
 def test_enumeration_is_exhaustive_within_the_fragment():

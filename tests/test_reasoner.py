@@ -123,9 +123,10 @@ def test_new_rhs_after_a_query_is_not_answered_from_a_stale_completion():
 
 
 def test_shared_reasoner_answers_like_fresh_ones_in_any_order():
-    # Query completions are memoized per concept and per conjunction prefix.
-    # The pool holds every prefix of its conjunctions; shuffled, it meets
-    # prefixes both before and after their extensions.
+    # A conjunction is completed from the slot of the last conjunction one
+    # conjunct shorter when that is its prefix, and by a fold of joins
+    # otherwise.  The pool holds every prefix of its conjunctions; shuffled,
+    # most conjunctions miss their prefix slot and some hit it.
     sig = Signature(frozenset({"A", "B", "C"}), frozenset({"r", "s"}))
     pool = list(enumerate_concepts(sig, 1, 6))
     verdicts = set()
@@ -208,15 +209,18 @@ def _oracle_completion(r: Reasoner, c) -> frozenset:
 
 
 def _memos_match_the_oracle(r: Reasoner) -> int:
-    """Every memoized completion, join and told child equals the rule-by-rule
-    closure of its start set; returns how many memo entries were checked."""
+    """Every memoized completion, conjunction slot, join and told child
+    equals the rule-by-rule closure of its start set; returns how many memo
+    entries were checked."""
     for c, s in r._completions.items():
         assert s == _oracle_completion(r, c), c
+    for parts, s in r._slots.values():
+        assert s == _oracle_completion(r, And(parts)), parts
     for (left, right), s in r._joins.items():
         assert s == _rule_by_rule_close(r, left | right)
     for (role, child), s in r._told.items():
         assert s == _rule_by_rule_close(r, _told_start(r, role, child))
-    return len(r._completions) + len(r._joins) + len(r._told)
+    return len(r._completions) + len(r._slots) + len(r._joins) + len(r._told)
 
 
 def _count_closes(r: Reasoner) -> list:
@@ -229,6 +233,54 @@ def _count_closes(r: Reasoner) -> list:
 
     r._close = counting
     return calls
+
+
+def _count_joins(r: Reasoner) -> list:
+    calls = []
+    join = r._join
+
+    def counting(left, right):
+        calls.append(1)
+        return join(left, right)
+
+    r._join = counting
+    return calls
+
+
+def test_conjunctions_in_enumeration_order_cost_one_join_each():
+    # A conjunction of three or more conjuncts follows its prefix in
+    # enumeration order, so it joins the prefix's slot with its last
+    # conjunct; a conjunction of two joins its two conjuncts.
+    sig = Signature(frozenset({"A", "B", "C"}), frozenset({"r"}))
+    tbox = frozenset({ci(And((A, B)), C), ci(Exists("r", C), And((A, B)))})
+    r = Reasoner(tbox)
+    stream = list(enumerate_concepts(sig, 1, 8))
+    conjunctions = [c for c in stream if isinstance(c, And)]
+    for c in stream:
+        if not isinstance(c, And):
+            r._complete_tree(c)
+    joins = _count_joins(r)
+    for c in conjunctions:
+        r._complete_tree(c)
+    assert len(joins) == len(conjunctions)
+    assert max(len(c.conjuncts) for c in conjunctions) >= 4
+    assert _memos_match_the_oracle(r)
+
+
+def test_conjunction_slots_from_before_a_late_rhs_are_not_reused():
+    # A ⊓ C and A ⊓ C ⊓ D are completed before the late right-hand side
+    # A ⊓ C names their common prefix.  Asked again, they must gain its
+    # name, and so must A ⊓ C ⊓ E, whose prefix A ⊓ C was in a slot.
+    D, E = Atom("D"), Atom("E")
+    r = Reasoner(frozenset({ci(A, Exists("r", B))}), rhs_concepts=[B])
+    ac, acd, ace = And((A, C)), And((A, C, D)), And((A, C, E))
+    assert not r.entails_registered(ac, B)
+    assert not r.entails_registered(acd, B)
+    r.register_rhs(ac)
+    assert r.entails_registered(ace, ac)
+    assert r.entails_registered(acd, ac)
+    assert r.entails_registered(ac, ac)
+    assert _memos_match_the_oracle(r)
 
 
 def test_a_repeated_join_is_closed_once():

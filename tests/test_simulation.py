@@ -13,13 +13,16 @@ from ciforge.concepts import (
 from ciforge.errors import ValidationError
 from ciforge.fixtures import builtin_fixture
 from ciforge.graphs import graph_of_interpretation, tree_of_concept, unravel
-from ciforge.oracles import extension, member
+from ciforge.oracles import (
+    extension,
+    functional_subsimulation,
+    is_simulation,
+    member,
+)
 from ciforge.simulation import (
     bounded_simulates,
     equivalent_empty,
-    functional_subsimulation,
     greatest_simulation,
-    is_simulation,
     semantic_extension,
     simulates,
     subsumed_empty,

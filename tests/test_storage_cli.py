@@ -204,6 +204,24 @@ def test_cli_mmsc_unknown_element(capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_cli_mmsc_rejects_a_negative_depth(capsys):
+    args = ["mmsc", "--fixture", "fig5", "--elements", "x1", "--depth", "-1"]
+    assert main(args) == 1
+    assert "unravelling depth must be at least 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [("--depth", "-1", "role depth must be at least 0, got -1"),
+     ("--size-cap", "0", "size cap must be at least 1, got 0")],
+)
+def test_cli_check_rejects_an_empty_fragment(tmp_path, capsys, option, value, message):
+    path = tmp_path / "empty.owlish"
+    path.write_text("")
+    assert main(["check", "--fixture", "fig4i", "--tbox", str(path), option, value]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_cli_mine_entails_check_pipeline(tmp_path, capsys):
     out_path = tmp_path / "base.owlish"
     assert main(

@@ -53,7 +53,9 @@ def main() -> int:
         failures += not rep.complete
         print(
             f"{name}: complete={rep.complete} "
-            f"({rep.checked} concepts, check_base_complete {check_s:.2f}s)"
+            f"({rep.checked} concepts, check_base_complete {check_s:.2f}s, "
+            f"reasoner {rep.reasoner_atoms} atoms, "
+            f"{rep.reasoner_pairs} subsumer pairs)"
         )
         for ci in rep.counterexamples[:5]:
             print(f"   missing: {ci}")

@@ -300,6 +300,10 @@ def check_base_sound(i: Interpretation, tbox) -> bool:
 class CompletenessReport:
     checked: int
     counterexamples: tuple  # of ConceptInclusion
+    # Size of the reasoner's saturation at the end of the check: atoms, and
+    # (atom, subsumer) pairs summed over them.
+    reasoner_atoms: int
+    reasoner_pairs: int
 
     @property
     def complete(self):
@@ -385,4 +389,10 @@ def check_base_complete(
                 for d in ds:
                     if not reasoner.entails_registered(c, d):
                         counterexamples.append(ConceptInclusion(c, d))
-    return CompletenessReport(len(enumerated), tuple(counterexamples))
+    subsumers = reasoner.subsumers
+    return CompletenessReport(
+        len(enumerated),
+        tuple(counterexamples),
+        len(subsumers),
+        sum(map(len, subsumers.values())),
+    )

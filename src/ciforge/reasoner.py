@@ -1,10 +1,14 @@
 """EL⊥ TBox entailment via completion-rule saturation.
 
-Independent of the mining code: normalizes a TBox to the usual normal forms
-(A ⊑ B, A1 ⊓ A2 ⊑ B, A ⊑ ∃r.B, ∃r.A ⊑ B, A ⊑ ⊥), saturates subsumer sets
-with the completion rules of Baader, Brandt & Lutz (IJCAI 2005), and answers
-C ⊑ D queries by completing the canonical tree model of C against the
-saturated axioms.
+Independent of the mining code: normalizes a TBox to the normal forms
+A ⊑ B, A1 ⊓ … ⊓ Ak ⊑ B, A ⊑ ∃r.B, ∃r.A ⊑ B and A ⊑ ⊥, saturates subsumer
+sets with the completion rules of Baader, Brandt & Lutz (IJCAI 2005), and
+answers C ⊑ D queries by completing the canonical tree model of C against
+the saturated axioms.  The normal form of that paper is binary, with a fresh
+name per prefix of a conjunction; here a conjunction is one n-ary axiom,
+indexed under each conjunct, that fires once a subsumer set holds all its
+conjuncts (one subset test), so the only names are the concept names and
+the names of subconcepts.
 
 Saturation runs one worklist over batches of normal-form axioms, with a
 predecessor index from each atom to the atoms whose canonical elements point
@@ -16,8 +20,9 @@ saturation already there, which stays, and only the query memos are dropped.
 Query completions are built compositionally: an atom is closed from {⊤, A};
 ∃r.F from the consequences of an r-edge to the completion of F; a
 conjunction C1 ⊓ … ⊓ Cn by joining completions of its parts.  Both sides of
-a join are already closed, so only conjunction axioms pairing an atom new
-from one side with one of the union can fire before the closure resumes.
+a join are already closed, so only conjunction axioms with a conjunct new
+from one side can fire, once the union holds all their conjuncts, before
+the closure resumes.
 Atoms and restrictions are memoized per concept.  Conjunctions are not: a
 slot per conjunct count keeps the last conjunction completed, and one whose
 prefix C1 ⊓ … ⊓ Cn-1 is in the slot one shorter joins that completion with
@@ -30,9 +35,9 @@ so concepts with equal parts share one closure.
 
 Closing a set reads the saturation: an atom reached brings its saturated
 subsumer set S(a) in one union.  S(a) is closed under the sub, ∃ and ⊥ rules
-and under the conjunction axioms among its own atoms, so only a conjunction
-axiom pairing an atom new from S(a) with an atom already in the set is
-checked.
+and under the conjunction axioms among its own atoms, so only the
+conjunction axioms of the atoms new from S(a) are checked, for conjuncts
+already in the set.
 """
 
 from __future__ import annotations
@@ -56,7 +61,9 @@ _BOT = "⊥"
 
 class _Normalizer:
     """Assigns a stable atom name to every subconcept and emits normal-form
-    axioms making the name equivalent to the subconcept.
+    axioms making the name equivalent to the subconcept: A ⊑ ∃r.B and
+    ∃r.B ⊑ A for a restriction, A ⊑ Ai per conjunct and one n-ary
+    A1 ⊓ … ⊓ Ak ⊑ A for a conjunction.
 
     Every emitted axiom is indexed by its premise, for rule application, and
     appended to `log` as (premise, atoms it mentions), the form in which
@@ -66,7 +73,7 @@ class _Normalizer:
         self.names: dict = {}
         self.counter = 0
         self.ax_sub: dict = {}  # A -> [B]          (A ⊑ B)
-        self.ax_conj: dict = {}  # A1 -> [(A2, B)]   (A1 ⊓ A2 ⊑ B), both orders
+        self.ax_conj: dict = {}  # Ai -> [({A1..Ak}, B)]  (A1 ⊓ … ⊓ Ak ⊑ B)
         self.ax_exists_rhs: dict = {}  # A -> [(r, B)]  (A ⊑ ∃r.B)
         self.ax_exists_lhs: dict = {}  # (r, A) -> [B]  (∃r.A ⊑ B)
         self.log: list = []  # (premise, atoms) per axiom, in emission order
@@ -79,11 +86,16 @@ class _Normalizer:
         self.ax_sub.setdefault(a, []).append(b)
         self.log.append((a, (a, b)))
 
-    def add_conj(self, a1, a2, b):
-        self.ax_conj.setdefault(a1, []).append((a2, b))
-        self.ax_conj.setdefault(a2, []).append((a1, b))
-        # One premise suffices: firing a1 on an element checks a2 there.
-        self.log.append((a1, (a1, a2, b)))
+    def add_conj(self, parts, b):
+        """A1 ⊓ … ⊓ Ak ⊑ b for the atoms `parts`, indexed once under each
+        conjunct as (frozenset of the conjuncts, b)."""
+        conjuncts = frozenset(parts)
+        axiom = (conjuncts, b)
+        for a in conjuncts:
+            self.ax_conj.setdefault(a, []).append(axiom)
+        # One premise suffices: firing the first conjunct on an element
+        # checks all the others there.
+        self.log.append((parts[0], (*parts, b)))
 
     def add_exists_rhs(self, a, role, b):
         self.ax_exists_rhs.setdefault(a, []).append((role, b))
@@ -112,16 +124,11 @@ class _Normalizer:
             self.add_exists_rhs(name, c.role, filler)
             self.add_exists_lhs(c.role, filler, name)
             return name
-        # Conjunction: name ⊑ each part; parts folded pairwise back to name.
+        # Conjunction: name ⊑ each part, and all parts together ⊑ name.
         parts = [self.name_of(d) for d in c.conjuncts]
         for p in parts:
             self.add_sub(name, p)
-        acc = parts[0]
-        for p in parts[1:-1]:
-            nxt = self.fresh()
-            self.add_conj(acc, p, nxt)
-            acc = nxt
-        self.add_conj(acc, parts[-1], name)
+        self.add_conj(parts, name)
         return name
 
     def add_inclusion(self, ci: ConceptInclusion):
@@ -203,8 +210,8 @@ class Reasoner:
             for b in norm.ax_sub.get(c, ()):
                 add(x, b)
             sx = subsumers[x]
-            for a2, b in norm.ax_conj.get(c, ()):
-                if a2 in sx:
+            for parts, b in norm.ax_conj.get(c, ()):
+                if b not in sx and parts <= sx:
                     add(x, b)
             for role, y in norm.ax_exists_rhs.get(c, ()):
                 into_y = preds.setdefault(y, {}).setdefault(role, set())
@@ -309,8 +316,9 @@ class Reasoner:
 
     def _join(self, left: frozenset, right: frozenset) -> frozenset:
         """Completion of L ⊓ R from the closed completions of L and R: an
-        axiom A1 ⊓ A2 ⊑ B can only add B when A1 is new from the right.
-        Memoized per pair of interned completions."""
+        axiom A1 ⊓ … ⊓ Ak ⊑ B can only add B when some Ai is new from the
+        right, and does once the union holds every Ai.  Memoized per pair of
+        interned completions."""
         if right <= left:
             return left
         if left <= right:
@@ -324,8 +332,8 @@ class Reasoner:
         queue = []
         conj = self.norm.ax_conj
         for a in right - left:
-            for a2, b in conj.get(a, ()):
-                if a2 in s and b not in s:
+            for parts, b in conj.get(a, ()):
+                if b not in s and parts <= s:
                     s.add(b)
                     queue.append(b)
         self._joins[key] = result = self._close(s, queue)
@@ -334,8 +342,9 @@ class Reasoner:
     def _close(self, s: set, queue: list) -> frozenset:
         """Closes s, whose atoms outside `queue` are already processed, and
         returns the interned result.  A popped atom brings its saturated
-        subsumer set, already closed under every rule but conjunctions that
-        pair one of its atoms with an atom of s outside it."""
+        subsumer set, already closed under every rule but conjunctions with
+        a conjunct among its atoms and one in s outside it; each atom new to
+        s fires the conjunctions whose conjuncts s then holds."""
         subsumers = self.subsumers
         conj = self.norm.ax_conj
         while queue:
@@ -346,8 +355,8 @@ class Reasoner:
                 new += sa - s
                 s |= sa
             for x in new:
-                for a2, b in conj.get(x, ()):
-                    if a2 in s and b not in s:
+                for parts, b in conj.get(x, ()):
+                    if b not in s and parts <= s:
                         s.add(b)
                         queue.append(b)
         result = frozenset(s)

@@ -339,6 +339,10 @@ def test_depth_zero_completeness_of_a_mined_base():
     tbox, _ = fixture_base("fig4ii")
     report = check_base_complete(i, tbox, depth=0, size_cap=5)
     assert report.complete
+    # The check's reasoner saturates the TBox and its registered targets.
+    bare = Reasoner(tbox).subsumers
+    assert report.reasoner_atoms >= len(bare) > 0
+    assert report.reasoner_pairs >= sum(map(len, bare.values()))
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,8 @@ from ciforge.concepts import (
     make_interpretation,
 )
 from ciforge.errors import CiforgeError
+from ciforge.fixtures import builtin_fixture
+from ciforge.miner import build_base
 from ciforge.oracles import enumerate_concepts, random_concept
 from ciforge.reasoner import Reasoner, entails
 from ciforge.simulation import semantic_extension, subsumed_empty
@@ -156,14 +158,45 @@ def test_unregistered_right_hand_side_is_a_clear_error():
         r.entails_registered(A, canonicalize(Exists("r", And((A, C)))))
 
 
+def test_every_atom_names_a_concept_or_a_subconcept():
+    # A conjunction is one n-ary axiom: no atom names a prefix of one.
+    i = builtin_fixture("fig3")
+    tbox, _ = build_base(i)
+    r = Reasoner(tbox)
+    named = set(r.norm.names.values())
+    assert r.norm.counter == len(named)
+    assert set(r.subsumers) <= {"⊤", "⊥"} | set(i.concept_ext) | named
+    assert any(
+        isinstance(c, And) and len(c.conjuncts) >= 3 for c in r.norm.names
+    )
+
+
 # -- memoized query completion against a rule-by-rule closure -------------
+
+
+def _atom_of(norm, c) -> str:
+    """The normalizer's atom for a concept it has met."""
+    if c == TOP:
+        return "⊤"
+    if c == BOTTOM:
+        return "⊥"
+    if isinstance(c, Atom):
+        return c.name
+    return norm.names[c]
 
 
 def _rule_by_rule_close(r: Reasoner, start) -> frozenset:
     """Closure of `start` under the sub, conjunction and ∃ rules, one atom
     at a time; an ∃-edge to b's canonical element brings ⊥ and the ∃r.a ⊑ B
-    consequences of every a in the saturated S(b)."""
+    consequences of every a in the saturated S(b).  The conjunction rule
+    reads the named conjunctions, not the reasoner's index of them: a named
+    C1 ⊓ … ⊓ Ck whose conjuncts' atoms are all in the set adds its name."""
     norm = r.norm
+    conjunctions = [
+        ({_atom_of(norm, d) for d in c.conjuncts}, name)
+        for c, name in norm.names.items()
+        if isinstance(c, And)
+    ]
 
     def conseq_via(role, b):
         sb = r.subsumers[b]
@@ -177,7 +210,7 @@ def _rule_by_rule_close(r: Reasoner, start) -> frozenset:
     while queue:
         a = queue.pop()
         derived = list(norm.ax_sub.get(a, ()))
-        derived += [b for a2, b in norm.ax_conj.get(a, ()) if a2 in s]
+        derived += [b for parts, b in conjunctions if a in parts and parts <= s]
         for role, b in norm.ax_exists_rhs.get(a, ()):
             derived += conseq_via(role, b)
         for b in derived:
@@ -356,6 +389,41 @@ def test_a_late_rhs_is_recognized_through_a_predecessor_edge():
     _same_saturation(r, Reasoner(tbox, rhs_concepts=list(r.rhs_names)))
 
 
+def test_a_late_ternary_rhs_is_recognized_on_atoms_that_hold_its_conjuncts():
+    # S(X) holds A, B and C through D before A ⊓ B ⊓ C is named; the name
+    # must join S(X), and ∃r.(A ⊓ B ⊓ C) then S(Z) through Z's r-edge to X.
+    D, X, Z = Atom("D"), Atom("X"), Atom("Z")
+    tbox = [ci(Z, Exists("r", X)), ci(X, A), ci(X, D), ci(D, B), ci(D, C)]
+    r = Reasoner(tbox)
+    abc = And((A, B, C))
+    assert r.entails(ci(X, abc))
+    assert r.rhs_names[canonicalize(abc)] in r.subsumers["X"]
+    late = Exists("r", abc)
+    assert r.entails(ci(Z, late))
+    assert r.rhs_names[canonicalize(late)] in r.subsumers["Z"]
+    assert not r.entails(ci(D, abc))
+    _same_saturation(r, Reasoner(tbox, rhs_concepts=list(r.rhs_names)))
+
+
+def test_a_ternary_conjunction_completes_through_a_predecessor_edge():
+    # S(X) holds A and B, and X's element has an r-edge to Y's.  Naming
+    # A ⊓ B ⊓ ∃r.(P ⊓ Q) late, Y gains P ⊓ Q and X then gains its last
+    # conjunct ∃r.(P ⊓ Q) through the edge.  Y's axioms come first, so the
+    # late batch takes up X's A, the first conjunct, before Y's P: the
+    # name must join S(X) when ∃r.(P ⊓ Q) arrives.  Z has an r-edge to an
+    # element with P only, so it holds two of the three conjuncts.
+    P, Q, X, Y, Z, W = (Atom(n) for n in "PQXYZW")
+    tbox = [ci(Y, P), ci(Y, Q), ci(W, P)]
+    tbox += [ci(a, b) for a in (X, Z) for b in (A, B)]
+    tbox += [ci(X, Exists("r", Y)), ci(Z, Exists("r", W))]
+    r = Reasoner(tbox)
+    late = And((A, B, Exists("r", And((P, Q)))))
+    assert r.entails(ci(X, late))
+    assert r.rhs_names[canonicalize(late)] in r.subsumers["X"]
+    assert not r.entails(ci(Z, late))
+    _same_saturation(r, Reasoner(tbox, rhs_concepts=list(r.rhs_names)))
+
+
 def test_bottom_reaches_a_late_rhs_through_its_successors():
     # A ⊓ B is unsatisfiable only through ∃s.C; the late right-hand side
     # ∃t.∃r.(A ⊓ B) names it, and ⊥ must climb two edges to its name.
@@ -375,7 +443,13 @@ def test_late_registration_matches_fresh_reasoners():
     # sides arrive one at a time and in batches, with queries in between.
     sig = Signature(frozenset({"A", "B", "C"}), frozenset({"r", "s"}))
     atoms = [A, B, C]
-    seen = {"bottom atoms": 0, "true": 0, "false": 0, "memo entries": 0}
+    seen = {
+        "bottom atoms": 0,
+        "true": 0,
+        "false": 0,
+        "memo entries": 0,
+        "conjunctions of 3+": 0,
+    }
     for seed in range(40):
         rng = random.Random(seed)
         axioms = [
@@ -406,6 +480,9 @@ def test_late_registration_matches_fresh_reasoners():
             seen["memo entries"] += _memos_match_the_oracle(r)
             _same_saturation(r, Reasoner(tbox, rhs_concepts=registered))
         seen["bottom atoms"] += sum("⊥" in s for s in r.subsumers.values()) > 1
+        seen["conjunctions of 3+"] += sum(
+            isinstance(c, And) and len(c.conjuncts) >= 3 for c in r.norm.names
+        )
     assert all(seen.values()), seen
 
 

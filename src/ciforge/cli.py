@@ -10,7 +10,12 @@ from .errors import CiforgeError
 from .fixtures import FIXTURE_NAMES, builtin_fixture
 from .graphs import DEFAULT_NODE_CAP, graph_of_interpretation
 from .miner import build_base, check_base_complete, check_base_sound
-from .mmsc import adaptable_depth, mmsc_adaptive, mmsc_at_depth
+from .mmsc import (
+    adaptable_depth,
+    mmsc_adaptive,
+    mmsc_at_depth,
+    prune_subsumed_conjuncts,
+)
 from .mvf import mvf
 from .reasoner import Reasoner
 from .storage import load_interpretation, load_tbox, parse_inclusion, save_tbox
@@ -96,12 +101,12 @@ def _cmd_mmsc(args) -> int:
     if unknown:
         raise CiforgeError(f"unknown element {unknown[0]!r}")
     if args.depth is not None:
-        concept = mmsc_at_depth(i, elements, args.depth, prune=True)
+        concept = prune_subsumed_conjuncts(mmsc_at_depth(i, elements, args.depth))
         print(render_concept(concept))
         print(f"depth: fixed {args.depth}")
         return 0
     report = adaptable_depth(i, elements)
-    concept = mmsc_adaptive(i, elements, prune=True)
+    concept = prune_subsumed_conjuncts(mmsc_adaptive(i, elements))
     print(render_concept(concept))
     print(
         f"depth: branch={report.branch} product_mvf={report.product_mvf} "

@@ -115,10 +115,6 @@ def render_concept(c: Concept) -> str:
     raise TypeError(f"not a concept: {c!r}")
 
 
-def concept_sort_key(c: Concept) -> str:
-    return render_concept(c)
-
-
 # ---------------------------------------------------------------------------
 # Canonical form
 
@@ -147,7 +143,7 @@ def canonicalize(c: Concept) -> Concept:
                 flat.extend(d.conjuncts)
             else:
                 flat.append(d)
-        unique = sorted(set(flat), key=concept_sort_key)
+        unique = sorted(set(flat), key=render_concept)
         if not unique:
             return TOP
         if len(unique) == 1:

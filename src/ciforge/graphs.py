@@ -14,8 +14,8 @@ from .concepts import (
     Exists,
     Interpretation,
     TOP,
-    canonicalize,
     conjuncts_of,
+    render_concept,
 )
 from .errors import ResourceCapError, ValidationError
 
@@ -141,38 +141,19 @@ def tree_of_concept(c: Concept) -> DescriptionTree:
 def concept_of_tree(t: DescriptionTree) -> Concept:
     """Canonical concept of a tree, built bottom-up.
 
-    Children are canonical by construction, so each level only sorts and
-    dedups its own conjuncts; rendered forms (the canonical sort key) are
-    carried upwards to avoid re-rendering whole subtrees at every level.
+    Children are canonical by construction, so each level only dedups and
+    sorts its own conjuncts.
     """
 
-    def build(v) -> tuple[Concept, str]:
-        # (sort key, concept) pairs; the key is the concept's rendered form.
-        parts = [(a, Atom(a)) for a in sorted(t.graph.label(v))]
-        for role, child in t.children(v):
-            c, rendered = build(child)
-            if isinstance(c, (And, Exists)):
-                rendered = f"({rendered})"
-            parts.append((f"some {role}.{rendered}", Exists(role, c)))
-        if not parts:
-            return TOP, "Top"
-        parts.sort(key=lambda kv: kv[0])
-        unique = []
-        last_key = None
-        for key, c in parts:
-            if key != last_key:
-                unique.append((key, c))
-                last_key = key
-        if len(unique) == 1:
-            return unique[0][1], unique[0][0]
-        texts = [
-            f"({key})" if isinstance(c, (And, Exists)) else key
-            for key, c in unique
-        ]
-        return And(tuple(c for _, c in unique)), " and ".join(texts)
+    def build(v) -> Concept:
+        parts = [Atom(a) for a in t.graph.label(v)]
+        parts.extend(Exists(role, build(child)) for role, child in t.children(v))
+        if len(parts) < 2:
+            return parts[0] if parts else TOP
+        parts = sorted(set(parts), key=render_concept)
+        return parts[0] if len(parts) == 1 else And(tuple(parts))
 
-    concept, _ = build(t.root)
-    return concept
+    return build(t.root)
 
 
 def unravel(g: DescriptionGraph, x, d: int, node_cap: int = DEFAULT_NODE_CAP) -> DescriptionTree:

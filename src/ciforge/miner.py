@@ -22,8 +22,7 @@ from .concepts import (
     Interpretation,
     TOP,
     active_signature,
-    canonicalize,
-    concept_sort_key,
+    conjuncts_of,
     render_concept,
     role_depth,
 )
@@ -122,7 +121,7 @@ def attribute_set(
             group.append(c)
             kept.append(c)
             kept_ext.append(c_ext)
-    order = sorted(range(len(kept)), key=lambda k: concept_sort_key(kept[k]))
+    order = sorted(range(len(kept)), key=lambda k: render_concept(kept[k]))
     return AttributeSet(
         attributes=tuple(kept[k] for k in order),
         ext=tuple(kept_ext[k] for k in order),
@@ -192,12 +191,15 @@ def build_base(
 ):
     """Returns (TBox, MiningReport).
 
-    Emits, per extension-distinct representative R (the conjunction of all
-    attributes valid on R's extension): R ≡ mmsc(extension(R)), plus one
-    equivalence per single attribute, the Top equivalence, the cover edges
-    of the closed-extension lattice and the pairwise meets.  There is one
-    mining mode; `mode` stays so that callers passing "intents" keep working,
-    and any other value is rejected.
+    Ties each attribute, the empty conjunction Top and each extension-distinct
+    representative R (the conjunction of all attributes valid on R's
+    extension) to the MMSC of its extension, and per pair of representatives
+    R1, R2 adds R1 ⊓ R2 ⊑ R, R the representative of the meet of their
+    extensions.  An inclusion c ⊑ d is emitted
+    only when c is not ⊥ and d has a conjunct that c lacks: any other holds
+    in every interpretation and adds nothing to a base.  There is one mining
+    mode; `mode` stays so that callers passing "intents" keep working, and
+    any other value is rejected.
     """
     if mode != "intents":
         raise CiforgeError(f"unknown mining mode {mode!r}")
@@ -207,10 +209,13 @@ def build_base(
 
     axioms: set[ConceptInclusion] = set()
 
-    def emit_equiv(c: Concept, d: Concept):
-        if c != d:
+    def emit(c: Concept, d: Concept):
+        if c != BOTTOM and not set(conjuncts_of(d)) <= set(conjuncts_of(c)):
             axioms.add(ConceptInclusion(c, d))
-            axioms.add(ConceptInclusion(d, c))
+
+    def emit_equiv(c: Concept, d: Concept):
+        emit(c, d)
+        emit(d, c)
 
     mmsc_cache: dict = {}
 
@@ -237,26 +242,20 @@ def build_base(
         rep_indices[ext] = indices
         emit_equiv(rep, mmsc_of(ext))
 
-    ordered = sorted(reps.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-
-    # (3) inclusions between representatives: the cover edges of the
-    # closed-extension lattice.
-    extents = [ext for ext, _ in ordered]
-    for ext1 in extents:
-        uppers = [e for e in extents if ext1 < e]
-        for ext2 in uppers:
-            if not any(ext1 < mid < ext2 for mid in uppers):
-                axioms.add(ConceptInclusion(reps[ext1], reps[ext2]))
-    # (4) meet axioms: R1 ⊓ R2 ⊑ representative of the meet extension.  The
+    # (3) meet axioms: R1 ⊓ R2 ⊑ representative of the meet extension.  The
     # attribute equivalences route any conjunction of attributes through the
     # closed representatives, and the meets close the lattice downwards; both
     # are needed so that e.g. a pair of attributes with disjoint extensions is
-    # entailed to be below Bottom.
-    for (ext1, rep1), (ext2, rep2) in itertools.combinations(ordered, 2):
+    # entailed to be below Bottom.  Extents are closed under intersection, so
+    # the meet has a representative, whose closed index set contains
+    # ind1 | ind2; read off the index sets, the emission rule keeps the meet
+    # when that set adds an index.  A side holding ⊥ has the empty extent,
+    # whose index set is every attribute, so a ⊥ left side never passes.
+    for (ext1, ind1), (ext2, ind2) in itertools.combinations(rep_indices.items(), 2):
         meet_ext = ext1 & ext2
-        if meet_ext in reps and meet_ext not in (ext1, ext2):
-            meet = _conj_of(attrs, rep_indices[ext1] | rep_indices[ext2])
-            axioms.add(ConceptInclusion(meet, reps[meet_ext]))
+        joined = ind1 | ind2
+        if joined != rep_indices[meet_ext]:
+            axioms.add(ConceptInclusion(_conj_of(attrs, joined), reps[meet_ext]))
 
     # soundness self-check before returning
     for ci in axioms:
@@ -357,7 +356,7 @@ def check_base_complete(
     # Only the interned extensions outlive the pass.
     del memo, basic, slots
 
-    targets = {ext: canonicalize(mmsc_at_depth(i, ext, depth)) for ext in exts}
+    targets = {ext: mmsc_at_depth(i, ext, depth) for ext in exts}
     reasoner = Reasoner(tbox, rhs_concepts=targets.values())
     suspects = [
         (c, ext)

@@ -140,7 +140,6 @@ def mmsc_at_depth(
     X,
     d: int,
     node_cap: int = DEFAULT_NODE_CAP,
-    prune: bool = False,
 ) -> Concept:
     """Most specific concept of role depth <= d whose extension contains X.
 
@@ -153,21 +152,16 @@ def mmsc_at_depth(
         return BOTTOM
     product = _context(i).product(elements, node_cap)
     tree = unravel(product, elements, d, node_cap=node_cap)
-    concept = concept_of_tree(tree)
-    if prune:
-        concept = prune_subsumed_conjuncts(concept)
-    return concept
+    return concept_of_tree(tree)
 
 
-def mmsc_adaptive(
-    i: Interpretation, X, node_cap: int = DEFAULT_NODE_CAP, prune: bool = False
-) -> Concept:
+def mmsc_adaptive(i: Interpretation, X, node_cap: int = DEFAULT_NODE_CAP) -> Concept:
     """MMSC at the adaptable depth; Bottom for the empty set."""
     elements = _sorted_elements(X)
     if not elements:
         return BOTTOM
     report = adaptable_depth(i, elements, node_cap=node_cap)
-    return mmsc_at_depth(i, elements, report.chosen_depth, node_cap=node_cap, prune=prune)
+    return mmsc_at_depth(i, elements, report.chosen_depth, node_cap=node_cap)
 
 
 def lower_approximation(c: Concept, i: Interpretation) -> Concept:

@@ -117,7 +117,7 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
         """Concepts of role depth <= d within the cap, in yield order.  Below
         the top level they come as (concept, node count, sort key) triples,
         from which the restrictions of level d + 1 are built; the sort key
-        is the rendered form, `concept_sort_key`."""
+        is the rendered form, `render_concept`."""
         pool = list(atoms)
         if d > 0:
             lower = level(d - 1, False)

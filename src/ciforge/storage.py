@@ -25,7 +25,14 @@ def load_interpretation(path) -> Interpretation:
     return interpretation_from_document(doc, origin=str(path))
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def interpretation_from_document(doc, origin="<document>") -> Interpretation:
+    """Reads {"domain": [...], "concepts": {name: [...]}, "roles": {name:
+    [[src, tgt], ...]}}; any other shape is a ValidationError naming the
+    offending key."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{origin}: expected an object at top level")
     try:
@@ -34,14 +41,25 @@ def interpretation_from_document(doc, origin="<document>") -> Interpretation:
         raise ValidationError(f"{origin}: missing 'domain'") from None
     concepts = doc.get("concepts", {})
     roles = doc.get("roles", {})
-    if not isinstance(domain, list) or not all(isinstance(x, str) for x in domain):
+    if not _strings(domain):
         raise ValidationError(f"{origin}: 'domain' must be a list of strings")
-    try:
-        return make_interpretation(domain, concepts, roles)
-    except (ValidationError, TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(f"{origin}: malformed extensions ({exc})") from exc
+    for key, value in (("concepts", concepts), ("roles", roles)):
+        if not isinstance(value, dict):
+            raise ValidationError(f"{origin}: {key!r} must be an object")
+    for name, ext in concepts.items():
+        if not _strings(ext):
+            raise ValidationError(
+                f"{origin}: concept {name!r} must map to a list of strings"
+            )
+    for name, pairs in roles.items():
+        if not isinstance(pairs, list):
+            raise ValidationError(f"{origin}: role {name!r} must map to a list of pairs")
+        for pair in pairs:
+            if not (_strings(pair) and len(pair) == 2):
+                raise ValidationError(
+                    f"{origin}: role {name!r} has {pair!r}, not a list of two strings"
+                )
+    return make_interpretation(domain, concepts, roles)
 
 
 def interpretation_to_document(i: Interpretation) -> dict:

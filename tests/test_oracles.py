@@ -13,7 +13,7 @@ from ciforge.concepts import (
     active_signature,
     Exists,
     canonicalize,
-    concept_sort_key,
+    render_concept,
     conjuncts_of,
     node_count,
     role_depth,
@@ -98,7 +98,7 @@ def test_enumeration_order_is_prefix_first_and_yields_nothing_twice(sig, depth, 
     basics = [c for c in produced[2:] if not isinstance(c, And)]
     # Basic concepts first, in canonical conjunct order; then conjunctions.
     assert produced[2:2 + len(basics)] == basics
-    assert basics == sorted(basics, key=concept_sort_key)
+    assert basics == sorted(basics, key=render_concept)
     # Every conjunct, of a conjunction or of a restriction's filler, is the
     # basic concept yielded earlier, as one object.
     basic_ids = {id(c) for c in basics}

@@ -83,6 +83,33 @@ def test_non_object_document_is_rejected():
         interpretation_from_document(["a", "b"])
 
 
+@pytest.mark.parametrize(
+    "part, message",
+    [
+        ({"concepts": ["A"]}, "'concepts' must be an object"),
+        ({"roles": [["a", "a"]]}, "'roles' must be an object"),
+        ({"concepts": {"A": "ab"}}, "concept 'A' must map to a list of strings"),
+        ({"concepts": {"A": ["a", 1]}}, "concept 'A' must map to a list of strings"),
+        ({"roles": {"r": "ab"}}, "role 'r' must map to a list of pairs"),
+        ({"roles": {"r": ["ab"]}}, "role 'r' has 'ab', not a list of two strings"),
+        ({"roles": {"r": [["a", "b", "a"]]}}, "role 'r' has ['a', 'b', 'a']"),
+    ],
+    ids=["concepts-list", "roles-list", "concept-string", "concept-number",
+         "role-string", "role-pair-string", "role-triple"],
+)
+def test_malformed_extensions_are_rejected_by_key(tmp_path, capsys, part, message):
+    doc = {"domain": ["a", "b"], **part}
+    with pytest.raises(ValidationError) as err:
+        interpretation_from_document(doc)
+    assert message in str(err.value)
+    src = tmp_path / "i.json"
+    src.write_text(json.dumps(doc))
+    out_path = tmp_path / "base.owlish"
+    assert main(["mine", "--input", str(src), "--output", str(out_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 # -- TBox text files ---------------------------------------------------------
 
 

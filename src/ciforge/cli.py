@@ -9,7 +9,7 @@ from .concepts import render_concept
 from .errors import CiforgeError
 from .fixtures import FIXTURE_NAMES, builtin_fixture
 from .graphs import DEFAULT_NODE_CAP, graph_of_interpretation
-from .miner import build_base, check_base_complete, check_base_sound
+from .miner import DEFAULT_DOMAIN_CAP, build_base, check_base_complete, check_base_sound
 from .mmsc import (
     adaptable_depth,
     mmsc_adaptive,
@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine = sub.add_parser("mine", help="mine a base TBox from an interpretation")
     _add_input_options(p_mine)
     p_mine.add_argument("--output", required=True, help="TBox output file")
-    p_mine.add_argument("--max-attrs", type=int, default=12,
+    p_mine.add_argument("--max-attrs", type=int, default=DEFAULT_DOMAIN_CAP,
                         help="domain-size cap for attribute enumeration")
     p_mine.add_argument("--product-cap", type=int, default=DEFAULT_NODE_CAP,
                         help="vertex cap for products and unravellings")

@@ -1,8 +1,8 @@
 """Concept language: AST, canonical form, parsing/rendering, interpretations.
 
 Concepts are built from atoms, Top, Bottom, binary-free n-ary conjunction and
-existential restrictions.  All public operations expect (and produce) the
-canonical form described in `canonicalize`.
+existential restrictions.  `parse_concept` and the miner produce the canonical
+form of `canonicalize`; the reasoner takes any concept as given.
 """
 
 from __future__ import annotations
@@ -185,26 +185,16 @@ def node_count(c: Concept) -> int:
 # ---------------------------------------------------------------------------
 # Parsing
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[().]))")
+# Skips whitespace; a character outside any name or punctuation is an error.
+_TOKEN_RE = re.compile(rf"(?P<name>{_NAME_RE.pattern})|(?P<punct>[().])|(?P<bad>\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ConceptSyntaxError(
-                f"unexpected character {stripped[0]!r}", len(text) - len(stripped)
-            )
-        if m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("punct", m.group("punct"), m.start("punct")))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ConceptSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((m.lastgroup, m.group(), m.start()))
     return tokens
 
 
@@ -320,6 +310,15 @@ class Interpretation:
         for x in self.domain:
             if not isinstance(x, str):
                 raise ValidationError(f"element id {x!r} is not a string")
+        # Mined bases name these, and the TBox syntax must read them back.
+        for kind, names in (("concept", self.concept_ext), ("role", self.role_ext)):
+            for name in names:
+                valid = isinstance(name, str) and _NAME_RE.fullmatch(name)
+                if not valid or name in _KEYWORDS:
+                    raise ValidationError(
+                        f"{kind} name {name!r} is not an identifier other than "
+                        "Top, Bottom, and, some"
+                    )
         for name, ext in self.concept_ext.items():
             bad = ext - self.domain
             if bad:

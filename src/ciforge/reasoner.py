@@ -10,6 +10,10 @@ indexed under each conjunct, that fires once a subsumer set holds all its
 conjuncts (one subset test), so the only names are the concept names and
 the names of subconcepts.
 
+Axioms and left-hand sides are taken as given, in any EL⊥ form (the empty
+conjunction is ⊤); only a right-hand side is canonicalized, once, when it is
+registered, so that equal right sides share one name.
+
 Saturation runs one worklist over batches of normal-form axioms, with a
 predecessor index from each atom to the atoms whose canonical elements point
 at it, as in ELK (Kazakov, Krötzsch & Simančík, JAR 2014).  The TBox and the
@@ -49,6 +53,7 @@ from .concepts import (
     Concept,
     ConceptInclusion,
     Exists,
+    TOP,
     Top,
     canonicalize,
     render_concept,
@@ -124,19 +129,13 @@ class _Normalizer:
             self.add_exists_rhs(name, c.role, filler)
             self.add_exists_lhs(c.role, filler, name)
             return name
-        # Conjunction: name ⊑ each part, and all parts together ⊑ name.
-        parts = [self.name_of(d) for d in c.conjuncts]
+        # Conjunction: name ⊑ each part, and all parts together ⊑ name; the
+        # empty conjunction is ⊤, so ⊤ ⊑ name.
+        parts = [self.name_of(d) for d in c.conjuncts] or [_TOP]
         for p in parts:
             self.add_sub(name, p)
         self.add_conj(parts, name)
         return name
-
-    def add_inclusion(self, ci: ConceptInclusion):
-        lhs = canonicalize(ci.lhs)
-        rhs = canonicalize(ci.rhs)
-        if isinstance(lhs, Bottom) or isinstance(rhs, Top):
-            return
-        self.add_sub(self.name_of(lhs), self.name_of(rhs))
 
 
 class Reasoner:
@@ -152,7 +151,7 @@ class Reasoner:
         self.norm = _Normalizer()
         # Internal names follow the caller's order; no answer depends on it.
         for ci in tbox:
-            self.norm.add_inclusion(ci)
+            self.norm.add_sub(self.norm.name_of(ci.lhs), self.norm.name_of(ci.rhs))
         self.rhs_names: dict = {}
         for d in rhs_concepts:
             self.register_rhs(d)
@@ -166,13 +165,14 @@ class Reasoner:
     # -- saturation --------------------------------------------------------
 
     def register_rhs(self, d: Concept):
-        """Atom name recognizing d.  A right-hand side not seen before logs
-        its recognition axioms; the next query saturates them into the
-        existing subsumer sets."""
-        d = canonicalize(d)
-        if d not in self.rhs_names:
-            self.rhs_names[d] = self.norm.name_of(d)
-        return self.rhs_names[d]
+        """Atom name recognizing d, keyed by d and by its canonical form,
+        computed once.  A new name logs its recognition axioms; the next
+        query saturates them into the existing subsumer sets."""
+        name = self.rhs_names.get(d)
+        if name is None:
+            c = canonicalize(d)
+            name = self.rhs_names[d] = self.rhs_names[c] = self.norm.name_of(c)
+        return name
 
     def _saturate(self):
         """Completion rules over the axioms logged since the last call.
@@ -308,9 +308,11 @@ class Reasoner:
         return s
 
     def _fold(self, parts) -> frozenset:
-        """Completion of the conjunction of `parts`, joined left to right."""
-        s = self._complete_tree(parts[0])
-        for d in parts[1:]:
+        """Completion of the conjunction of `parts` (⊤ if none), joined left
+        to right."""
+        rest = iter(parts)
+        s = self._complete_tree(next(rest, TOP))
+        for d in rest:
             s = self._join(s, self._complete_tree(d))
         return s
 
@@ -363,9 +365,9 @@ class Reasoner:
         return self._interned.setdefault(result, result)
 
     def entails_registered(self, lhs: Concept, rhs: Concept) -> bool:
-        """lhs, rhs canonical; rhs must have been registered, and a
-        CiforgeError names it otherwise.  Right-hand sides registered since
-        the last query are saturated first."""
+        """lhs in any form; rhs must have been registered, as itself or in
+        canonical form, and a CiforgeError names it otherwise.  Right-hand
+        sides registered since the last query are saturated first."""
         if isinstance(rhs, Top) or isinstance(lhs, Bottom):
             return True
         target = self.rhs_names.get(rhs)
@@ -380,14 +382,10 @@ class Reasoner:
         return target in s or _BOT in s
 
     def entails(self, ci: ConceptInclusion) -> bool:
-        lhs = canonicalize(ci.lhs)
-        rhs = canonicalize(ci.rhs)
-        if isinstance(rhs, Top) or isinstance(lhs, Bottom):
-            return True
-        self.register_rhs(rhs)
-        return self.entails_registered(lhs, rhs)
+        self.register_rhs(ci.rhs)
+        return self.entails_registered(ci.lhs, ci.rhs)
 
 
 def entails(tbox, ci: ConceptInclusion) -> bool:
     """T ⊨ C ⊑ D for EL⊥ concept inclusions."""
-    return Reasoner(tbox, rhs_concepts=[canonicalize(ci.rhs)]).entails(ci)
+    return Reasoner(tbox, rhs_concepts=[ci.rhs]).entails(ci)

@@ -117,6 +117,20 @@ def test_parse_errors_carry_positions():
         parse_concept("(A")  # unclosed paren
     with pytest.raises(ConceptSyntaxError):
         parse_concept("and A")
+    # Whitespace of any kind before the offending token counts in its position.
+    for text, position in [
+        ("A and\t⊥", 6),
+        ("A and\n\n  ⊥", 9),
+        ("some r.\n  A\t and ⊥", 17),
+        (" \u00a0⊥", 2),
+        ("A and\u3000B ;", 8),
+        ("\t\nA B", 4),  # trailing input
+        ("A\n\t(B)", 3),  # trailing input
+        ("(A\n ", 4),  # end of input
+    ]:
+        with pytest.raises(ConceptSyntaxError) as exc:
+            parse_concept(text)
+        assert exc.value.position == position, text
 
 
 # -- measures ---------------------------------------------------------------

@@ -24,6 +24,8 @@ from ciforge.oracles import enumerate_concepts, random_concept
 from ciforge.reasoner import Reasoner, entails
 from ciforge.simulation import semantic_extension, subsumed_empty
 
+from conftest import concepts
+
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
 
@@ -169,6 +171,53 @@ def test_every_atom_names_a_concept_or_a_subconcept():
     assert any(
         isinstance(c, And) and len(c.conjuncts) >= 3 for c in r.norm.names
     )
+
+
+# -- concepts taken as given ------------------------------------------------
+
+
+@settings(max_examples=150)
+@given(st.lists(st.tuples(concepts(), concepts()), max_size=4), concepts(), concepts())
+def test_non_canonical_concepts_are_taken_as_given(axioms, lhs, rhs):
+    # The trees are unsorted, nested, one-conjunct, with ⊤ and ⊥ anywhere.
+    canonical = Reasoner([ci(c, d) for c, d in axioms]).entails(ci(lhs, rhs))
+    r = Reasoner([ConceptInclusion(c, d) for c, d in axioms])
+    assert r.entails(ConceptInclusion(lhs, rhs)) == canonical
+    assert r.entails_registered(lhs, canonicalize(rhs)) == canonical
+
+
+ODD_FORMS = [
+    And(()),
+    And((A,)),
+    And((And((C, B)), A, And((A,)))),
+    Exists("r", And((A, BOTTOM))),
+]
+
+
+@pytest.mark.parametrize(
+    "odd", ODD_FORMS, ids=["empty", "one-conjunct", "nested", "bottom-filler"]
+)
+def test_odd_forms_on_either_side_answer_like_their_canonical_forms(odd):
+    others = [A, B, TOP, BOTTOM, Exists("r", A), And((B, C))]
+    tboxes = [[], [(odd, C)], [(A, odd)], [(C, Exists("s", odd))], [(Exists("s", odd), C)]]
+    queries = [(odd, d) for d in others] + [(c, odd) for c in others]
+    queries += [(Exists("s", odd), Exists("s", And((odd, B)))), (And((odd, C)), odd)]
+    for axioms in tboxes:
+        r = Reasoner([ConceptInclusion(c, d) for c, d in axioms])
+        canonical = Reasoner([ci(c, d) for c, d in axioms])
+        for lhs, rhs in queries:
+            expected = canonical.entails(ci(lhs, rhs))
+            assert r.entails(ConceptInclusion(lhs, rhs)) == expected, (axioms, lhs, rhs)
+            assert r.entails_registered(lhs, rhs) == expected
+
+
+def test_odd_forms_mean_what_they_say():
+    assert entails([ConceptInclusion(And(()), C)], ConceptInclusion(B, C))
+    assert entails([], ConceptInclusion(A, And((And(()), And((A,))))))
+    assert not entails([], ConceptInclusion(And(()), And((A,))))
+    assert entails([], ConceptInclusion(Exists("r", And((A, BOTTOM))), C))
+    assert entails([ConceptInclusion(A, Exists("r", And((B, BOTTOM))))], ci(A, BOTTOM))
+    assert not entails([], ConceptInclusion(Exists("r", And((C, B))), Exists("r", A)))
 
 
 # -- memoized query completion against a rule-by-rule closure -------------

@@ -110,6 +110,31 @@ def test_malformed_extensions_are_rejected_by_key(tmp_path, capsys, part, messag
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "part, name",
+    [
+        ({"concepts": {"and": ["a"]}}, "and"),
+        ({"concepts": {"my concept": ["a", "b"]}}, "my concept"),
+        ({"roles": {"Top": [["a", "b"]]}}, "Top"),
+        ({"roles": {"r-1": [["a", "a"]]}}, "r-1"),
+    ],
+    ids=["keyword-and", "space", "keyword-Top", "hyphen"],
+)
+def test_names_the_tbox_syntax_cannot_read_are_rejected(tmp_path, capsys, part, name):
+    # A base mined from such a name could not be loaded again.
+    doc = {"domain": ["a", "b"], **part}
+    with pytest.raises(ValidationError, match=repr(name)):
+        interpretation_from_document(doc)
+    with pytest.raises(ValidationError, match=repr(name)):
+        make_interpretation(doc["domain"], doc.get("concepts"), doc.get("roles"))
+    src = tmp_path / "i.json"
+    src.write_text(json.dumps(doc))
+    out_path = tmp_path / "base.owlish"
+    assert main(["mine", "--input", str(src), "--output", str(out_path)]) == 1
+    assert repr(name) in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 # -- TBox text files ---------------------------------------------------------
 
 

@@ -14,12 +14,19 @@ Axioms and left-hand sides are taken as given, in any EL⊥ form (the empty
 conjunction is ⊤); only a right-hand side is canonicalized, once, when it is
 registered, so that equal right sides share one name.
 
-Saturation runs one worklist over batches of normal-form axioms, with a
-predecessor index from each atom to the atoms whose canonical elements point
-at it, as in ELK (Kazakov, Krötzsch & Simančík, JAR 2014).  The TBox and the
-right-hand sides given up front are the first batch.  A right-hand side
-registered later is a batch of the few axioms that name it: they fire on the
-saturation already there, which stays, and only the query memos are dropped.
+Saturation is semi-naive (Bancilhon & Ramakrishnan 1986) on an ELK-style
+worklist (Kazakov, Krötzsch & Simančík, JAR 2014).  The worklist holds
+(x, Δ): an atom and the subsumers it has just gained, and each rule fires on
+the whole of Δ with set unions and differences.  Per atom y and role r, the
+predecessor index keeps the atoms with an r-edge to y's canonical element
+and L(y, r): the B of every ∃r.a ⊑ B with a in S(y), and ⊥ if S(y) holds it.
+A new r-edge into y brings L(y, r) in one union.  When S(y) gains Δ, the
+consequences of Δ that L(y, r) lacks join it and the subsumers of every
+r-predecessor of y, again in one union each.  The TBox and the
+right-hand sides given up front are the first batch of axioms.  A
+right-hand side registered later is a batch of the few axioms that name it:
+they alone fire on the saturation already there, which stays, and what they
+derive then goes through all axioms; only the query memos are dropped.
 
 Query completions are built compositionally: an atom is closed from {⊤, A};
 ∃r.F from the consequences of an r-edge to the completion of F; a
@@ -64,51 +71,74 @@ _TOP = "⊤"
 _BOT = "⊥"
 
 
-class _Normalizer:
+class _Axioms:
+    """Normal-form axioms indexed by premise, for rule application."""
+
+    def __init__(self, entries=()):
+        self.ax_sub: dict = {}  # A -> [B]          (A ⊑ B)
+        self.ax_conj: dict = {}  # Ai -> [({A1..Ak}, B)]  (A1 ⊓ … ⊓ Ak ⊑ B)
+        self.ax_exists_rhs: dict = {}  # A -> [(r, B)]  (A ⊑ ∃r.B)
+        self.ax_exists_lhs: dict = {}  # (r, A) -> [B]  (∃r.A ⊑ B)
+        for kind, premise, conclusion, _ in entries:
+            self.add(kind, premise, conclusion)
+
+    def add(self, kind, premise, conclusion):
+        """Indexes one axiom in the index named `kind`.  A conjunction's
+        premise is the frozenset of its conjuncts, and the axiom is indexed
+        once under each of them."""
+        if kind == "ax_conj":
+            axiom = (premise, conclusion)
+            for a in premise:
+                self.ax_conj.setdefault(a, []).append(axiom)
+        else:
+            getattr(self, kind).setdefault(premise, []).append(conclusion)
+
+    def premises(self) -> set:
+        """Atoms on which some axiom here fires: the premises, and the
+        fillers of the ∃r.A ⊑ B axioms."""
+        return {
+            *self.ax_sub,
+            *self.ax_conj,
+            *self.ax_exists_rhs,
+            *(a for _, a in self.ax_exists_lhs),
+        }
+
+
+class _Normalizer(_Axioms):
     """Assigns a stable atom name to every subconcept and emits normal-form
     axioms making the name equivalent to the subconcept: A ⊑ ∃r.B and
     ∃r.B ⊑ A for a restriction, A ⊑ Ai per conjunct and one n-ary
     A1 ⊓ … ⊓ Ak ⊑ A for a conjunction.
 
-    Every emitted axiom is indexed by its premise, for rule application, and
-    appended to `log` as (premise, atoms it mentions), the form in which
-    saturation takes it up."""
+    Every emitted axiom is indexed by its premise and appended to `log` as
+    (kind, premise, conclusion, atoms it mentions), so that saturation can
+    index a batch of them the same way."""
 
     def __init__(self):
+        super().__init__()
         self.names: dict = {}
         self.counter = 0
-        self.ax_sub: dict = {}  # A -> [B]          (A ⊑ B)
-        self.ax_conj: dict = {}  # Ai -> [({A1..Ak}, B)]  (A1 ⊓ … ⊓ Ak ⊑ B)
-        self.ax_exists_rhs: dict = {}  # A -> [(r, B)]  (A ⊑ ∃r.B)
-        self.ax_exists_lhs: dict = {}  # (r, A) -> [B]  (∃r.A ⊑ B)
-        self.log: list = []  # (premise, atoms) per axiom, in emission order
+        self.log: list = []  # one entry per axiom, in emission order
 
     def fresh(self) -> str:
         self.counter += 1
         return f"_N{self.counter}"
 
+    def _emit(self, kind, premise, conclusion, mentioned):
+        self.add(kind, premise, conclusion)
+        self.log.append((kind, premise, conclusion, mentioned))
+
     def add_sub(self, a, b):
-        self.ax_sub.setdefault(a, []).append(b)
-        self.log.append((a, (a, b)))
+        self._emit("ax_sub", a, b, (a, b))
 
     def add_conj(self, parts, b):
-        """A1 ⊓ … ⊓ Ak ⊑ b for the atoms `parts`, indexed once under each
-        conjunct as (frozenset of the conjuncts, b)."""
-        conjuncts = frozenset(parts)
-        axiom = (conjuncts, b)
-        for a in conjuncts:
-            self.ax_conj.setdefault(a, []).append(axiom)
-        # One premise suffices: firing the first conjunct on an element
-        # checks all the others there.
-        self.log.append((parts[0], (*parts, b)))
+        self._emit("ax_conj", frozenset(parts), b, (*parts, b))
 
     def add_exists_rhs(self, a, role, b):
-        self.ax_exists_rhs.setdefault(a, []).append((role, b))
-        self.log.append((a, (a, b)))
+        self._emit("ax_exists_rhs", a, (role, b), (a, b))
 
     def add_exists_lhs(self, role, a, b):
-        self.ax_exists_lhs.setdefault((role, a), []).append(b)
-        self.log.append((a, (a, b)))
+        self._emit("ax_exists_lhs", (role, a), b, (a, b))
 
     def name_of(self, c: Concept) -> str:
         """Definitional name for c; emits axioms in both directions so the
@@ -156,8 +186,8 @@ class Reasoner:
         for d in rhs_concepts:
             self.register_rhs(d)
         self.subsumers: dict = {}  # atom -> subsumers of its canonical element
-        # Predecessor index: atom y -> role -> atoms whose canonical element
-        # has a role-edge to y's.
+        # Predecessor index: atom y -> role r -> (atoms whose canonical
+        # element has an r-edge to y's, L(y, r)).
         self._preds: dict = {}
         self._saturated = 0  # log entries taken up by saturation so far
         self._saturate()
@@ -175,67 +205,122 @@ class Reasoner:
         return name
 
     def _saturate(self):
-        """Completion rules over the axioms logged since the last call.
+        """Completion rules over the axioms logged since the last call,
+        fired set-at-a-time.
 
-        One worklist of (x, c) pairs: c is a subsumer of x, and the axioms
-        with premise c are still to fire on x.  An atom new to the batch
-        starts from {a, ⊤}; every (x, c) whose c is a premise of a batch
-        axiom goes back on the list, so that the batch fires on the
-        saturation already there.  A subsumer c joining S(y) fires the
-        axioms ∃r.c ⊑ B, and ⊥ its inheritance, on every r-predecessor of y.
+        The worklist maps an atom x to Δ, the subsumers x has gained whose
+        axioms are still to fire, and is taken a round at a time; what an
+        atom gains meanwhile merges into its Δ for the next round.  Firing
+        Δ on x unions the right-hand sides of the sub and A ⊑ ∃r.B axioms
+        over Δ, tests each conjunction axiom with a conjunct in Δ once, and
+        unions L(y, r) into S(x) for each new r-edge from x to y.  The part
+        of Δ's ∃r.a ⊑ B consequences (and ⊥) that is new to L(x, r) joins
+        L(x, r) and the subsumers of every r-predecessor of x.
+
+        A batch after the first fires only its own axioms on each atom that
+        was already saturated, with Δ the part of S(x) they take as
+        premises.  What that derives, and each atom new to the batch with
+        Δ = {a, ⊤}, then goes through all axioms.
         """
         norm = self.norm
         subsumers = self.subsumers
         preds = self._preds
+        exists_lhs = norm.ax_exists_lhs
         batch = norm.log[self._saturated :]
         self._saturated = len(norm.log)
-        premises = {premise for premise, _ in batch}
-        queue = [(x, c) for x, s in subsumers.items() for c in premises & s]
-        atoms = [_TOP, _BOT]
-        for _, mentioned in batch:
-            atoms += mentioned
-        for a in atoms:
+        todo: dict = {}  # atom -> Δ
+
+        def gain(x, got):
+            s = subsumers[x]
+            new = got - s
+            if new:
+                s |= new
+                pending = todo.get(x)
+                if pending is None:
+                    todo[x] = new
+                else:
+                    pending |= new
+
+        def edge(x, role, y):
+            """Adds an r-edge from x to y and returns L(y, r), or None if the
+            edge was there.  L(y, r) is made from S(y) on the first r-edge
+            into y."""
+            into_y = preds.get(y)
+            if into_y is None:
+                into_y = preds[y] = {}
+            known = into_y.get(role)
+            if known is None:
+                sy = subsumers[y]
+                via = {b for a in sy for b in exists_lhs.get((role, a), ())}
+                if _BOT in sy:
+                    via.add(_BOT)
+                into_y[role] = ({x}, via)
+                return via
+            if x not in known[0]:
+                known[0].add(x)
+                return known[1]
+            return None
+
+        def rules(axioms):
+            """The completion rules for the axioms in `axioms`, fired on an
+            atom and its Δ.  The indices are bound once per batch, not once
+            per Δ: a query's batch fires a few hundred small Δ."""
+            sub, conj = axioms.ax_sub, axioms.ax_conj
+            exists_rhs, lhs = axioms.ax_exists_rhs, axioms.ax_exists_lhs
+
+            def fire(x, delta):
+                got = set()
+                candidates = set()
+                for c in delta:
+                    if c in sub:
+                        got.update(sub[c])
+                    if c in conj:
+                        candidates.update(conj[c])
+                    if c in exists_rhs:
+                        for role, y in exists_rhs[c]:
+                            via = edge(x, role, y)
+                            if via:
+                                got |= via
+                if candidates:
+                    sx = subsumers[x]
+                    for parts, b in candidates:
+                        if b not in sx and parts <= sx:
+                            got.add(b)
+                into_x = preds.get(x)
+                if into_x:
+                    for role, (xs, via) in into_x.items():
+                        new = {b for c in delta for b in lhs.get((role, c), ())}
+                        if _BOT in delta:
+                            new.add(_BOT)
+                        new -= via
+                        if new:
+                            via |= new
+                            for p in xs:
+                                gain(p, new)
+                if got:
+                    gain(x, got)
+
+            return fire
+
+        existing = list(subsumers.items())
+        for a in [_TOP, _BOT, *(a for *_, mentioned in batch for a in mentioned)]:
             if a not in subsumers:
                 subsumers[a] = {a, _TOP}
-                queue += ((a, a), (a, _TOP))
-
-        def add(x, c):
-            s = subsumers[x]
-            if c not in s:
-                s.add(c)
-                queue.append((x, c))
-
-        while queue:
-            x, c = queue.pop()
-            for b in norm.ax_sub.get(c, ()):
-                add(x, b)
-            sx = subsumers[x]
-            for parts, b in norm.ax_conj.get(c, ()):
-                if b not in sx and parts <= sx:
-                    add(x, b)
-            for role, y in norm.ax_exists_rhs.get(c, ()):
-                into_y = preds.setdefault(y, {}).setdefault(role, set())
-                if x not in into_y:
-                    into_y.add(x)
-                    # Collected before adding: on a self-edge S(y) is S(x).
-                    sy = subsumers[y]
-                    got = [
-                        b for a in sy for b in norm.ax_exists_lhs.get((role, a), ())
-                    ]
-                    if _BOT in sy:
-                        got.append(_BOT)
-                    for b in got:
-                        add(x, b)
-            into_x = preds.get(x)
-            if into_x:
-                for role, xs in into_x.items():
-                    if c == _BOT:
-                        got = (_BOT,)
-                    else:
-                        got = norm.ax_exists_lhs.get((role, c), ())
-                    for p in xs:
-                        for b in got:
-                            add(p, b)
+                todo[a] = {a, _TOP}
+        if existing:
+            fresh = _Axioms(batch)
+            premises = fresh.premises()
+            fire = rules(fresh)
+            for x, sx in existing:
+                delta = premises & sx
+                if delta:
+                    fire(x, delta)
+        fire = rules(norm)
+        while todo:
+            rnd = todo
+            todo = {}
+            for x, delta in rnd.items():
+                fire(x, delta)
         # Query completions per basic concept, the last conjunction completed
         # per conjunct count, one shared frozenset per distinct completion,
         # and joins and told children per interned completion; all depend on
@@ -366,9 +451,10 @@ class Reasoner:
 
     def entails_registered(self, lhs: Concept, rhs: Concept) -> bool:
         """lhs in any form; rhs must have been registered, as itself or in
-        canonical form, and a CiforgeError names it otherwise.  Right-hand
-        sides registered since the last query are saturated first."""
-        if isinstance(rhs, Top) or isinstance(lhs, Bottom):
+        canonical form, and a CiforgeError names it otherwise, whatever the
+        lhs; only ⊤ needs no registration.  Right-hand sides registered
+        since the last query are saturated first."""
+        if isinstance(rhs, Top):
             return True
         target = self.rhs_names.get(rhs)
         if target is None:
@@ -376,6 +462,8 @@ class Reasoner:
                 f"right-hand side {render_concept(rhs)} is not registered; "
                 "pass it to register_rhs first"
             )
+        if isinstance(lhs, Bottom):
+            return True
         if self._saturated < len(self.norm.log):
             self._saturate()
         s = self._complete_tree(lhs)

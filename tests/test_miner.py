@@ -378,12 +378,32 @@ def test_completeness_check_rejects_an_empty_fragment(depth, size_cap, message):
         check_base_complete(i, tbox, depth=depth, size_cap=size_cap)
 
 
+def _cycles(*lengths):
+    """fig5's shape without its self-loops: one B-hub per r-cycle, with A on
+    the hub's predecessor."""
+    domain, edges, a_ext, b_ext = [], [], [], []
+    for k, length in enumerate(lengths):
+        nodes = [f"h{k}"] + [f"c{k}_{j}" for j in range(1, length)]
+        domain += nodes
+        b_ext.append(nodes[0])
+        a_ext.append(nodes[-1])
+        edges += zip(nodes, nodes[1:] + nodes[:1])
+    return make_interpretation(domain, {"A": a_ext, "B": b_ext}, {"r": edges})
+
+
 def test_mined_bases_are_complete_at_desk_scale():
     for name in ("fig4i", "fig4ii", "fig7"):
         i = builtin_fixture(name)
         tbox, _ = fixture_base(name)
         report = check_base_complete(i, tbox, depth=2, size_cap=9)
         assert report.complete, (name, report.counterexamples[:3])
+    # The cycle bases hold deep ∃-chains; their saturation sizes are pinned.
+    for lengths, atoms, pairs in [((2, 3), 276, 19_939), ((2, 5), 944, 169_976)]:
+        i = _cycles(*lengths)
+        tbox, _ = build_base(i)
+        report = check_base_complete(i, tbox, depth=2, size_cap=9)
+        assert report.complete, (lengths, report.counterexamples[:3])
+        assert (report.reasoner_atoms, report.reasoner_pairs) == (atoms, pairs)
 
 
 def test_random_bases_are_complete_at_desk_scale():

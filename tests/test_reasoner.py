@@ -160,6 +160,19 @@ def test_unregistered_right_hand_side_is_a_clear_error():
         r.entails_registered(A, canonicalize(Exists("r", And((A, C)))))
 
 
+@pytest.mark.parametrize(
+    "lhs", [BOTTOM, Exists("r", BOTTOM)], ids=["bottom", "some-r-bottom"]
+)
+def test_an_unregistered_right_hand_side_is_an_error_whatever_the_left_side(lhs):
+    r = Reasoner(frozenset({ci(A, B)}), rhs_concepts=[B])
+    assert r.entails_registered(lhs, B)
+    with pytest.raises(CiforgeError, match=r"some r\.C"):
+        r.entails_registered(lhs, canonicalize(Exists("r", C)))
+    # ⊤ needs no registration.
+    assert r.entails_registered(lhs, TOP)
+    assert r.entails_registered(A, TOP)
+
+
 def test_every_atom_names_a_concept_or_a_subconcept():
     # A conjunction is one n-ary axiom: no atom names a prefix of one.
     i = builtin_fixture("fig3")
@@ -533,6 +546,59 @@ def test_late_registration_matches_fresh_reasoners():
             isinstance(c, And) and len(c.conjuncts) >= 3 for c in r.norm.names
         )
     assert all(seen.values()), seen
+
+
+# -- saturation against a naive fixpoint ------------------------------------
+
+
+def _naive_saturation(log) -> dict:
+    """Subsumer sets of the atoms of the normal-form axioms in `log`, by a
+    naive fixpoint: each pass fires every axiom on every atom, and the
+    ∃-edges are an explicit set of (x, r, y), until nothing changes."""
+    axioms = [(kind, premise, conclusion) for kind, premise, conclusion, _ in log]
+    atoms = {"⊤", "⊥"}.union(*(mentioned for *_, mentioned in log))
+    s = {a: {a, "⊤"} for a in atoms}
+    edges = set()
+    while True:
+        before = (sum(map(len, s.values())), len(edges))
+        for x in atoms:
+            for kind, premise, conclusion in axioms:
+                if kind == "ax_sub" and premise in s[x]:
+                    s[x].add(conclusion)
+                elif kind == "ax_conj" and premise <= s[x]:
+                    s[x].add(conclusion)
+                elif kind == "ax_exists_rhs" and premise in s[x]:
+                    edges.add((x, *conclusion))
+        for x, role, y in edges:
+            for kind, premise, conclusion in axioms:
+                if kind == "ax_exists_lhs" and premise[0] == role and premise[1] in s[y]:
+                    s[x].add(conclusion)
+            if "⊥" in s[y]:
+                s[x].add("⊥")
+        if (sum(map(len, s.values())), len(edges)) == before:
+            return s
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.tuples(concepts(), concepts()), max_size=4),
+    st.lists(
+        st.tuples(st.lists(concepts(), min_size=1, max_size=3), concepts()),
+        max_size=3,
+    ),
+)
+def test_saturation_matches_a_naive_fixpoint(axioms, late):
+    # Each late batch of right-hand sides is saturated by a query on the
+    # saturation already there; S(a) must then be the naive fixpoint of all
+    # axioms saturated so far, batches included.
+    r = Reasoner([ConceptInclusion(c, d) for c, d in axioms])
+    assert r.subsumers == _naive_saturation(r.norm.log)
+    for batch, lhs in late:
+        for d in batch:
+            r.register_rhs(d)
+        for d in batch:
+            r.entails_registered(lhs, d)
+        assert r.subsumers == _naive_saturation(r.norm.log[: r._saturated])
 
 
 # -- agreement with the empty-TBox decision procedure -----------------------

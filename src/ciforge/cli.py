@@ -135,7 +135,10 @@ def _cmd_check(args) -> int:
         f"complete within fragment (depth {args.depth}, size {args.size_cap}): "
         f"{'yes' if report.complete else 'NO'} ({report.checked} concepts checked)"
     )
-    for ci in report.counterexamples[:20]:
+    missing = report.counterexamples
+    if missing:
+        print(f"{len(missing)} missing inclusions; the first {min(len(missing), 20)}:")
+    for ci in missing[:20]:
         print(f"  missing: {ci}")
     return 0 if sound and report.complete else 1
 

@@ -53,9 +53,11 @@ class And(Concept):
 
     def __hash__(self):
         # Cached: wide conjunctions are hashed many times as dict/set keys.
+        # The class name, not the class object (hashed by its id), keeps
+        # hashes equal across processes under one PYTHONHASHSEED.
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((And, self.conjuncts))
+            h = hash(("And", self.conjuncts))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -68,7 +70,7 @@ class Exists(Concept):
     def __hash__(self):
         h = self.__dict__.get("_hash")
         if h is None:
-            h = hash((Exists, self.role, self.filler))
+            h = hash(("Exists", self.role, self.filler))
             object.__setattr__(self, "_hash", h)
         return h
 

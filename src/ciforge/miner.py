@@ -204,7 +204,6 @@ def build_base(
     if mode != "intents":
         raise CiforgeError(f"unknown mining mode {mode!r}")
     attrs = attribute_set(i, domain_cap=domain_cap, node_cap=node_cap)
-    memo: dict = {}
     lattice = enumerate_intents(attrs, i)
 
     axioms: set[ConceptInclusion] = set()
@@ -258,14 +257,13 @@ def build_base(
             axioms.add(ConceptInclusion(_conj_of(attrs, joined), reps[meet_ext]))
 
     # soundness self-check before returning
-    for ci in axioms:
-        lhs_ext = semantic_extension(ci.lhs, i, memo)
-        rhs_ext = semantic_extension(ci.rhs, i, memo)
-        if not lhs_ext <= rhs_ext:
-            raise CiforgeError(
-                f"internal soundness violation: {ci} "
-                f"({sorted(lhs_ext)} ⊄ {sorted(rhs_ext)})"
-            )
+    unsound = _first_unsound(i, axioms)
+    if unsound is not None:
+        ci, lhs_ext, rhs_ext = unsound
+        raise CiforgeError(
+            f"internal soundness violation: {ci} "
+            f"({sorted(lhs_ext)} ⊄ {sorted(rhs_ext)})"
+        )
 
     tbox = frozenset(axioms)
     # Every axiom side is built from the attributes and the cached MMSCs, so
@@ -287,17 +285,27 @@ def build_base(
     return tbox, report
 
 
-def check_base_sound(i: Interpretation, tbox) -> bool:
+def _first_unsound(i: Interpretation, tbox):
+    """(axiom, left extension, right extension) for the first axiom whose
+    left side's extension is not inside its right side's; None if all hold."""
     memo: dict = {}
-    return all(
-        semantic_extension(ci.lhs, i, memo) <= semantic_extension(ci.rhs, i, memo)
-        for ci in tbox
-    )
+    for ci in tbox:
+        lhs_ext = semantic_extension(ci.lhs, i, memo)
+        rhs_ext = semantic_extension(ci.rhs, i, memo)
+        if not lhs_ext <= rhs_ext:
+            return ci, lhs_ext, rhs_ext
+    return None
+
+
+def check_base_sound(i: Interpretation, tbox) -> bool:
+    return _first_unsound(i, tbox) is None
 
 
 @dataclass(frozen=True)
 class CompletenessReport:
     checked: int
+    # C ⊑ E, valid in the interpretation and not entailed, per failing C and
+    # per top-level conjunct E of the MMSC of C's extension.
     counterexamples: tuple  # of ConceptInclusion
     # Size of the reasoner's saturation at the end of the check: atoms, and
     # (atom, subsumer) pairs summed over them.
@@ -313,14 +321,17 @@ def check_base_complete(
     i: Interpretation, tbox, depth: int, size_cap: int
 ) -> CompletenessReport:
     """Enumerates canonical concepts over the active signature up to the given
-    role depth and node count; every valid inclusion among them must be
-    entailed by the TBox.  A negative depth or a size cap below 1 is a
-    ValidationError.
+    role depth and node count, and asks for each C whether
+    T ⊨ C ⊑ mmsc_d(extension(C)), d the enumeration depth.  That MMSC is
+    below every concept of role depth at most d valid on C's extension, so
+    the TBox is complete for the fragment exactly when every C passes.  A
+    negative depth or a size cap below 1 is a ValidationError.
 
-    Fast path: for each C it suffices that T ⊨ C ⊑ mmsc(extension(C)) at the
-    enumeration depth, since that MMSC is below every valid right-hand side
-    of the fragment; on failure the literal pair scan produces concrete
-    counterexamples.
+    For a C that fails, each top-level conjunct E of its MMSC (⊥ for an
+    empty extension) that T does not entail below C gives the counterexample
+    C ⊑ E.  It is valid, since C's extension is inside the MMSC's, and every
+    failing C has at least one.  E may exceed the size cap: the check covers
+    every right-hand side up to the role depth, whatever its size.
 
     One pass over the enumeration computes every extension.  The basic
     concepts come first (see `enumerate_concepts`) and are evaluated one by
@@ -334,7 +345,7 @@ def check_base_complete(
     sig = active_signature(i)
     memo: dict = {}  # semantic_extension's, for the basic concepts' fillers
     basic: dict = {}  # basic concept -> extension
-    exts: dict = {}  # distinct extensions, interned, in order of appearance
+    exts: dict = {}  # distinct extensions, interned
     slots: dict = {}  # conjunct count -> (conjuncts, extension) seen last
     enumerated = []  # (concept, extension) in enumeration order
     for c in enumerate_concepts(sig, depth, size_cap):
@@ -358,36 +369,17 @@ def check_base_complete(
 
     targets = {ext: mmsc_at_depth(i, ext, depth) for ext in exts}
     reasoner = Reasoner(tbox, rhs_concepts=targets.values())
-    suspects = [
-        (c, ext)
-        for c, ext in enumerated
-        if not reasoner.entails_registered(c, targets[ext])
-    ]
     counterexamples = []
-    if suspects:
-        # Literal fallback: scan all enumerated D with a superset extension.
-        # Concepts are grouped by extension, groups in order of first
-        # appearance, so that counterexamples are listed per group of the
-        # left-hand side and then per group of the right-hand side.  Every
-        # needed right-hand side is registered before the first query, so the
-        # next query saturates them into the reasoner in one batch.
-        by_ext: dict = {ext: [] for ext in exts}
-        for c, ext in enumerated:
-            by_ext[ext].append(c)
-        rank = {ext: k for k, ext in enumerate(exts)}
-        suspects.sort(key=lambda suspect: rank[suspect[1]])
-        needed_exts = {ext for _, ext in suspects}
-        for other_ext, ds in by_ext.items():
-            if any(ext <= other_ext for ext in needed_exts):
-                for d in ds:
-                    reasoner.register_rhs(d)
-        for c, ext in suspects:
-            for other_ext, ds in by_ext.items():
-                if not ext <= other_ext:
-                    continue
-                for d in ds:
-                    if not reasoner.entails_registered(c, d):
-                        counterexamples.append(ConceptInclusion(c, d))
+    for c, ext in enumerated:
+        target = targets[ext]
+        if reasoner.entails_registered(c, target):
+            continue
+        # The target's conjuncts are its subconcepts, named with it, so
+        # asking for them saturates nothing new.
+        for e in conjuncts_of(target):
+            ci = ConceptInclusion(c, e)
+            if not reasoner.entails(ci):
+                counterexamples.append(ci)
     subsumers = reasoner.subsumers
     return CompletenessReport(
         len(enumerated),

@@ -339,10 +339,8 @@ class Reasoner:
 
         Atoms, Top, Bottom and restrictions are memoized per concept.
         Conjunctions are not: a slot per conjunct count holds the last
-        conjunction completed.  That conjunction asked again (the same
-        object, as in the completeness check's fallback) is answered from
-        its slot.  A conjunction whose conjuncts but the last equal those of
-        the slot one shorter costs one join; in the order of
+        conjunction completed.  A conjunction whose conjuncts but the last
+        equal those of the slot one shorter costs one join; in the order of
         `oracles.enumerate_concepts` every conjunction of three or more
         conjuncts does.  Any other folds the memoized joins over its
         conjuncts, in a loop, so that wide conjunctions cannot exhaust the
@@ -351,9 +349,6 @@ class Reasoner:
         if isinstance(c, And):
             parts = c.conjuncts
             slots = self._slots
-            last = slots.get(len(parts))
-            if last is not None and last[0] is parts:
-                return last[1]
             prefix = slots.get(len(parts) - 1)
             if prefix is not None and prefix[0] == parts[:-1]:
                 s = self._join(prefix[1], self._complete_tree(parts[-1]))

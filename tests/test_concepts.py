@@ -1,8 +1,14 @@
 """Concept AST, canonical form, parsing, rendering, and validation."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 
+import ciforge
 from ciforge.concepts import (
     And,
     Atom,
@@ -49,6 +55,30 @@ def test_canonicalize_returns_a_canonical_concept_itself(c):
 def test_top_and_bottom_hash_apart():
     assert hash(TOP) != hash(BOTTOM)
     assert {TOP: 1, BOTTOM: 2}[BOTTOM] == 2
+
+
+def test_concept_hashes_agree_across_processes_under_one_hash_seed():
+    # Set and dict orders of concepts, and so the reasoner's atom numbering,
+    # must not change from one run to the next.
+    code = (
+        "from ciforge.concepts import And, Atom, Exists\n"
+        "print(hash(And((Atom('A'), Exists('r', Atom('B'))))))\n"
+        "print(hash(Exists('r', Atom('A'))))\n"
+    )
+    src = str(pathlib.Path(ciforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": src}
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for _ in range(2)
+    ]
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].split()) == 2
 
 
 @given(concepts(), interpretations())

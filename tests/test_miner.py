@@ -13,6 +13,7 @@ from ciforge.concepts import (
     ConceptInclusion,
     Exists,
     TOP,
+    active_signature,
     canonicalize,
     conjuncts_of,
     make_interpretation,
@@ -27,8 +28,12 @@ from ciforge.miner import (
     enumerate_intents,
     intent_closure,
 )
-from ciforge.oracles import closed_extents, random_mineable_interpretation
-from ciforge.reasoner import Reasoner
+from ciforge.oracles import (
+    closed_extents,
+    enumerate_concepts,
+    random_mineable_interpretation,
+)
+from ciforge.reasoner import Reasoner, entails
 from ciforge.simulation import equivalent_empty, semantic_extension
 
 
@@ -353,6 +358,56 @@ def test_completeness_check_does_not_depend_on_the_conjunction_order(monkeypatch
     assert reversed_order.checked == in_order.checked
     assert set(reversed_order.counterexamples) == set(in_order.counterexamples)
     assert len(reversed_order.counterexamples) == len(in_order.counterexamples)
+
+
+def _fig3_base_with_every_third_axiom_dropped():
+    tbox, _ = fixture_base("fig3")
+    return frozenset(ci for k, ci in enumerate(sorted(tbox, key=str)) if k % 3)
+
+
+def _left_sides_of_literal_pairs(i, tbox, depth, size_cap):
+    """Brute-force reference: every fragment concept C for which some
+    fragment concept D has C's extension inside its own and T ⊭ C ⊑ D."""
+    concepts = list(enumerate_concepts(active_signature(i), depth, size_cap))
+    memo: dict = {}
+    ext = {c: semantic_extension(c, i, memo) for c in concepts}
+    reasoner = Reasoner(tbox, rhs_concepts=concepts)
+    return {
+        c
+        for c in concepts
+        if any(
+            ext[c] <= ext[d] and not reasoner.entails_registered(c, d)
+            for d in concepts
+        )
+    }
+
+
+@pytest.mark.parametrize("dropped", [False, True], ids=["empty", "dropped"])
+@pytest.mark.parametrize("size_cap", [4, 5])
+def test_completeness_counterexamples_against_the_literal_pair_scan(
+    dropped, size_cap
+):
+    i = builtin_fixture("fig3")
+    tbox = _fig3_base_with_every_third_axiom_dropped() if dropped else frozenset()
+    report = check_base_complete(i, tbox, depth=1, size_cap=size_cap)
+    assert not report.complete
+    memo: dict = {}
+    for ci in report.counterexamples:
+        assert semantic_extension(ci.lhs, i, memo) <= semantic_extension(
+            ci.rhs, i, memo
+        ), ci
+        assert not entails(tbox, ci), ci
+    reported = {ci.lhs for ci in report.counterexamples}
+    assert _left_sides_of_literal_pairs(i, tbox, 1, size_cap) <= reported
+
+
+def test_completeness_counterexamples_of_a_base_missing_a_third_of_its_axioms():
+    i = builtin_fixture("fig3")
+    tbox = _fig3_base_with_every_third_axiom_dropped()
+    report = check_base_complete(i, tbox, depth=2, size_cap=6)
+    assert report.checked == 4_929
+    assert len(report.counterexamples) == 1_039
+    assert str(report.counterexamples[0]) == "City SubClassOf some government.Party"
 
 
 def test_depth_zero_completeness_of_a_mined_base():

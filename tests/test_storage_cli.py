@@ -344,7 +344,11 @@ def test_cli_check_flags_an_unsound_incomplete_tbox(tmp_path, capsys):
     empty = tmp_path / "empty.owlish"
     empty.write_text("")
     assert main(["check", "--fixture", "fig4i", "--tbox", str(empty)]) == 1
-    assert "complete within fragment (depth 2, size 9): NO" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "complete within fragment (depth 2, size 9): NO" in out
+    # The count comes before the list, which stops at 20.
+    assert "\n46 missing inclusions; the first 20:\n" in out
+    assert out.count("  missing: ") == 20
 
 
 def test_cli_mine_reads_interpretation_files(tmp_path, capsys):

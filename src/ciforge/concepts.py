@@ -2,7 +2,8 @@
 
 Concepts are built from atoms, Top, Bottom, binary-free n-ary conjunction and
 existential restrictions.  `parse_concept` and the miner produce the canonical
-form of `canonicalize`; the reasoner takes any concept as given.
+form of `canonicalize`, building conjunctions with `conjoin`; the reasoner
+takes any concept as given.
 """
 
 from __future__ import annotations
@@ -121,11 +122,33 @@ def render_concept(c: Concept) -> str:
 # Canonical form
 
 
+def conjoin(parts: list) -> Concept:
+    """Canonical conjunction of a list of canonical concepts: nested
+    conjunctions flattened, Top dropped, Bottom absorbing, duplicates
+    removed, the rest sorted by rendering; one conjunct stands for itself,
+    none for Top."""
+    # Return before the sort, whose key would render a lone conjunct in
+    # full at every level of a deep chain.
+    if len(parts) == 1:
+        return parts[0]
+    flat = set()
+    for d in parts:
+        if isinstance(d, And):
+            flat.update(d.conjuncts)
+        elif isinstance(d, Bottom):
+            return BOTTOM
+        elif not isinstance(d, Top):
+            flat.add(d)
+    if len(flat) < 2:
+        return flat.pop() if flat else TOP
+    return And(tuple(sorted(flat, key=render_concept)))
+
+
 def canonicalize(c: Concept) -> Concept:
-    """Unique canonical form: flattened, sorted, duplicate-free conjunctions,
-    Top dropped from conjunctions, Bottom absorbing (also through fillers).
-    A concept already in canonical form is returned as it is, so that a
-    dictionary keyed by the result finds its argument by identity."""
+    """Unique canonical form: conjunctions as `conjoin` builds them, and
+    Bottom absorbing through fillers.  A concept already in canonical form
+    is returned as it is, so that a dictionary keyed by the result finds its
+    argument by identity."""
     if isinstance(c, (Top, Bottom, Atom)):
         return c
     if isinstance(c, Exists):
@@ -134,27 +157,8 @@ def canonicalize(c: Concept) -> Concept:
             return BOTTOM
         return c if filler is c.filler else Exists(c.role, filler)
     if isinstance(c, And):
-        flat: list[Concept] = []
-        for d in c.conjuncts:
-            d = canonicalize(d)
-            if isinstance(d, Bottom):
-                return BOTTOM
-            if isinstance(d, Top):
-                continue
-            if isinstance(d, And):
-                flat.extend(d.conjuncts)
-            else:
-                flat.append(d)
-        unique = sorted(set(flat), key=render_concept)
-        if not unique:
-            return TOP
-        if len(unique) == 1:
-            return unique[0]
-        if len(unique) == len(c.conjuncts) and all(
-            d is e for d, e in zip(unique, c.conjuncts)
-        ):
-            return c
-        return And(tuple(unique))
+        result = conjoin([canonicalize(d) for d in c.conjuncts])
+        return c if result == c else result
     raise TypeError(f"not a concept: {c!r}")
 
 
@@ -232,9 +236,7 @@ class _Parser:
                 parts.append(self.parse_unit())
             else:
                 break
-        if len(parts) == 1:
-            return parts[0]
-        return And(tuple(parts))
+        return conjoin(parts)
 
     def parse_unit(self) -> Concept:
         tok = self.next()
@@ -257,19 +259,24 @@ class _Parser:
             # An unparenthesized filler is greedy: it extends to the end of
             # the current scope, so "some r.A and B" means some r.(A and B).
             filler = self.parse_conjunction()
-            return Exists(role_tok[1], filler)
+            return BOTTOM if isinstance(filler, Bottom) else Exists(role_tok[1], filler)
         if value == "and":
             raise ConceptSyntaxError("unexpected 'and'", pos)
         return Atom(value)
 
 
 def parse_concept(text: str) -> Concept:
+    """Canonical concept of the text, built bottom-up as it is read."""
     parser = _Parser(text)
-    c = parser.parse_conjunction()
+    try:
+        c = parser.parse_conjunction()
+    except RecursionError:
+        pos = parser.tokens[parser.index - 1][2]
+        raise ConceptSyntaxError("concept nests too deeply", pos) from None
     tok = parser.peek()
     if tok is not None:
         raise ConceptSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-    return canonicalize(c)
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,13 @@ import itertools
 from dataclasses import dataclass, field
 
 from .concepts import (
-    And,
     Atom,
     Bottom,
     Concept,
     Exists,
     Interpretation,
-    TOP,
+    conjoin,
     conjuncts_of,
-    render_concept,
 )
 from .errors import ResourceCapError, ValidationError
 
@@ -139,19 +137,13 @@ def tree_of_concept(c: Concept) -> DescriptionTree:
 
 
 def concept_of_tree(t: DescriptionTree) -> Concept:
-    """Canonical concept of a tree, built bottom-up.
-
-    Children are canonical by construction, so each level only dedups and
-    sorts its own conjuncts.
-    """
+    """Canonical concept of a tree, built bottom-up with `conjoin`; children
+    are canonical by construction."""
 
     def build(v) -> Concept:
         parts = [Atom(a) for a in t.graph.label(v)]
         parts.extend(Exists(role, build(child)) for role, child in t.children(v))
-        if len(parts) < 2:
-            return parts[0] if parts else TOP
-        parts = sorted(set(parts), key=render_concept)
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
+        return conjoin(parts)
 
     return build(t.root)
 

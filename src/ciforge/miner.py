@@ -103,19 +103,18 @@ def attribute_set(
             candidates.append(Exists(role, concept))
     # Dedup: drop an attribute only when an earlier one has both the same
     # extension and mutual empty-TBox subsumption (adaptable depths differ
-    # per X, so equal extensions alone are not enough).  A candidate that
-    # renders like an earlier one is that concept again and shares its
-    # verdict, so the simulation check runs once per distinct concept.
+    # per X, so equal extensions alone are not enough).  A candidate equal
+    # to an earlier one shares its verdict, so the simulation check runs
+    # once per distinct concept.
     kept: list[Concept] = []
     kept_ext: list[frozenset] = []
-    seen: set = set()  # rendered forms of all earlier candidates
+    seen: set = set()  # all earlier candidates
     groups: dict = {}  # extension -> kept concepts
     for c in candidates:
         c_ext = semantic_extension(c, i, memo)
-        rendered = render_concept(c)
-        if rendered in seen:
+        if c in seen:
             continue
-        seen.add(rendered)
+        seen.add(c)
         group = groups.setdefault(c_ext, [])
         if not any(equivalent_empty(c, other) for other in group):
             group.append(c)
@@ -172,7 +171,8 @@ def enumerate_intents(a: AttributeSet, i: Interpretation) -> IntentLattice:
 def _conj_of(a: AttributeSet, indices) -> Concept:
     # Attributes are stored in canonical sort order, pairwise distinct, and
     # never Top, so conjoining by ascending index is already the canonical
-    # form — no deep re-canonicalization of the (possibly large) fillers.
+    # form.  `conjoin` would re-render the (possibly large) attributes to
+    # sort them again.
     parts = tuple(a.attributes[idx] for idx in sorted(indices))
     if not parts:
         return TOP

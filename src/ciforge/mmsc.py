@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .concepts import (
-    And,
     Atom,
     BOTTOM,
     Bottom,
@@ -14,10 +13,10 @@ from .concepts import (
     Interpretation,
     TOP,
     Top,
-    canonicalize,
+    conjoin,
     conjuncts_of,
 )
-from .errors import ValidationError
+from .errors import ResourceCapError, ValidationError
 from .graphs import (
     DEFAULT_NODE_CAP,
     DescriptionGraph,
@@ -132,7 +131,7 @@ def prune_subsumed_conjuncts(c: Concept) -> Concept:
             break
         if not redundant:
             kept.append(d)
-    return canonicalize(And(tuple(kept)))
+    return conjoin(kept)
 
 
 def mmsc_at_depth(
@@ -152,7 +151,12 @@ def mmsc_at_depth(
         return BOTTOM
     product = _context(i).product(elements, node_cap)
     tree = unravel(product, elements, d, node_cap=node_cap)
-    return concept_of_tree(tree)
+    try:
+        return concept_of_tree(tree)
+    except RecursionError:
+        raise ResourceCapError(
+            f"the concept of depth {d} nests too deeply to build"
+        ) from None
 
 
 def mmsc_adaptive(i: Interpretation, X, node_cap: int = DEFAULT_NODE_CAP) -> Concept:
@@ -174,8 +178,11 @@ def lower_approximation(c: Concept, i: Interpretation) -> Concept:
     parts: list[Concept] = []
     for d in conjuncts_of(c):
         if isinstance(d, Exists):
-            filler_ext = semantic_extension(d.filler, i)
-            parts.append(Exists(d.role, mmsc_adaptive(i, filler_ext)))
+            filler = mmsc_adaptive(i, semantic_extension(d.filler, i))
+            # An empty extension's MMSC is Bottom, and so is ∃r.Bottom.
+            parts.append(
+                BOTTOM if isinstance(filler, Bottom) else Exists(d.role, filler)
+            )
         else:
             parts.append(d)
-    return canonicalize(And(tuple(parts)))
+    return conjoin(parts)

@@ -2,12 +2,12 @@
 
 The measure of interest is the maximum number of distinct vertices a single
 walk from a start vertex can visit.  On the condensation DAG this is the
-maximum path weight, computed by a memoized DFS.
+maximum path weight, computed in one pass over Tarjan's component order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ResourceCapError, ValidationError
 from .graphs import DescriptionGraph
@@ -33,14 +33,6 @@ class Condensation:
     @property
     def node_count(self):
         return len(self.weights)
-
-
-@dataclass
-class MemoStats:
-    """Instrumentation for the linear-time argument: how many condensation
-    nodes were actually evaluated (each at most once thanks to the memo)."""
-
-    evaluations: int = 0
 
 
 def scc(g: DescriptionGraph) -> SccPartition:
@@ -120,52 +112,28 @@ def condensation(g: DescriptionGraph, partition: SccPartition | None = None) -> 
     return Condensation(weights, frozenset(dag_edges), succ, partition.cyclic)
 
 
-def max_weight(
-    c: Condensation,
-    start: int,
-    stats: MemoStats | None = None,
-    _memo: dict | None = None,
-) -> int:
-    """Maximum path weight in the condensation DAG from `start`: memoized DFS,
-    each node evaluated at most once."""
-    if not 0 <= start < c.node_count:
-        raise ValidationError(f"{start} is not a condensation node")
-    memo = _memo if _memo is not None else {}
-
-    def visit(node: int) -> int:
-        cached = memo.get(node)
-        if cached is not None:
-            return cached
-        if stats is not None:
-            stats.evaluations += 1
-        current = 0
-        for nxt in c.succ[node]:
-            current = max(current, visit(nxt))
-        result = c.weights[node] + current
-        memo[node] = result
-        return result
-
-    return visit(start)
+def walk_weights(c: Condensation) -> list[int]:
+    """Maximum path weight from each condensation node: its own weight plus
+    the heaviest of its successors'.  Tarjan's algorithm numbers every
+    successor below its predecessor, so one pass in index order finds each
+    successor's value already there."""
+    walk: list[int] = []
+    for node, weight in enumerate(c.weights):
+        walk.append(weight + max((walk[s] for s in c.succ[node]), default=0))
+    return walk
 
 
-def mvf(g: DescriptionGraph, v, stats: MemoStats | None = None) -> int:
+def mvf(g: DescriptionGraph, v) -> int:
     """Maximum number of distinct vertices visitable by one walk from v."""
     if v not in g.vertices:
         raise ValidationError(f"{v!r} is not a vertex")
     partition = scc(g)
-    cond = condensation(g, partition)
-    return max_weight(cond, partition.component_of[v], stats=stats)
+    return walk_weights(condensation(g, partition))[partition.component_of[v]]
 
 
 def mmvf(g: DescriptionGraph) -> int:
-    """max over all vertices of mvf, sharing one memo across starts."""
-    partition = scc(g)
-    cond = condensation(g, partition)
-    memo: dict = {}
-    best = 0
-    for node in range(cond.node_count):
-        best = max(best, max_weight(cond, node, _memo=memo))
-    return best
+    """max over all vertices of mvf."""
+    return max(walk_weights(condensation(g)), default=0)
 
 
 MVF_ORACLE_CAP = 12

@@ -143,9 +143,10 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
             out = [(TOP, 1, "Top"), (BOTTOM, 1, "Bottom")] + pool
         # Conjunctions: index-increasing lists of pool positions.  The pool
         # holds distinct concepts in canonical order, so each canonical And
-        # is built exactly once.  `fitting[b]` lists the positions of the
-        # conjuncts of at most b nodes, so that no conjunct that cannot fit
-        # is scanned.
+        # is built exactly once, and as it is: `conjoin` would re-render the
+        # conjuncts to sort them again.  `fitting[b]` lists the positions of
+        # the conjuncts of at most b nodes, so that no conjunct that cannot
+        # fit is scanned.
         fitting = [
             [k for k, (_, size, _) in enumerate(pool) if size <= budget]
             for budget in range(size_cap)

@@ -19,6 +19,7 @@ from ciforge.concepts import (
     TOP,
     active_signature,
     canonicalize,
+    conjoin,
     conjuncts_of,
     exists_chain,
     make_interpretation,
@@ -102,6 +103,15 @@ def test_empty_and_singleton_conjunctions_collapse():
     assert canonicalize(And((Atom("A"),))) == Atom("A")
 
 
+def test_conjoin_applies_the_canonical_conjunction_rule():
+    a, b = Atom("A"), Atom("B")
+    ra = Exists("r", a)
+    assert conjoin([ra, TOP, b, And((a, b)), a]) == And((a, b, ra))
+    assert conjoin([a, BOTTOM]) == BOTTOM
+    assert conjoin([TOP, a, a]) is a
+    assert conjoin([]) == TOP
+
+
 # -- rendering and parsing --------------------------------------------------
 
 
@@ -117,6 +127,12 @@ def test_parse_examples():
     )
     assert parse_concept("Bottom") == BOTTOM
     assert parse_concept("Top") == TOP
+
+
+def test_parse_builds_the_canonical_form():
+    assert parse_concept("B and Top and (A and B)") == And((Atom("A"), Atom("B")))
+    assert parse_concept("A and some r.(B and Bottom)") == BOTTOM
+    assert parse_concept("(Top)") == TOP
 
 
 def test_render_parenthesizes_composite_fillers():

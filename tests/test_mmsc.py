@@ -17,6 +17,7 @@ from ciforge.concepts import (
     canonicalize,
     exists_chain,
     make_interpretation,
+    parse_concept,
     role_depth,
 )
 from ciforge.errors import ResourceCapError, ValidationError
@@ -141,6 +142,21 @@ def test_depth_report_for_the_two_cities():
     assert report.x_lim == {"x1"}
     assert report.product_mvf == 3
     assert report.chosen_depth == 2
+
+
+def test_depth_of_a_chain_deeper_than_the_recursion_limit():
+    n = 1_200
+    chain = [(f"v{k}", f"v{k + 1}") for k in range(n - 1)]
+    i = make_interpretation([f"v{k}" for k in range(n)], {}, {"r": chain})
+    report = adaptable_depth(i, ["v0"])
+    assert report.branch == "bounded"
+    assert (report.product_mvf, report.chosen_depth) == (n, n - 1)
+
+
+def test_too_deep_mmsc_is_a_resource_cap_error():
+    with pytest.raises(ResourceCapError) as err:
+        mmsc_at_depth(builtin_fixture("fig4i"), {"v1"}, 1500)
+    assert "depth 1500" in str(err.value)
 
 
 def test_depth_rejects_the_empty_set():
@@ -407,6 +423,9 @@ def test_lower_approximation_golden_values():
     c = Exists("partof", Atom("Region"))
     approx = lower_approximation(c, fig3)
     assert semantic_extension(approx, fig3) == semantic_extension(c, fig3)
+    # The filler's extension is empty: its MMSC is Bottom, which absorbs.
+    empty_filler = parse_concept("City and some partof.(City and Region)")
+    assert lower_approximation(empty_filler, fig3) == BOTTOM
 
 
 @given(st.integers(min_value=0, max_value=1_000))

@@ -10,13 +10,12 @@ from ciforge.errors import ResourceCapError, ValidationError
 from ciforge.fixtures import builtin_fixture
 from ciforge.graphs import DescriptionGraph, graph_of_interpretation, product_reachable
 from ciforge.mvf import (
-    MemoStats,
     condensation,
-    max_weight,
     mmvf,
     mvf,
     mvf_oracle,
     scc,
+    walk_weights,
 )
 from ciforge.oracles import random_graph, reach_count
 
@@ -110,14 +109,14 @@ def test_condensation_of_coprime_cycles():
 def test_max_weight_of_isolated_node_is_its_weight():
     g = DescriptionGraph(["a", "b"], [("a", "r", "b"), ("b", "r", "a")], {})
     cond = condensation(g)
-    assert max_weight(cond, 0) == 2
+    assert walk_weights(cond) == [2]
 
 
 def test_max_weight_follows_the_heaviest_path():
     g = fig3_graph()
     partition = scc(g)
     cond = condensation(g, partition)
-    assert max_weight(cond, partition.component_of["x1"]) == 3
+    assert walk_weights(cond)[partition.component_of["x1"]] == 3
 
 
 def test_max_weight_of_a_chain_sums_the_weights():
@@ -136,13 +135,16 @@ def test_max_weight_of_a_chain_sums_the_weights():
     )
     partition = scc(g)
     cond = condensation(g, partition)
-    assert max_weight(cond, partition.component_of["a"]) == 6
+    assert walk_weights(cond)[partition.component_of["a"]] == 6
 
 
-def test_max_weight_validates_the_start_node():
-    cond = condensation(fig3_graph())
+def test_walk_coverage_of_a_long_chain():
+    # Deeper than the interpreter's recursion limit: the pass is a loop.
+    n = 5_000
+    g = DescriptionGraph(range(n), [(k, "r", k + 1) for k in range(n - 1)], {})
+    assert mvf(g, 0) == mmvf(g) == n
     with pytest.raises(ValidationError):
-        max_weight(cond, 99)
+        mvf(g, n)
 
 
 # -- walk coverage ----------------------------------------------------------
@@ -227,14 +229,3 @@ def test_product_coverage_is_bounded_by_the_factor_product(seed):
     for v in tup:
         bound *= mvf(g, v)
     assert mvf(p, tup) <= bound
-
-
-def test_memoized_search_touches_each_node_at_most_once():
-    g = fig5_graph()
-    partition = scc(g)
-    cond = condensation(g, partition)
-    stats = MemoStats()
-    memo = {}
-    for node in range(cond.node_count):
-        max_weight(cond, node, stats=stats, _memo=memo)
-    assert stats.evaluations <= cond.node_count

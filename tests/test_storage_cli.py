@@ -161,6 +161,15 @@ def test_tbox_file_errors_carry_the_line_number(tmp_path):
     assert ":4:" in str(err.value)
 
 
+def test_tbox_file_with_a_too_deep_concept_names_the_line(tmp_path):
+    path = tmp_path / "t.owlish"
+    path.write_text("A SubClassOf B\n" + "some r." * 600 + "A SubClassOf B\n")
+    with pytest.raises(CiforgeError) as err:
+        load_tbox(path)
+    assert f"{path}:2:" in str(err.value)
+    assert "nests too deeply" in str(err.value)
+
+
 def test_tbox_round_trip_merges_equivalences(tmp_path):
     tbox = frozenset(
         {
@@ -230,6 +239,38 @@ def test_tbox_lines_render_each_axiom_once(monkeypatch):
 def test_cli_mvf(capsys):
     assert main(["mvf", "--fixture", "fig3", "--vertex", "x1"]) == 0
     assert capsys.readouterr().out.strip() == "3"
+
+
+def test_cli_mvf_on_a_chain_deeper_than_the_recursion_limit(tmp_path, capsys):
+    n = 1_200
+    path = tmp_path / "chain.json"
+    doc = {
+        "domain": [f"v{k}" for k in range(n)],
+        "roles": {"r": [[f"v{k}", f"v{k + 1}"] for k in range(n - 1)]},
+    }
+    path.write_text(json.dumps(doc))
+    assert main(["mvf", "--input", str(path), "--vertex", "v0"]) == 0
+    assert capsys.readouterr().out.strip() == str(n)
+
+
+def _one_error_line(err: str) -> str:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    return lines[0]
+
+
+def test_cli_entails_rejects_a_too_deep_concept(tmp_path, capsys):
+    path = tmp_path / "t.owlish"
+    path.write_text("A SubClassOf B\n")
+    ci = "A SubClassOf " + "some r." * 600 + "B"
+    assert main(["entails", "--tbox", str(path), "--ci", ci]) == 1
+    assert "nests too deeply" in _one_error_line(capsys.readouterr().err)
+
+
+def test_cli_mmsc_rejects_a_too_deep_concept(capsys):
+    args = ["mmsc", "--fixture", "fig4i", "--elements", "v1", "--depth", "1500"]
+    assert main(args) == 1
+    assert "depth 1500" in _one_error_line(capsys.readouterr().err)
 
 
 def test_cli_mvf_unknown_vertex(capsys):

@@ -19,29 +19,17 @@ import random
 import sys
 import time
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
-from ciforge.concepts import make_interpretation
 from ciforge.fixtures import FIXTURE_NAMES, builtin_fixture
 from ciforge.miner import build_base, check_base_complete, check_base_sound
-from ciforge.oracles import random_mineable_interpretation
 from ciforge.reasoner import Reasoner
+from oracles import cycle_interpretation, random_mineable_interpretation
 
 COMPLETENESS_FIXTURES = ("fig3", "fig4i", "fig4ii", "fig7")
 CYCLES = ((2, 3), (2, 5))
-
-
-def cycles(lengths):
-    """fig5's shape without its self-loops: one B-hub per r-cycle, with A on
-    the hub's predecessor."""
-    domain, edges, a_ext, b_ext = [], [], [], []
-    for k, length in enumerate(lengths):
-        nodes = [f"h{k}"] + [f"c{k}_{j}" for j in range(1, length)]
-        domain += nodes
-        b_ext.append(nodes[0])
-        a_ext.append(nodes[-1])
-        edges += zip(nodes, nodes[1:] + nodes[:1])
-    return make_interpretation(domain, {"A": a_ext, "B": b_ext}, {"r": edges})
 
 
 def main() -> int:
@@ -70,7 +58,7 @@ def main() -> int:
     print(f"random soundness: {args.seeds} seeds checked")
 
     checks = [(name, builtin_fixture(name)) for name in COMPLETENESS_FIXTURES]
-    checks += [(f"cycles{lengths}", cycles(lengths)) for lengths in CYCLES]
+    checks += [(f"cycles{lengths}", cycle_interpretation(*lengths)) for lengths in CYCLES]
     for name, i in checks:
         tbox, _ = build_base(i)
         t0 = time.perf_counter()

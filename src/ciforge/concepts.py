@@ -9,7 +9,7 @@ takes any concept as given.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConceptSyntaxError, ValidationError
@@ -93,6 +93,9 @@ def exists_chain(role: str, depth: int, filler: Concept) -> Concept:
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _KEYWORDS = {"Top", "Bottom", "and", "some"}
+# Names a TBox file cannot hold: `parse_inclusion` splits a line at its first
+# axiom keyword.
+_RESERVED = _KEYWORDS | {"SubClassOf", "EquivalentTo"}
 
 
 def render_concept(c: Concept) -> str:
@@ -323,10 +326,10 @@ class Interpretation:
         for kind, names in (("concept", self.concept_ext), ("role", self.role_ext)):
             for name in names:
                 valid = isinstance(name, str) and _NAME_RE.fullmatch(name)
-                if not valid or name in _KEYWORDS:
+                if not valid or name in _RESERVED:
                     raise ValidationError(
                         f"{kind} name {name!r} is not an identifier other than "
-                        "Top, Bottom, and, some"
+                        "Top, Bottom, and, some, SubClassOf, EquivalentTo"
                     )
         for name, ext in self.concept_ext.items():
             bad = ext - self.domain

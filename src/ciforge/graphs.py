@@ -4,7 +4,7 @@ unravellings, and (reachable) products."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .concepts import (
     Atom,

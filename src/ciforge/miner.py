@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .concepts import (
     And,
@@ -28,7 +28,7 @@ from .concepts import (
 )
 from .errors import CiforgeError, ResourceCapError
 from .graphs import DEFAULT_NODE_CAP
-from .mmsc import DepthReport, adaptable_depth, mmsc_adaptive, mmsc_at_depth
+from .mmsc import adaptable_depth, mmsc_adaptive, mmsc_at_depth
 from .oracles import enumerate_concepts
 from .reasoner import Reasoner
 from .simulation import equivalent_empty, semantic_extension

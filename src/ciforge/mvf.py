@@ -1,4 +1,4 @@
-"""MVF/MMVF graph measures via SCC condensation, with a brute-force oracle.
+"""MVF/MMVF graph measures via SCC condensation.
 
 The measure of interest is the maximum number of distinct vertices a single
 walk from a start vertex can visit.  On the condensation DAG this is the
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ResourceCapError, ValidationError
+from .errors import ValidationError
 from .graphs import DescriptionGraph
 
 
@@ -134,29 +134,3 @@ def mvf(g: DescriptionGraph, v) -> int:
 def mmvf(g: DescriptionGraph) -> int:
     """max over all vertices of mvf."""
     return max(walk_weights(condensation(g)), default=0)
-
-
-MVF_ORACLE_CAP = 12
-
-
-def mvf_oracle(g: DescriptionGraph, v) -> int:
-    """Exact mvf by searching (current vertex, visited set) states; usable up
-    to 12 vertices only."""
-    if len(g.vertices) > MVF_ORACLE_CAP:
-        raise ResourceCapError(
-            f"mvf_oracle is capped at {MVF_ORACLE_CAP} vertices"
-        )
-    if v not in g.vertices:
-        raise ValidationError(f"{v!r} is not a vertex")
-    best = 1
-    seen_states = set()
-    frontier = [(v, frozenset([v]))]
-    while frontier:
-        current, visited = frontier.pop()
-        best = max(best, len(visited))
-        for _, nxt in g.successors(current):
-            state = (nxt, visited | {nxt})
-            if state not in seen_states:
-                seen_states.add(state)
-                frontier.append(state)
-    return best

@@ -1,5 +1,5 @@
-"""Greatest simulations between description graphs, semantic extensions, and
-empty-TBox subsumption decided by simulation between concept trees."""
+"""Semantic extensions, and empty-TBox subsumption decided by simulation
+between concept trees."""
 
 from __future__ import annotations
 
@@ -12,77 +12,12 @@ from .concepts import (
     Interpretation,
     Top,
 )
-from .errors import ValidationError
-from .graphs import DescriptionGraph, tree_of_concept
-
-
-def greatest_simulation(g1: DescriptionGraph, g2: DescriptionGraph) -> set:
-    """All pairs (w1, w2) such that (g1, w1) is simulated by (g2, w2).
-
-    Fixpoint refinement: start from the label-compatible pairs and repeatedly
-    drop pairs with an unmatched edge until nothing changes.
-    """
-    candidates = {
-        (w1, w2)
-        for w1 in g1.vertices
-        for w2 in g2.vertices
-        if g1.label(w1) <= g2.label(w2)
-    }
-    changed = True
-    while changed:
-        changed = False
-        for w1, w2 in list(candidates):
-            ok = True
-            for role, u1 in g1.successors(w1):
-                if not any(
-                    (u1, u2) in candidates for u2 in g2.successors_by_role(w2, role)
-                ):
-                    ok = False
-                    break
-            if not ok:
-                candidates.discard((w1, w2))
-                changed = True
-    return candidates
-
-
-def simulates(g1: DescriptionGraph, v1, g2: DescriptionGraph, v2) -> bool:
-    """True iff a simulation from (g1, v1) to (g2, v2) exists."""
-    if v1 not in g1.vertices or v2 not in g2.vertices:
-        raise ValidationError("simulation endpoints must be graph vertices")
-    return (v1, v2) in greatest_simulation(g1, g2)
-
-
-def bounded_simulates(g1: DescriptionGraph, v1, g2: DescriptionGraph, v2, d: int) -> bool:
-    """True iff the depth-d unravelling of (g1, v1) simulates into (g2, v2).
-
-    Two unravelling nodes ending at the same vertex with the same remaining
-    depth root isomorphic subtrees, so the answer only depends on (vertex,
-    remaining depth): iterate the label-compatible pair set d times instead of
-    materializing the (possibly exponential) tree.
-    """
-    if v1 not in g1.vertices or v2 not in g2.vertices:
-        raise ValidationError("simulation endpoints must be graph vertices")
-    sim = {
-        (w1, w2)
-        for w1 in g1.vertices
-        for w2 in g2.vertices
-        if g1.label(w1) <= g2.label(w2)
-    }
-    for _ in range(d):
-        sim = {
-            (w1, w2)
-            for w1, w2 in sim
-            if all(
-                any((u1, u2) in sim for u2 in g2.successors_by_role(w2, role))
-                for role, u1 in g1.successors(w1)
-            )
-        }
-    return (v1, v2) in sim
+from .graphs import tree_of_concept
 
 
 def semantic_extension(c: Concept, i: Interpretation, _memo=None) -> frozenset:
-    """Recursive evaluation of C^I straight from the semantics; the simulation
-    route in `oracles.extension` cross-checks it."""
+    """Recursive evaluation of C^I straight from the semantics; the tests
+    cross-check it against a greatest simulation into G(I)."""
     if _memo is None:
         _memo = {}
     hit = _memo.get(c)
@@ -111,9 +46,9 @@ def semantic_extension(c: Concept, i: Interpretation, _memo=None) -> frozenset:
 def tree_simulates(t1, v1, t2, v2, _memo=None) -> bool:
     """Simulation between tree nodes, decided by memoized recursion.
 
-    Equivalent to `simulates` on the underlying graphs but avoids the global
-    fixpoint: trees have no cycles, so the recursion is well-founded and only
-    touches node pairs reachable from (v1, v2)."""
+    Equivalent to a greatest-simulation fixpoint on the underlying graphs,
+    without its global refinement: trees have no cycles, so the recursion is
+    well-founded and only touches node pairs reachable from (v1, v2)."""
     if _memo is None:
         _memo = {}
     key = (v1, v2)

@@ -14,14 +14,28 @@ from .concepts import (
 from .errors import CiforgeError, ValidationError
 
 
-def load_interpretation(path) -> Interpretation:
+def _read_text(path) -> str:
+    """The whole file as UTF-8 text; a byte sequence that is not UTF-8 is a
+    CiforgeError naming the file and the line it is on."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            # read() decodes the file in one piece, so exc.object is all of it.
+            line = exc.object.count(b"\n", 0, exc.start) + 1
             raise CiforgeError(
-                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
-            ) from exc
+                f"{path}:{line}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"
+            ) from None
+
+
+def load_interpretation(path) -> Interpretation:
+    text = _read_text(path)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CiforgeError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
+        ) from exc
     return interpretation_from_document(doc, origin=str(path))
 
 
@@ -95,15 +109,14 @@ def parse_inclusion(line: str) -> list[ConceptInclusion]:
 
 def load_tbox(path) -> frozenset:
     axioms = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                axioms.update(parse_inclusion(line))
-            except CiforgeError as exc:
-                raise CiforgeError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            axioms.update(parse_inclusion(line))
+        except CiforgeError as exc:
+            raise CiforgeError(f"{path}:{lineno}: {exc}") from exc
     return frozenset(axioms)
 
 

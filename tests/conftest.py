@@ -17,7 +17,8 @@ from ciforge.concepts import (
     TOP,
     make_interpretation,
 )
-from ciforge.oracles import harness_seed
+
+from oracles import harness_seed
 
 settings.register_profile(
     "ciforge",

@@ -28,21 +28,22 @@ from ciforge.mmsc import (
     mmsc_adaptive,
     mmsc_at_depth,
 )
-from ciforge.mvf import mvf, mvf_oracle
-from ciforge.oracles import (
-    claim_dsim_check,
-    functional_subsimulation,
-    is_simulation,
-    random_graph,
-    random_mineable_interpretation,
-)
+from ciforge.mvf import mvf
 from ciforge.reasoner import Reasoner
 from ciforge.simulation import (
     equivalent_empty,
-    greatest_simulation,
     semantic_extension,
-    simulates,
     subsumed_empty,
+)
+
+from oracles import (
+    claim_dsim_check,
+    functional_subsimulation,
+    greatest_simulation,
+    is_simulation,
+    mvf_oracle,
+    random_graph,
+    random_mineable_interpretation,
 )
 
 

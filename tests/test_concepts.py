@@ -29,10 +29,10 @@ from ciforge.concepts import (
     role_depth,
 )
 from ciforge.errors import ConceptSyntaxError, ValidationError
-from ciforge.oracles import is_canonical, signature_of
 from ciforge.simulation import semantic_extension
 
 from conftest import concepts, interpretations
+from oracles import is_canonical, signature_of
 
 
 # -- canonical form ---------------------------------------------------------

@@ -23,10 +23,10 @@ from ciforge.graphs import (
     tree_of_concept,
     unravel,
 )
-from ciforge.oracles import product_trees, random_graph
 from ciforge.simulation import equivalent_empty
 
 from conftest import concepts, interpretations
+from oracles import product_trees, random_graph
 
 
 FIG2_CONCEPT = And(

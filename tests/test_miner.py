@@ -28,18 +28,11 @@ from ciforge.miner import (
     enumerate_intents,
     intent_closure,
 )
-from ciforge.oracles import (
-    closed_extents,
-    enumerate_concepts,
-    random_mineable_interpretation,
-)
+from ciforge.oracles import enumerate_concepts
 from ciforge.reasoner import Reasoner, entails
 from ciforge.simulation import equivalent_empty, semantic_extension
 
-
-@functools.lru_cache(maxsize=None)
-def seeded_instance(seed):
-    return random_mineable_interpretation(random.Random(seed))
+from oracles import closed_extents, cycle_interpretation, seeded_instance
 
 
 @functools.lru_cache(maxsize=None)
@@ -433,19 +426,6 @@ def test_completeness_check_rejects_an_empty_fragment(depth, size_cap, message):
         check_base_complete(i, tbox, depth=depth, size_cap=size_cap)
 
 
-def _cycles(*lengths):
-    """fig5's shape without its self-loops: one B-hub per r-cycle, with A on
-    the hub's predecessor."""
-    domain, edges, a_ext, b_ext = [], [], [], []
-    for k, length in enumerate(lengths):
-        nodes = [f"h{k}"] + [f"c{k}_{j}" for j in range(1, length)]
-        domain += nodes
-        b_ext.append(nodes[0])
-        a_ext.append(nodes[-1])
-        edges += zip(nodes, nodes[1:] + nodes[:1])
-    return make_interpretation(domain, {"A": a_ext, "B": b_ext}, {"r": edges})
-
-
 def test_mined_bases_are_complete_at_desk_scale():
     for name in ("fig4i", "fig4ii", "fig7"):
         i = builtin_fixture(name)
@@ -454,7 +434,7 @@ def test_mined_bases_are_complete_at_desk_scale():
         assert report.complete, (name, report.counterexamples[:3])
     # The cycle bases hold deep ∃-chains; their saturation sizes are pinned.
     for lengths, atoms, pairs in [((2, 3), 276, 19_939), ((2, 5), 944, 169_976)]:
-        i = _cycles(*lengths)
+        i = cycle_interpretation(*lengths)
         tbox, _ = build_base(i)
         report = check_base_complete(i, tbox, depth=2, size_cap=9)
         assert report.complete, (lengths, report.counterexamples[:3])

@@ -1,5 +1,6 @@
 """Most specific concepts at fixed and adaptively chosen depths."""
 
+import functools
 import hashlib
 import json
 import random
@@ -35,12 +36,7 @@ from ciforge.mmsc import (
     prune_subsumed_conjuncts,
 )
 from ciforge.mvf import scc
-from ciforge.oracles import (
-    enumerate_concepts,
-    product_trees,
-    random_interpretation,
-    random_mineable_interpretation,
-)
+from ciforge.oracles import enumerate_concepts
 from ciforge.simulation import (
     equivalent_empty,
     semantic_extension,
@@ -49,14 +45,13 @@ from ciforge.simulation import (
 from ciforge.storage import interpretation_to_document
 
 from conftest import concepts, interpretations
-
-
-import functools
-
-
-@functools.lru_cache(maxsize=None)
-def seeded_instance(seed):
-    return random_mineable_interpretation(random.Random(seed))
+from oracles import (
+    product_trees,
+    random_concept,
+    random_interpretation,
+    random_mineable_interpretation,
+    seeded_instance,
+)
 
 
 # -- walk boundedness -------------------------------------------------------
@@ -397,7 +392,6 @@ def test_restricting_to_an_mmsc_filler_preserves_the_extension(seed):
     i = seeded_instance(seed % 40)
     rng = random.Random(seed)
     sig_roles = sorted({r for r, pairs in i.role_ext.items() if pairs})
-    from ciforge.oracles import random_concept
     from ciforge.concepts import Signature as Sig
 
     sig = Sig(frozenset({"A", "B"}), frozenset({"r", "s"}))
@@ -432,7 +426,6 @@ def test_lower_approximation_golden_values():
 def test_lower_approximation_preserves_extensions(seed):
     i = seeded_instance(seed % 40)
     rng = random.Random(seed)
-    from ciforge.oracles import random_concept
     from ciforge.concepts import Signature as Sig
 
     sig = Sig(frozenset({"A", "B"}), frozenset({"r", "s"}))

@@ -13,11 +13,11 @@ from ciforge.mvf import (
     condensation,
     mmvf,
     mvf,
-    mvf_oracle,
     scc,
     walk_weights,
 )
-from ciforge.oracles import random_graph, reach_count
+
+from oracles import mvf_oracle, random_graph, reach_count
 
 
 def fig3_graph():

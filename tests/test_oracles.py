@@ -1,5 +1,7 @@
 """Exhaustive enumerators, random instance generators, and check suites."""
 
+import ast
+import pathlib
 import random
 
 import pytest
@@ -20,11 +22,12 @@ from ciforge.concepts import (
 )
 from ciforge.errors import ResourceCapError, ValidationError
 from ciforge.fixtures import builtin_fixture
-from ciforge.oracles import (
+from ciforge.oracles import enumerate_concepts
+
+from oracles import (
     DEFAULT_SEED,
     claim_dsim_check,
     closed_extents,
-    enumerate_concepts,
     exponential_depth_check,
     fbp_witness_check,
     harness_seed,
@@ -234,3 +237,29 @@ def test_depth_bounded_simulation_stability_claim(seed):
     v1 = sorted(g1.vertices)[0]
     v2 = sorted(g2.vertices)[0]
     assert claim_dsim_check(g1, v1, g2, v2)
+
+
+# -- library surface ----------------------------------------------------------
+
+
+def test_library_holds_only_pipeline_code():
+    # Test-only oracles and generators belong in tests/oracles.py.
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "ciforge"
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] not in {"os", "random"}, (path.name, module)
+        if path.name == "oracles.py":
+            public = [
+                node.name for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")
+            ]
+            assert public == ["enumerate_concepts"]

@@ -20,11 +20,12 @@ from ciforge.concepts import (
 from ciforge.errors import CiforgeError
 from ciforge.fixtures import builtin_fixture
 from ciforge.miner import build_base
-from ciforge.oracles import enumerate_concepts, random_concept
+from ciforge.oracles import enumerate_concepts
 from ciforge.reasoner import Reasoner, entails
 from ciforge.simulation import semantic_extension, subsumed_empty
 
 from conftest import concepts
+from oracles import random_concept
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 

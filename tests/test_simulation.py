@@ -13,23 +13,23 @@ from ciforge.concepts import (
 from ciforge.errors import ValidationError
 from ciforge.fixtures import builtin_fixture
 from ciforge.graphs import graph_of_interpretation, tree_of_concept, unravel
-from ciforge.oracles import (
-    extension,
-    functional_subsimulation,
-    is_simulation,
-    member,
-)
 from ciforge.simulation import (
-    bounded_simulates,
     equivalent_empty,
-    greatest_simulation,
     semantic_extension,
-    simulates,
     subsumed_empty,
     tree_simulates,
 )
 
 from conftest import concepts, interpretations
+from oracles import (
+    bounded_simulates,
+    extension,
+    functional_subsimulation,
+    greatest_simulation,
+    is_simulation,
+    member,
+    simulates,
+)
 
 
 # -- simulations ------------------------------------------------------------

@@ -117,8 +117,11 @@ def test_malformed_extensions_are_rejected_by_key(tmp_path, capsys, part, messag
         ({"concepts": {"my concept": ["a", "b"]}}, "my concept"),
         ({"roles": {"Top": [["a", "b"]]}}, "Top"),
         ({"roles": {"r-1": [["a", "a"]]}}, "r-1"),
+        ({"concepts": {"SubClassOf": ["a"]}}, "SubClassOf"),
+        ({"roles": {"EquivalentTo": [["a", "b"]]}}, "EquivalentTo"),
     ],
-    ids=["keyword-and", "space", "keyword-Top", "hyphen"],
+    ids=["keyword-and", "space", "keyword-Top", "hyphen", "keyword-SubClassOf",
+         "keyword-EquivalentTo"],
 )
 def test_names_the_tbox_syntax_cannot_read_are_rejected(tmp_path, capsys, part, name):
     # A base mined from such a name could not be loaded again.
@@ -265,6 +268,24 @@ def test_cli_entails_rejects_a_too_deep_concept(tmp_path, capsys):
     ci = "A SubClassOf " + "some r." * 600 + "B"
     assert main(["entails", "--tbox", str(path), "--ci", ci]) == 1
     assert "nests too deeply" in _one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["mine", "entails", "check"])
+def test_cli_reports_a_file_that_is_not_utf8(tmp_path, capsys, command):
+    # 0xff is never UTF-8: first in the document, on line 2 of the TBox.
+    doc = tmp_path / "bad.json"
+    doc.write_bytes(b'\xff{"domain": ["a"]}')
+    tbox = tmp_path / "bad.owlish"
+    tbox.write_bytes(b"A SubClassOf B\nB SubClassOf \xffC\n")
+    out_path = tmp_path / "out.owlish"
+    args, where = {
+        "mine": (["--input", str(doc), "--output", str(out_path)], f"{doc}:1:"),
+        "entails": (["--tbox", str(tbox), "--ci", "A SubClassOf B"], f"{tbox}:2:"),
+        "check": (["--fixture", "fig4i", "--tbox", str(tbox)], f"{tbox}:2:"),
+    }[command]
+    assert main([command, *args]) == 1
+    assert f"{where} not UTF-8 text" in _one_error_line(capsys.readouterr().err)
+    assert not out_path.exists()
 
 
 def test_cli_mmsc_rejects_a_too_deep_concept(capsys):

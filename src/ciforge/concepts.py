@@ -9,6 +9,7 @@ takes any concept as given.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -93,32 +94,43 @@ def exists_chain(role: str, depth: int, filler: Concept) -> Concept:
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _KEYWORDS = {"Top", "Bottom", "and", "some"}
-# Names a TBox file cannot hold: `parse_inclusion` splits a line at its first
-# axiom keyword.
-_RESERVED = _KEYWORDS | {"SubClassOf", "EquivalentTo"}
+# Names a TBox file cannot hold: `parse_inclusion` splits a line at its axiom
+# keyword.
+_AXIOM_KEYWORDS = {"SubClassOf", "EquivalentTo"}
+_RESERVED = _KEYWORDS | _AXIOM_KEYWORDS
 
 
-def render_concept(c: Concept) -> str:
+def render_concept(c: Concept, _memo=None) -> str:
+    """Text of c.  A memo from concept to text renders each distinct
+    subconcept once; Top, Bottom and atoms return before it is touched."""
     if isinstance(c, Top):
         return "Top"
     if isinstance(c, Bottom):
         return "Bottom"
     if isinstance(c, Atom):
         return c.name
+    if _memo is not None:
+        hit = _memo.get(c)
+        if hit is not None:
+            return hit
     if isinstance(c, Exists):
-        filler = render_concept(c.filler)
+        filler = render_concept(c.filler, _memo)
         if isinstance(c.filler, (And, Exists)):
             filler = f"({filler})"
-        return f"some {c.role}.{filler}"
-    if isinstance(c, And):
+        text = f"some {c.role}.{filler}"
+    elif isinstance(c, And):
         parts = []
         for d in c.conjuncts:
-            text = render_concept(d)
+            part = render_concept(d, _memo)
             if isinstance(d, (And, Exists)):
-                text = f"({text})"
-            parts.append(text)
-        return " and ".join(parts)
-    raise TypeError(f"not a concept: {c!r}")
+                part = f"({part})"
+            parts.append(part)
+        text = " and ".join(parts)
+    else:
+        raise TypeError(f"not a concept: {c!r}")
+    if _memo is not None:
+        _memo[c] = text
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +210,43 @@ def node_count(c: Concept) -> int:
 _TOKEN_RE = re.compile(rf"(?P<name>{_NAME_RE.pattern})|(?P<punct>[().])|(?P<bad>\S)")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> tuple[list[tuple[str, str, int]], dict[int, int]]:
+    """Tokens as (kind, value, position), and the index of each '(' token's
+    matching ')' token."""
     tokens = []
+    closes = {}
+    opens = []
     for m in _TOKEN_RE.finditer(text):
-        if m.lastgroup == "bad":
+        kind = m.lastgroup
+        if kind == "bad":
             raise ConceptSyntaxError(f"unexpected character {m.group()!r}", m.start())
-        tokens.append((m.lastgroup, m.group(), m.start()))
-    return tokens
+        value = m.group()
+        if value == "(":
+            opens.append(len(tokens))
+        elif value == ")" and opens:
+            closes[opens.pop()] = len(tokens)
+        tokens.append((kind, value, m.start()))
+    return tokens, closes
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, memo: dict):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens, self.closes = _tokenize(text)
         self.index = 0
+        # Concept text -> (canonical concept, nesting), for texts that
+        # parsed: whole texts, parenthesized groups and names.  A group is a
+        # self-contained conjunction, so equal text means an equal concept,
+        # and a hit is the same object.  Nesting counts the scopes ('some'
+        # fillers and groups) the text opens inside one another.
+        self.memo = memo
+        self.depth = 0  # scopes open at the current token
+        self.reach = 0  # deepest scope opened so far
+        # Deeper than this a group is parsed again, not shared, so that a
+        # file builds no concept deeper than one parse can read.  A parse
+        # takes two frames per scope (rendering sort keys at most one more
+        # per scope below), which leaves a third of the limit to its caller.
+        self.max_shared = sys.getrecursionlimit() // 3
 
     def peek(self):
         if self.index < len(self.tokens):
@@ -245,11 +280,27 @@ class _Parser:
         tok = self.next()
         kind, value, pos = tok
         if kind == "punct":
-            if value == "(":
-                inner = self.parse_conjunction()
-                self.expect_punct(")")
-                return inner
-            raise ConceptSyntaxError(f"unexpected {value!r}", pos)
+            if value != "(":
+                raise ConceptSyntaxError(f"unexpected {value!r}", pos)
+            # The text up to the matching ')' is the group's key.  An
+            # unclosed group has none: its parse fails, and says where.
+            close = self.closes.get(self.index - 1)
+            key = None if close is None else self.text[pos + 1:self.tokens[close][2]]
+            hit = self.memo.get(key)
+            if hit is not None and self.depth + hit[1] <= self.max_shared:
+                self.index = close + 1
+                self.reach = max(self.reach, self.depth + hit[1])
+                return hit[0]
+            outer_reach = self.reach
+            self.depth += 1
+            self.reach = self.depth
+            inner = self.parse_conjunction()
+            self.expect_punct(")")
+            # A group that parses ends at its own ')', so key is its text.
+            self.memo[key] = (inner, self.reach - self.depth + 1)
+            self.depth -= 1
+            self.reach = max(outer_reach, self.reach)
+            return inner
         if value == "Top":
             return TOP
         if value == "Bottom":
@@ -258,19 +309,38 @@ class _Parser:
             role_tok = self.next()
             if role_tok[0] != "name" or role_tok[1] in _KEYWORDS:
                 raise ConceptSyntaxError("expected role name after 'some'", role_tok[2])
+            if role_tok[1] in _AXIOM_KEYWORDS:
+                raise ConceptSyntaxError(
+                    f"reserved word {role_tok[1]!r} cannot name a role", role_tok[2]
+                )
             self.expect_punct(".")
             # An unparenthesized filler is greedy: it extends to the end of
             # the current scope, so "some r.A and B" means some r.(A and B).
+            self.depth += 1
+            self.reach = max(self.reach, self.depth)
             filler = self.parse_conjunction()
+            self.depth -= 1
             return BOTTOM if isinstance(filler, Bottom) else Exists(role_tok[1], filler)
         if value == "and":
             raise ConceptSyntaxError("unexpected 'and'", pos)
-        return Atom(value)
+        if value in _AXIOM_KEYWORDS:
+            raise ConceptSyntaxError(f"reserved word {value!r} cannot name a concept", pos)
+        hit = self.memo.get(value)
+        if hit is None:
+            hit = self.memo[value] = (Atom(value), 0)
+        return hit[0]
 
 
-def parse_concept(text: str) -> Concept:
-    """Canonical concept of the text, built bottom-up as it is read."""
-    parser = _Parser(text)
+def parse_concept(text: str, _memo=None) -> Concept:
+    """Canonical concept of the text, built bottom-up as it is read.  A memo
+    shared across calls (text -> (concept, nesting)) returns the same object
+    for a text, or a parenthesized group's text, that parsed before."""
+    if _memo is None:
+        _memo = {}
+    hit = _memo.get(text)
+    if hit is not None:
+        return hit[0]
+    parser = _Parser(text, _memo)
     try:
         c = parser.parse_conjunction()
     except RecursionError:
@@ -279,6 +349,7 @@ def parse_concept(text: str) -> Concept:
     tok = parser.peek()
     if tok is not None:
         raise ConceptSyntaxError(f"trailing input {tok[1]!r}", tok[2])
+    _memo[text] = (c, parser.reach)
     return c
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 from .concepts import (
     ConceptInclusion,
@@ -93,14 +94,23 @@ def save_interpretation(i: Interpretation, path) -> None:
         fh.write("\n")
 
 
-def parse_inclusion(line: str) -> list[ConceptInclusion]:
+_AXIOM_KEYWORD_RE = re.compile(r"\b(?:SubClassOf|EquivalentTo)\b")
+
+
+def parse_inclusion(line: str, _memo=None) -> list[ConceptInclusion]:
     """One axiom line: `C SubClassOf D` or `C EquivalentTo D` (the latter
-    expands to both inclusions)."""
+    expands to both inclusions).  `_memo` is `parse_concept`'s."""
+    keywords = list(_AXIOM_KEYWORD_RE.finditer(line))
+    if len(keywords) > 1:
+        second = keywords[1]
+        raise CiforgeError(
+            f"second axiom keyword {second.group()!r} (at position {second.start()})"
+        )
     for keyword in (" SubClassOf ", " EquivalentTo "):
         if keyword in line:
             lhs_text, rhs_text = line.split(keyword, 1)
-            lhs = parse_concept(lhs_text.strip())
-            rhs = parse_concept(rhs_text.strip())
+            lhs = parse_concept(lhs_text.strip(), _memo)
+            rhs = parse_concept(rhs_text.strip(), _memo)
             if keyword == " SubClassOf ":
                 return [ConceptInclusion(lhs, rhs)]
             return [ConceptInclusion(lhs, rhs), ConceptInclusion(rhs, lhs)]
@@ -108,13 +118,16 @@ def parse_inclusion(line: str) -> list[ConceptInclusion]:
 
 
 def load_tbox(path) -> frozenset:
+    """The axioms of a TBox file.  Each distinct concept text in the file is
+    parsed once, so equal subconcepts are one object."""
     axioms = set()
+    memo = {}
     for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            axioms.update(parse_inclusion(line))
+            axioms.update(parse_inclusion(line, memo))
         except CiforgeError as exc:
             raise CiforgeError(f"{path}:{lineno}: {exc}") from exc
     return frozenset(axioms)
@@ -125,20 +138,22 @@ def tbox_lines(tbox) -> list[str]:
     EquivalentTo line."""
     axioms = set(tbox)
     lines = []
-    # The final sort fixes the order, so each axiom is rendered once.
+    memo = {}
+    # The final sort fixes the order, so each axiom is rendered once, and
+    # the memo renders each distinct subconcept once.
     for ci in list(axioms):
         if ci not in axioms:
             continue
         axioms.discard(ci)
+        lhs = render_concept(ci.lhs, memo)
+        rhs = render_concept(ci.rhs, memo)
         reverse = ConceptInclusion(ci.rhs, ci.lhs)
         if reverse in axioms:
             axioms.discard(reverse)
-            first, second = sorted(
-                [render_concept(ci.lhs), render_concept(ci.rhs)]
-            )
+            first, second = sorted([lhs, rhs])
             lines.append(f"{first} EquivalentTo {second}")
         else:
-            lines.append(str(ci))
+            lines.append(f"{lhs} SubClassOf {rhs}")
     return sorted(lines)
 
 

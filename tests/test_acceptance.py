@@ -12,12 +12,10 @@ import pytest
 from ciforge.concepts import (
     And,
     Atom,
-    ConceptInclusion,
     Exists,
     TOP,
     canonicalize,
     exists_chain,
-    make_interpretation,
 )
 from ciforge.fixtures import FIXTURE_NAMES, builtin_fixture
 from ciforge.graphs import graph_of_interpretation, product_reachable, unravel

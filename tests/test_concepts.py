@@ -179,6 +179,34 @@ def test_parse_errors_carry_positions():
         assert exc.value.position == position, text
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("SubClassOf and EquivalentTo", "'SubClassOf' cannot name a concept", 0),
+    ("A and (B and EquivalentTo)", "'EquivalentTo' cannot name a concept", 13),
+    ("some SubClassOf.A", "'SubClassOf' cannot name a role", 5),
+])
+def test_parse_rejects_axiom_keywords_as_names(text, message, position):
+    with pytest.raises(ConceptSyntaxError, match=message) as exc:
+        parse_concept(text)
+    assert exc.value.position == position
+
+
+def test_parse_memo_returns_one_object_per_text():
+    memo = {}
+    c = parse_concept("A and (some r.(B and C))", memo)
+    d = parse_concept("some s.(some r.(B and C))", memo)
+    assert d.filler is c.conjuncts[1]
+    assert parse_concept("A and (some r.(B and C))", memo) is c
+    assert parse_concept("some r.(B and C)", memo) is d.filler
+    assert parse_concept("B", memo) is d.filler.filler.conjuncts[0]
+
+
+def test_group_spacing_does_not_change_the_concept():
+    assert parse_concept("(A and B)") == parse_concept("( A and B )")
+    memo = {}
+    c = parse_concept("some r.(A and B)", memo)
+    assert parse_concept("some r.( A and B )", memo) == c
+
+
 # -- measures ---------------------------------------------------------------
 
 

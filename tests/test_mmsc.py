@@ -16,7 +16,6 @@ from ciforge.concepts import (
     Signature,
     TOP,
     canonicalize,
-    exists_chain,
     make_interpretation,
     parse_concept,
     role_depth,
@@ -44,7 +43,7 @@ from ciforge.simulation import (
 )
 from ciforge.storage import interpretation_to_document
 
-from conftest import concepts, interpretations
+from conftest import concepts
 from oracles import (
     product_trees,
     random_concept,

@@ -263,3 +263,23 @@ def test_library_holds_only_pipeline_code():
                 and not node.name.startswith("_")
             ]
             assert public == ["enumerate_concepts"]
+
+
+def test_no_module_has_an_unused_import():
+    # The package's __init__ imports to re-export, so it is left out.
+    root = pathlib.Path(__file__).resolve().parents[1]
+    paths = sorted(root.glob("src/ciforge/*.py")) + sorted(root.glob("tests/*.py"))
+    unused = []
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.name, name) for name in sorted(imported - used)]
+    assert unused == []

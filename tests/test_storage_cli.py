@@ -8,14 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from ciforge.cli import main
 from ciforge.concepts import (
+    And,
     Atom,
+    Bottom,
     ConceptInclusion,
     Exists,
+    Top,
     make_interpretation,
     parse_concept,
 )
 from ciforge.errors import CiforgeError, ValidationError
 from ciforge.fixtures import FIXTURE_NAMES, builtin_fixture
+from ciforge.miner import build_base
 from ciforge.storage import (
     interpretation_from_document,
     interpretation_to_document,
@@ -28,6 +32,7 @@ from ciforge.storage import (
 )
 
 from conftest import interpretations
+from oracles import random_mineable_interpretation
 
 
 # -- interpretation documents ------------------------------------------------
@@ -173,6 +178,20 @@ def test_tbox_file_with_a_too_deep_concept_names_the_line(tmp_path):
     assert "nests too deeply" in str(err.value)
 
 
+def test_a_shared_group_builds_no_concept_too_deep_to_parse(tmp_path):
+    # Line 2 nests line 1's group 400 levels deeper: 800 levels in all, which
+    # one parse cannot read, so sharing the group must not read it either.
+    group = "some r." * 400 + "B"
+    path = tmp_path / "t.owlish"
+    path.write_text(
+        f"A SubClassOf ({group})\nA SubClassOf {'some s.' * 400}({group})\n"
+    )
+    with pytest.raises(CiforgeError) as err:
+        load_tbox(path)
+    assert f"{path}:2:" in str(err.value)
+    assert "nests too deeply" in str(err.value)
+
+
 def test_tbox_round_trip_merges_equivalences(tmp_path):
     tbox = frozenset(
         {
@@ -198,8 +217,6 @@ def test_tbox_comments_and_blanks_are_skipped(tmp_path):
 
 
 def test_mined_base_survives_a_file_round_trip(tmp_path):
-    from ciforge.miner import build_base
-
     i = builtin_fixture("fig4ii")
     tbox, report = build_base(i)
     path = tmp_path / "base.owlish"
@@ -209,21 +226,100 @@ def test_mined_base_survives_a_file_round_trip(tmp_path):
     assert load_tbox(path) == tbox
 
 
+@pytest.mark.parametrize("name", [n for n in FIXTURE_NAMES if n != "fig5"])
+def test_load_tbox_inverts_save_tbox_on_fixtures(tmp_path, name):
+    # fig5's base is a 941 MB file; the other fixtures cover its shapes.
+    tbox, _ = build_base(builtin_fixture(name))
+    path = tmp_path / "base.owlish"
+    save_tbox(tbox, path)
+    assert load_tbox(path) == tbox
+
+
+def test_load_tbox_inverts_save_tbox_on_random_interpretations(tmp_path):
+    path = tmp_path / "base.owlish"
+    for seed in range(30):
+        tbox, _ = build_base(random_mineable_interpretation(random.Random(seed)))
+        save_tbox(tbox, path)
+        assert load_tbox(path) == tbox, seed
+
+
+def _subconcepts(tbox) -> list:
+    """Every concept object reachable from the axioms, each object once."""
+    seen = {}
+    stack = [c for ci in tbox for c in (ci.lhs, ci.rhs)]
+    while stack:
+        c = stack.pop()
+        if id(c) in seen:
+            continue
+        seen[id(c)] = c
+        if isinstance(c, Exists):
+            stack.append(c.filler)
+        elif isinstance(c, And):
+            stack.extend(c.conjuncts)
+    return list(seen.values())
+
+
+def test_loaded_base_holds_each_distinct_subconcept_once(tmp_path):
+    tbox, _ = build_base(builtin_fixture("fig3"))
+    path = tmp_path / "base.owlish"
+    save_tbox(tbox, path)
+    objects = _subconcepts(load_tbox(path))
+    assert len(objects) == len(set(objects)) > 100
+
+
+def test_two_loads_share_no_concept_object(tmp_path):
+    tbox, _ = build_base(builtin_fixture("fig4ii"))
+    path = tmp_path / "base.owlish"
+    save_tbox(tbox, path)
+    first, second = load_tbox(path), load_tbox(path)
+    assert first == second
+    # Top and Bottom are singletons; every other object is the load's own.
+    ids = [
+        {id(c) for c in _subconcepts(t) if not isinstance(c, (Top, Bottom))}
+        for t in (first, second)
+    ]
+    assert ids[0] and not ids[0] & ids[1]
+
+
+@pytest.mark.parametrize("second, message", [
+    ("A SubClassOf some r.(B and (some s.C)", "unexpected end of input (at position 24)"),
+    ("A SubClassOf some r.(B and (some s.C)))", "trailing input ')' (at position 25)"),
+    ("A SubClassOf (some r.(B and (some s.C)) D)", "expected ')' (at position 27)"),
+    ("A SubClassOf some r.(B and (some s.C)) and", "unexpected end of input (at position 29)"),
+    ("A SubClassOf some r.(B and (some s.C) D)", "expected ')' (at position 25)"),
+    ("A SubClassOf some r.((B and (some s.C))", "unexpected end of input (at position 26)"),
+])
+def test_a_malformed_group_seen_before_keeps_its_error(tmp_path, second, message):
+    # Line 1 parses the groups that line 2 repeats; the error on line 2 is the
+    # one a parse without them gives.
+    path = tmp_path / "t.owlish"
+    path.write_text("A SubClassOf some r.(B and (some s.C))\n" + second + "\n")
+    with pytest.raises(CiforgeError) as err:
+        load_tbox(path)
+    assert str(err.value) == f"{path}:2: {message}"
+
+
+def test_axiom_line_with_two_keywords_names_the_second():
+    with pytest.raises(CiforgeError, match=r"'SubClassOf' \(at position 17\)"):
+        parse_inclusion("A and SubClassOf SubClassOf B")
+    with pytest.raises(CiforgeError, match=r"'EquivalentTo' \(at position 16\)"):
+        parse_inclusion("A SubClassOf B  EquivalentTo C")
+
+
 def test_tbox_lines_render_each_axiom_once(monkeypatch):
     import ciforge.concepts as concepts_module
     import ciforge.storage as storage_module
-    from ciforge.miner import build_base
 
     original = concepts_module.render_concept
     outermost = []
     depth = [0]
 
-    def counted(c):
+    def counted(c, *args):
         if not depth[0]:
             outermost.append(c)
         depth[0] += 1
         try:
-            return original(c)
+            return original(c, *args)
         finally:
             depth[0] -= 1
 
@@ -286,6 +382,14 @@ def test_cli_reports_a_file_that_is_not_utf8(tmp_path, capsys, command):
     assert main([command, *args]) == 1
     assert f"{where} not UTF-8 text" in _one_error_line(capsys.readouterr().err)
     assert not out_path.exists()
+
+
+def test_cli_entails_names_a_reserved_word_in_a_tbox(tmp_path, capsys):
+    path = tmp_path / "kw.tbox"
+    path.write_text("A SubClassOf B\nA and SubClassOf SubClassOf B\n")
+    assert main(["entails", "--tbox", str(path), "--ci", "A SubClassOf B"]) == 1
+    line = _one_error_line(capsys.readouterr().err)
+    assert f"{path}:2:" in line and "'SubClassOf'" in line
 
 
 def test_cli_mmsc_rejects_a_too_deep_concept(capsys):

@@ -1,15 +1,19 @@
 """Concept language: AST, canonical form, parsing/rendering, interpretations.
 
 Concepts are built from atoms, Top, Bottom, binary-free n-ary conjunction and
-existential restrictions.  `parse_concept` and the miner produce the canonical
-form of `canonicalize`, building conjunctions with `conjoin`; the reasoner
-takes any concept as given.
+existential restrictions.  They are hash-consed: there is one object per
+distinct concept, so equality is identity and a concept of any depth is
+hashed and compared in constant time.  `parse_concept` and the miner produce
+the canonical form of `canonicalize`, building conjunctions with `conjoin`;
+the reasoner takes any concept as given.
 """
 
 from __future__ import annotations
 
+import gc
 import re
 import sys
+import weakref
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -18,67 +22,197 @@ from .errors import ConceptSyntaxError, ValidationError
 
 # ---------------------------------------------------------------------------
 # AST
+#
+# Concepts are hash-consed (Filliâtre & Conchon, "Type-Safe Modular
+# Hash-Consing", ML 2006): a constructor looks its fields up in a table of the
+# live nodes of its class and returns the node found, so there is one object
+# per distinct concept and equality is identity.  Every node stores its hash,
+# computed at construction from its fields and so from its children's stored
+# hashes; nothing recurses, however deep the concept.  Atoms are keyed by
+# name, other nodes by that hash, and a hit is checked by comparing fields,
+# which are interned, by identity.  Entries are weak references, so a concept
+# nothing else holds is freed; its dead entry stays until the table has
+# doubled since its last sweep, or until the next full garbage collection.
+# The tables take no lock: the library builds concepts on one thread.
+
+_new = object.__new__
+_set = object.__setattr__
+_MIN_LIMIT = 1024  # entries a table holds before its first sweep
+_sweeping = False
+
+
+class _Table(dict):
+    """Key -> weak reference to the live node with that key.  `overflow`
+    maps the fields of a node whose key another live node holds, so it
+    stays empty unless two distinct concepts hash alike."""
+
+    __slots__ = ("limit", "overflow")
+
+    def __init__(self):
+        super().__init__()
+        self.limit = _MIN_LIMIT
+        self.overflow = {}
+
+    def add(self, key, node):
+        """Enters a new node under a key that no live node holds."""
+        self[key] = weakref.ref(node)
+        if len(self) >= self.limit:
+            self.sweep()
+        return node
+
+    def elsewhere(self, cls, key, fields, taken):
+        """The node with these fields when the entry under its key, its
+        hash, does not hold it: the one in `overflow`, or a new one, entered
+        in `overflow` if a live node takes the key and under it otherwise."""
+        ref = self.overflow.get(fields)
+        node = None if ref is None else ref()
+        if node is None:
+            node = _new(cls)
+            for name, value in zip(cls._fields, fields):
+                _set(node, name, value)
+            _set(node, "_hash", key)
+            if taken:
+                self.overflow[fields] = weakref.ref(node)
+            else:
+                self.add(key, node)
+        return node
+
+    def sweep(self):
+        """Drops the entries of dead nodes; the next sweep comes when the
+        table has doubled."""
+        global _sweeping
+        _sweeping = True
+        try:
+            for table in (self, self.overflow):
+                for key in [key for key, ref in table.items() if ref() is None]:
+                    del table[key]
+            self.limit = max(_MIN_LIMIT, 2 * len(self))
+        finally:
+            _sweeping = False
+
+
+_ATOMS = _Table()
+_ANDS = _Table()
+_EXISTS = _Table()
+
+
+def _sweep_after_full_collection(phase, info):
+    if phase == "stop" and info["generation"] == 2 and not _sweeping:
+        for table in (_ATOMS, _ANDS, _EXISTS):
+            table.sweep()
+
+
+gc.callbacks.append(_sweep_after_full_collection)
 
 
 class Concept:
-    """Base class; concrete nodes are Top, Bottom, Atom, And, Exists."""
+    """Base class; concrete nodes are Top, Bottom, Atom, And, Exists.
+
+    Nodes are immutable and interned: equal concepts are one object, and
+    `==` is `is`.  The hash is stored; its formula, on class names and
+    fields, gives every process the same hashes under one PYTHONHASHSEED.
+    Pickling and copying rebuild a node through its constructor, which
+    returns the interned one."""
 
     __slots__ = ()
+    _fields: tuple = ()
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
 class Top(Concept):
     __slots__ = ()
+    _hash = hash("Top")
 
-    def __hash__(self):
-        # Field-less dataclasses all hash as (); a dictionary holding both
-        # Top and Bottom would compare them on every lookup of either.
-        return hash("Top")
+    def __new__(cls):
+        return TOP
 
 
-@dataclass(frozen=True)
 class Bottom(Concept):
     __slots__ = ()
+    _hash = hash("Bottom")
 
-    def __hash__(self):
-        return hash("Bottom")
+    def __new__(cls):
+        return BOTTOM
 
 
-@dataclass(frozen=True)
+TOP = _new(Top)
+BOTTOM = _new(Bottom)
+
+
 class Atom(Concept):
-    name: str
+    __slots__ = ("name", "_hash", "__weakref__")
+    _fields = ("name",)
+
+    def __new__(cls, name: str):
+        ref = _ATOMS.get(name)
+        node = None if ref is None else ref()
+        if node is None:
+            node = _new(cls)
+            _set(node, "name", name)
+            _set(node, "_hash", hash((name,)))
+            _ATOMS.add(name, node)
+        return node
 
 
-@dataclass(frozen=True)
 class And(Concept):
-    conjuncts: tuple
+    __slots__ = ("conjuncts", "_hash", "__weakref__")
+    _fields = ("conjuncts",)
 
-    def __hash__(self):
-        # Cached: wide conjunctions are hashed many times as dict/set keys.
-        # The class name, not the class object (hashed by its id), keeps
-        # hashes equal across processes under one PYTHONHASHSEED.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(("And", self.conjuncts))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __new__(cls, conjuncts: tuple):
+        h = hash(("And", conjuncts))
+        ref = _ANDS.get(h)
+        node = None if ref is None else ref()
+        if node is not None and node.conjuncts == conjuncts:
+            return node
+        if node is not None or _ANDS.overflow:
+            return _ANDS.elsewhere(cls, h, (conjuncts,), node is not None)
+        node = _new(cls)
+        _set_conjuncts(node, conjuncts)
+        _set_and_hash(node, h)
+        return _ANDS.add(h, node)
 
 
-@dataclass(frozen=True)
 class Exists(Concept):
-    role: str
-    filler: Concept
+    __slots__ = ("role", "filler", "_hash", "__weakref__")
+    _fields = ("role", "filler")
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(("Exists", self.role, self.filler))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __new__(cls, role: str, filler: Concept):
+        h = hash(("Exists", role, filler))
+        ref = _EXISTS.get(h)
+        node = None if ref is None else ref()
+        if node is not None and node.filler is filler and node.role == role:
+            return node
+        if node is not None or _EXISTS.overflow:
+            return _EXISTS.elsewhere(cls, h, (role, filler), node is not None)
+        node = _new(cls)
+        _set_role(node, role)
+        _set_filler(node, filler)
+        _set_exists_hash(node, h)
+        return _EXISTS.add(h, node)
 
 
-TOP = Top()
-BOTTOM = Bottom()
+# Slot setters for the constructors, which the classes' own __setattr__
+# refuses; a slot's setter is faster than object.__setattr__.
+_set_conjuncts = And.conjuncts.__set__
+_set_and_hash = And._hash.__set__
+_set_role = Exists.role.__set__
+_set_filler = Exists.filler.__set__
+_set_exists_hash = Exists._hash.__set__
 
 
 def exists_chain(role: str, depth: int, filler: Concept) -> Concept:
@@ -161,19 +295,16 @@ def conjoin(parts: list) -> Concept:
 
 def canonicalize(c: Concept) -> Concept:
     """Unique canonical form: conjunctions as `conjoin` builds them, and
-    Bottom absorbing through fillers.  A concept already in canonical form
-    is returned as it is, so that a dictionary keyed by the result finds its
-    argument by identity."""
+    Bottom absorbing through fillers.  Concepts are interned, so the result
+    is the one object of that form, and a concept already in canonical form
+    is returned as itself."""
     if isinstance(c, (Top, Bottom, Atom)):
         return c
     if isinstance(c, Exists):
         filler = canonicalize(c.filler)
-        if isinstance(filler, Bottom):
-            return BOTTOM
-        return c if filler is c.filler else Exists(c.role, filler)
+        return BOTTOM if isinstance(filler, Bottom) else Exists(c.role, filler)
     if isinstance(c, And):
-        result = conjoin([canonicalize(d) for d in c.conjuncts])
-        return c if result == c else result
+        return conjoin([canonicalize(d) for d in c.conjuncts])
     raise TypeError(f"not a concept: {c!r}")
 
 

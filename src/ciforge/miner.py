@@ -333,21 +333,26 @@ def check_base_complete(
     failing C has at least one.  E may exceed the size cap: the check covers
     every right-hand side up to the role depth, whatever its size.
 
-    One pass over the enumeration computes every extension.  The basic
-    concepts come first (see `enumerate_concepts`) and are evaluated one by
-    one; every conjunct of a later conjunction is one of them.  A
-    conjunction follows its prefix, so a slot per conjunct count keeps the
-    last conjuncts seen with their extension, and a conjunction whose
-    conjuncts but the last are the slot one shorter costs one intersection.
-    The queries then run in enumeration order, which the reasoner's own
+    One pass over the enumeration computes each extension and asks each
+    query, and no enumerated concept is kept.  The basic concepts come first
+    (see `enumerate_concepts`) and are evaluated one by one; every conjunct
+    of a later conjunction is one of them.  A conjunction follows its
+    prefix, so a slot per conjunct count keeps the last conjuncts seen with
+    their extension, and a conjunction whose conjuncts but the last are the
+    slot one shorter costs one intersection.  The MMSC of an extension is
+    computed, and registered with the reasoner, when the pass first meets
+    that extension; the reasoner saturates its few axioms before the next
+    query.  The queries run in enumeration order, which the reasoner's own
     prefix slots suit.
     """
     sig = active_signature(i)
     memo: dict = {}  # semantic_extension's, for the basic concepts' fillers
     basic: dict = {}  # basic concept -> extension
-    exts: dict = {}  # distinct extensions, interned
     slots: dict = {}  # conjunct count -> (conjuncts, extension) seen last
-    enumerated = []  # (concept, extension) in enumeration order
+    targets: dict = {}  # extension -> its registered MMSC at the depth
+    reasoner = Reasoner(tbox)
+    checked = 0
+    counterexamples = []
     for c in enumerate_concepts(sig, depth, size_cap):
         if isinstance(c, And):
             parts = c.conjuncts
@@ -358,20 +363,14 @@ def check_base_complete(
                 ext = i.domain
                 for d in parts:
                     ext = ext & basic[d]
-            ext = exts.setdefault(ext, ext)
             slots[len(parts)] = (parts, ext)
         else:
-            ext = semantic_extension(c, i, memo)
-            ext = basic[c] = exts.setdefault(ext, ext)
-        enumerated.append((c, ext))
-    # Only the interned extensions outlive the pass.
-    del memo, basic, slots
-
-    targets = {ext: mmsc_at_depth(i, ext, depth) for ext in exts}
-    reasoner = Reasoner(tbox, rhs_concepts=targets.values())
-    counterexamples = []
-    for c, ext in enumerated:
-        target = targets[ext]
+            ext = basic[c] = semantic_extension(c, i, memo)
+        target = targets.get(ext)
+        if target is None:
+            target = targets[ext] = mmsc_at_depth(i, ext, depth)
+            reasoner.register_rhs(target)
+        checked += 1
         if reasoner.entails_registered(c, target):
             continue
         # The target's conjuncts are its subconcepts, named with it, so
@@ -382,7 +381,7 @@ def check_base_complete(
                 counterexamples.append(ci)
     subsumers = reasoner.subsumers
     return CompletenessReport(
-        len(enumerated),
+        checked,
         tuple(counterexamples),
         len(subsumers),
         sum(map(len, subsumers.values())),

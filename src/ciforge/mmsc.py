@@ -71,7 +71,7 @@ class _Context:
 
 
 def _context(i: Interpretation) -> _Context:
-    # Cached in the instance's __dict__ like And's hash: fields, equality and
+    # Cached in the instance's __dict__, outside its fields: equality and
     # repr are untouched, and a new interpretation gets a new context.
     ctx = i.__dict__.get("_mmsc_context")
     if ctx is None:

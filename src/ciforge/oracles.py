@@ -27,6 +27,11 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
     conjuncts yielded before one of n conjuncts is its prefix, the
     conjunction of its conjuncts but the last; the completeness check
     evaluates each conjunction from that prefix.
+
+    The conjunctions of the top level are yielded as they are built, so a
+    caller that drops them keeps none alive; the levels below, whose
+    concepts are the fillers of the top level's restrictions, are built in
+    full first.
     """
     if depth < 0:
         raise ValidationError(f"role depth must be at least 0, got {depth}")
@@ -35,40 +40,32 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
     atoms = [(Atom(name), 1, name) for name in sorted(sig.concept_names)]
     roles = sorted(sig.role_names)
 
-    def level(d: int, top: bool) -> list:
-        """Concepts of role depth <= d within the cap, in yield order.  Below
-        the top level they come as (concept, node count, sort key) triples,
-        from which the restrictions of level d + 1 are built; the sort key
-        is the rendered form, `render_concept`."""
+    def basics(d: int) -> list:
+        """The atoms and restrictions of role depth <= d within the cap, as
+        (concept, node count, sort key) triples in canonical conjunct order;
+        the sort key is the rendered form, `render_concept`."""
         pool = list(atoms)
         if d > 0:
-            lower = level(d - 1, False)
-            # The restrictions of level d - 1 are reused, so that each basic
-            # concept is one object at every level and memo lookups of it
-            # hit by identity.
-            built = {key: c for c, _, key in lower if isinstance(c, Exists)}
-            for f, f_size, f_key in lower:
+            for f, f_size, f_key in level(d - 1):
                 if f is BOTTOM or f_size == size_cap:
                     continue
                 if isinstance(f, (And, Exists)):
                     f_key = f"({f_key})"
                 for role in roles:
-                    key = f"some {role}.{f_key}"
-                    c = built.get(key)
-                    if c is None:
-                        c = Exists(role, f)
-                    pool.append((c, f_size + 1, key))
+                    pool.append((Exists(role, f), f_size + 1, f"some {role}.{f_key}"))
         pool.sort(key=itemgetter(2))
-        if top:
-            out = [TOP, BOTTOM] + [c for c, _, _ in pool]
-        else:
-            out = [(TOP, 1, "Top"), (BOTTOM, 1, "Bottom")] + pool
-        # Conjunctions: index-increasing lists of pool positions.  The pool
-        # holds distinct concepts in canonical order, so each canonical And
-        # is built exactly once, and as it is: `conjoin` would re-render the
-        # conjuncts to sort them again.  `fitting[b]` lists the positions of
-        # the conjuncts of at most b nodes, so that no conjunct that cannot
-        # fit is scanned.
+        return pool
+
+    def conjunctions(pool: list, keyed: bool):
+        """The conjunctions of pool concepts within the cap, in yield order:
+        as (concept, node count, sort key) triples when keyed, for the level
+        above, and as concepts otherwise."""
+        # Conjunctions are index-increasing lists of pool positions.  The
+        # pool holds distinct concepts in canonical order, so each canonical
+        # And is built exactly once, and as it is: `conjoin` would re-render
+        # the conjuncts to sort them again.  `fitting[b]` lists the positions
+        # of the conjuncts of at most b nodes, so that no conjunct that
+        # cannot fit is scanned.
         fitting = [
             [k for k, (_, size, _) in enumerate(pool) if size <= budget]
             for budget in range(size_cap)
@@ -76,25 +73,35 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
 
         def extend(start: int, chosen: list, used: int, key: str):
             # `used` counts the And node and the chosen conjuncts; `key` is
-            # their rendered conjunction, kept below the top level only.
+            # their rendered conjunction.
             candidates = fitting[size_cap - used]
             for k in candidates[bisect_left(candidates, start):]:
                 c, c_size, c_key = pool[k]
                 total = used + c_size
                 chosen.append(c)
-                if not top:
+                if keyed:
                     if isinstance(c, Exists):
                         c_key = f"({c_key})"
                     if key:
                         c_key = f"{key} and {c_key}"
                 if len(chosen) > 1:
                     conj = And(tuple(chosen))
-                    out.append(conj if top else (conj, total, c_key))
+                    yield (conj, total, c_key) if keyed else conj
                 if total < size_cap:
-                    extend(k + 1, chosen, total, c_key)
+                    yield from extend(k + 1, chosen, total, c_key)
                 chosen.pop()
 
-        extend(0, [], 1, "")
-        return out
+        return extend(0, [], 1, "")
 
-    yield from level(depth, True)
+    def level(d: int) -> list:
+        """Every concept of role depth <= d within the cap, in yield order,
+        as (concept, node count, sort key) triples."""
+        pool = basics(d)
+        return [(TOP, 1, "Top"), (BOTTOM, 1, "Bottom"), *pool, *conjunctions(pool, True)]
+
+    pool = basics(depth)
+    yield TOP
+    yield BOTTOM
+    for c, _, _ in pool:
+        yield c
+    yield from conjunctions(pool, False)

@@ -119,7 +119,7 @@ def parse_inclusion(line: str, _memo=None) -> list[ConceptInclusion]:
 
 def load_tbox(path) -> frozenset:
     """The axioms of a TBox file.  Each distinct concept text in the file is
-    parsed once, so equal subconcepts are one object."""
+    parsed once."""
     axioms = set()
     memo = {}
     for lineno, raw in enumerate(_read_text(path).split("\n"), start=1):

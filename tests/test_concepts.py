@@ -1,7 +1,10 @@
 """Concept AST, canonical form, parsing, rendering, and validation."""
 
+import copy
+import gc
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given
 
 import ciforge
+import ciforge.concepts as concepts_module
 from ciforge.concepts import (
     And,
     Atom,
@@ -110,6 +114,72 @@ def test_conjoin_applies_the_canonical_conjunction_rule():
     assert conjoin([a, BOTTOM]) == BOTTOM
     assert conjoin([TOP, a, a]) is a
     assert conjoin([]) == TOP
+
+
+# -- hash-consing -----------------------------------------------------------
+
+
+def test_equal_concepts_built_apart_are_one_object():
+    # Deeper than the recursion limit: neither building, hashing nor a dict
+    # lookup compares the chains field by field.
+    first = exists_chain("r", 5000, Atom("B"))
+    second = exists_chain("r", 5000, Atom("B"))
+    assert first is second
+    assert {first: 1}[second] == 1
+    assert And((Atom("A"), Exists("r", TOP))) is And((Atom("A"), Exists("r", TOP)))
+    assert Atom("A") != Atom("B")
+
+
+def test_top_and_bottom_are_singletons():
+    assert type(TOP)() is TOP
+    assert type(BOTTOM)() is BOTTOM
+
+
+def test_copy_and_pickle_return_the_interned_object():
+    c = And((Atom("A"), Exists("r", And((Atom("B"), Exists("s", TOP))))))
+    for same in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert same is c
+    assert pickle.loads(pickle.dumps(BOTTOM)) is BOTTOM
+
+
+def test_assigning_a_field_raises():
+    c = Exists("r", Atom("A"))
+    for name, value in (("role", "s"), ("filler", Atom("B")), ("_hash", 0)):
+        with pytest.raises(AttributeError):
+            setattr(c, name, value)
+    with pytest.raises(AttributeError):
+        del Atom("A").name
+    assert c.role == "r" and c.filler is Atom("A")
+
+
+def test_a_dead_concept_leaves_no_table_entry():
+    c = Exists("r_unused_elsewhere", And((Atom("Dead1"), Atom("Dead2"))))
+    key = hash(c)
+    conj_key = hash(c.filler)
+    del c
+    gc.collect()
+    assert key not in concepts_module._EXISTS
+    assert conj_key not in concepts_module._ANDS
+    assert "Dead1" not in concepts_module._ATOMS
+
+
+def test_concepts_with_one_hash_stay_apart(monkeypatch):
+    # Every node built here hashes alike, so all but the first of a table
+    # go to its overflow.
+    monkeypatch.setattr(concepts_module, "hash", lambda fields: 7, raising=False)
+    a, b = Atom("Collide1"), Atom("Collide2")
+    built = [Exists("rc", a), Exists("rc", b), Exists("sc", a), And((a, b)), And((b, a))]
+    assert len({id(c) for c in built}) == len(built)
+    rebuilt = [Exists("rc", a), Exists("rc", b), Exists("sc", a), And((a, b)), And((b, a))]
+    assert all(x is y for x, y in zip(built, rebuilt))
+    assert built[0] != built[1] and built[1].filler is b
+    assert Atom("Collide1") is a
+    # Once the node under the shared key is gone, a new node takes the key
+    # and the overflow keeps its own.
+    del built[0], rebuilt[0]
+    c = Exists("rc", Atom("Collide3"))
+    assert Exists("rc", Atom("Collide3")) is c
+    assert Exists("rc", b) is built[0]
 
 
 # -- rendering and parsing --------------------------------------------------

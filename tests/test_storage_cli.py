@@ -10,10 +10,8 @@ from ciforge.cli import main
 from ciforge.concepts import (
     And,
     Atom,
-    Bottom,
     ConceptInclusion,
     Exists,
-    Top,
     make_interpretation,
     parse_concept,
 )
@@ -267,18 +265,16 @@ def test_loaded_base_holds_each_distinct_subconcept_once(tmp_path):
     assert len(objects) == len(set(objects)) > 100
 
 
-def test_two_loads_share_no_concept_object(tmp_path):
+def test_two_loads_share_every_object(tmp_path):
     tbox, _ = build_base(builtin_fixture("fig4ii"))
     path = tmp_path / "base.owlish"
     save_tbox(tbox, path)
     first, second = load_tbox(path), load_tbox(path)
     assert first == second
-    # Top and Bottom are singletons; every other object is the load's own.
-    ids = [
-        {id(c) for c in _subconcepts(t) if not isinstance(c, (Top, Bottom))}
-        for t in (first, second)
-    ]
-    assert ids[0] and not ids[0] & ids[1]
+    # Concepts are interned: both loads, and the mined base, hold the same
+    # objects.
+    ids = [{id(c) for c in _subconcepts(t)} for t in (tbox, first, second)]
+    assert len(ids[0]) > 10 and ids[0] == ids[1] == ids[2]
 
 
 @pytest.mark.parametrize("second, message", [
@@ -364,6 +360,16 @@ def test_cli_entails_rejects_a_too_deep_concept(tmp_path, capsys):
     ci = "A SubClassOf " + "some r." * 600 + "B"
     assert main(["entails", "--tbox", str(path), "--ci", ci]) == 1
     assert "nests too deeply" in _one_error_line(capsys.readouterr().err)
+
+
+def test_cli_entails_a_deep_query_equal_to_a_tbox_axiom(tmp_path, capsys):
+    # The query is parsed apart from the file, yet it is the file's axiom:
+    # naming it compares nothing field by field.
+    ci = "A SubClassOf " + "some r." * 350 + "B"
+    path = tmp_path / "t.owlish"
+    path.write_text(ci + "\n")
+    assert main(["entails", "--tbox", str(path), "--ci", ci]) == 0
+    assert capsys.readouterr().out.strip() == "true"
 
 
 @pytest.mark.parametrize("command", ["mine", "entails", "check"])

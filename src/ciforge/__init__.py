@@ -14,7 +14,6 @@ from .concepts import (
     Top,
     active_signature,
     canonicalize,
-    exists_chain,
     make_interpretation,
     parse_concept,
     render_concept,
@@ -45,7 +44,6 @@ from .mmsc import (
     DepthReport,
     adaptable_depth,
     bounded_walks,
-    lower_approximation,
     mmsc_adaptive,
     mmsc_at_depth,
 )

@@ -3,16 +3,17 @@
 Concepts are built from atoms, Top, Bottom, binary-free n-ary conjunction and
 existential restrictions.  They are hash-consed: there is one object per
 distinct concept, so equality is identity and a concept of any depth is
-hashed and compared in constant time.  `parse_concept` and the miner produce
-the canonical form of `canonicalize`, building conjunctions with `conjoin`;
-the reasoner takes any concept as given.
+hashed and compared in constant time.  Every function of a concept's
+structure runs on `bottom_up`, one loop over its distinct subconcepts, so no
+depth is too deep.  `parse_concept` and the miner produce the canonical form
+of `canonicalize`, building conjunctions with `conjoin`; the reasoner takes
+any concept as given.
 """
 
 from __future__ import annotations
 
 import gc
 import re
-import sys
 import weakref
 from dataclasses import dataclass
 from typing import Mapping
@@ -130,8 +131,24 @@ class Concept:
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({fields})"
+        """Dataclass-style text, written in pre-order from an explicit stack."""
+        pieces, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                pieces.append(item)
+                continue
+            todo = [f"{type(item).__name__}("]
+            for k, field in enumerate(item._fields):
+                value = getattr(item, field)
+                todo.append(f"{', ' if k else ''}{field}=")
+                if isinstance(value, tuple):  # conjuncts, written as a tuple
+                    parts = [x for part in value for x in (", ", part)][1:]
+                    todo += ["(", *parts, ",)" if len(value) == 1 else ")"]
+                else:
+                    todo.append(value if isinstance(value, Concept) else repr(value))
+            stack += reversed([*todo, ")"])
+        return "".join(pieces)
 
 
 class Top(Concept):
@@ -215,12 +232,46 @@ _set_filler = Exists.filler.__set__
 _set_exists_hash = Exists._hash.__set__
 
 
-def exists_chain(role: str, depth: int, filler: Concept) -> Concept:
-    """Nested restriction ∃r^depth.C, written some r.some r. ... C."""
-    c = filler
-    for _ in range(depth):
-        c = Exists(role, c)
-    return c
+def bottom_up(c: Concept, build, memo=None):
+    """build(d, values of d's children) for each distinct subconcept d of c,
+    children (a conjunction's conjuncts, a restriction's filler) first, and
+    c's value.  One loop over an explicit stack, so any depth is walked.
+    Interning makes a distinct subconcept one object, built once and kept
+    under its id (the root keeps every node alive, so no id is reused).  A
+    conjunction or restriction in `memo` is not descended into, and each one
+    built is entered in it; leaves are built once a walk."""
+    kind = type(c)
+    if kind is not And and kind is not Exists:
+        return build(c, ())
+    if memo is not None and (hit := memo.get(c)) is not None:
+        return hit
+    done = {}  # id of a node -> its value
+    stack = [c]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:  # built already, under another parent
+            stack.pop()
+            continue
+        kids = node.conjuncts if type(node) is And else (node.filler,)
+        values = []
+        for kid in kids:
+            value = done.get(id(kid))
+            if value is None:
+                kind = type(kid)
+                if kind is not And and kind is not Exists:
+                    value = done[id(kid)] = build(kid, ())
+                elif memo is not None and (value := memo.get(kid)) is not None:
+                    done[id(kid)] = value
+                else:  # built before the node is looked at again
+                    stack.append(kid)
+                    continue
+            values.append(value)
+        if len(values) == len(kids):
+            stack.pop()
+            value = done[id(node)] = build(node, values)
+            if memo is not None:
+                memo[node] = value
+    return done[id(c)]
 
 
 # ---------------------------------------------------------------------------
@@ -235,36 +286,27 @@ _RESERVED = _KEYWORDS | _AXIOM_KEYWORDS
 
 
 def render_concept(c: Concept, _memo=None) -> str:
-    """Text of c.  A memo from concept to text renders each distinct
-    subconcept once; Top, Bottom and atoms return before it is touched."""
-    if isinstance(c, Top):
-        return "Top"
-    if isinstance(c, Bottom):
-        return "Bottom"
-    if isinstance(c, Atom):
-        return c.name
-    if _memo is not None:
-        hit = _memo.get(c)
-        if hit is not None:
-            return hit
+    """Text of c.  A memo from concept to text, shared across calls, renders
+    each distinct conjunction and restriction once."""
+    return bottom_up(c, _render, _memo)
+
+
+def _render(c: Concept, texts: list) -> str:
     if isinstance(c, Exists):
-        filler = render_concept(c.filler, _memo)
+        filler = texts[0]
         if isinstance(c.filler, (And, Exists)):
             filler = f"({filler})"
-        text = f"some {c.role}.{filler}"
-    elif isinstance(c, And):
-        parts = []
-        for d in c.conjuncts:
-            part = render_concept(d, _memo)
-            if isinstance(d, (And, Exists)):
-                part = f"({part})"
-            parts.append(part)
-        text = " and ".join(parts)
-    else:
-        raise TypeError(f"not a concept: {c!r}")
-    if _memo is not None:
-        _memo[c] = text
-    return text
+        return f"some {c.role}.{filler}"
+    if isinstance(c, And):
+        return " and ".join(
+            f"({text})" if isinstance(d, (And, Exists)) else text
+            for d, text in zip(c.conjuncts, texts)
+        )
+    if isinstance(c, Atom):
+        return c.name
+    if isinstance(c, (Top, Bottom)):
+        return type(c).__name__
+    raise TypeError(f"not a concept: {c!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +340,16 @@ def canonicalize(c: Concept) -> Concept:
     Bottom absorbing through fillers.  Concepts are interned, so the result
     is the one object of that form, and a concept already in canonical form
     is returned as itself."""
+    return bottom_up(c, _canonical)
+
+
+def _canonical(c: Concept, parts: list) -> Concept:
+    if isinstance(c, Exists):
+        return BOTTOM if parts[0] is BOTTOM else Exists(c.role, parts[0])
+    if isinstance(c, And):
+        return conjoin(parts)
     if isinstance(c, (Top, Bottom, Atom)):
         return c
-    if isinstance(c, Exists):
-        filler = canonicalize(c.filler)
-        return BOTTOM if isinstance(filler, Bottom) else Exists(c.role, filler)
-    if isinstance(c, And):
-        return conjoin([canonicalize(d) for d in c.conjuncts])
     raise TypeError(f"not a concept: {c!r}")
 
 
@@ -318,20 +363,13 @@ def conjuncts_of(c: Concept) -> tuple:
 
 
 def role_depth(c: Concept) -> int:
-    if isinstance(c, (Top, Bottom, Atom)):
-        return 0
-    if isinstance(c, Exists):
-        return 1 + role_depth(c.filler)
-    return max(role_depth(d) for d in c.conjuncts)
+    return bottom_up(c, _role_depth)
 
 
-def node_count(c: Concept) -> int:
-    """Number of AST nodes; used as the size measure for enumeration caps."""
-    if isinstance(c, (Top, Bottom, Atom)):
-        return 1
+def _role_depth(c: Concept, depths: list) -> int:
     if isinstance(c, Exists):
-        return 1 + node_count(c.filler)
-    return 1 + sum(node_count(d) for d in c.conjuncts)
+        return 1 + depths[0]
+    return max(depths, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +380,8 @@ _TOKEN_RE = re.compile(rf"(?P<name>{_NAME_RE.pattern})|(?P<punct>[().])|(?P<bad>
 
 
 def _tokenize(text: str) -> tuple[list[tuple[str, str, int]], dict[int, int]]:
-    """Tokens as (kind, value, position), and the index of each '(' token's
-    matching ')' token."""
+    """Tokens as (kind, value, position), ended by an "end" token at the end
+    of the text, and the index of each '(' token's matching ')' token."""
     tokens = []
     closes = {}
     opens = []
@@ -357,131 +395,90 @@ def _tokenize(text: str) -> tuple[list[tuple[str, str, int]], dict[int, int]]:
         elif value == ")" and opens:
             closes[opens.pop()] = len(tokens)
         tokens.append((kind, value, m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens, closes
 
 
-class _Parser:
-    def __init__(self, text: str, memo: dict):
-        self.text = text
-        self.tokens, self.closes = _tokenize(text)
-        self.index = 0
-        # Concept text -> (canonical concept, nesting), for texts that
-        # parsed: whole texts, parenthesized groups and names.  A group is a
-        # self-contained conjunction, so equal text means an equal concept,
-        # and a hit is the same object.  Nesting counts the scopes ('some'
-        # fillers and groups) the text opens inside one another.
-        self.memo = memo
-        self.depth = 0  # scopes open at the current token
-        self.reach = 0  # deepest scope opened so far
-        # Deeper than this a group is parsed again, not shared, so that a
-        # file builds no concept deeper than one parse can read.  A parse
-        # takes two frames per scope (rendering sort keys at most one more
-        # per scope below), which leaves a third of the limit to its caller.
-        self.max_shared = sys.getrecursionlimit() // 3
-
-    def peek(self):
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
-
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ConceptSyntaxError("unexpected end of input", len(self.text))
-        self.index += 1
-        return tok
-
-    def expect_punct(self, value):
-        tok = self.next()
-        if tok[0] != "punct" or tok[1] != value:
-            raise ConceptSyntaxError(f"expected {value!r}", tok[2])
-
-    def parse_conjunction(self) -> Concept:
-        parts = [self.parse_unit()]
-        while True:
-            tok = self.peek()
-            if tok is not None and tok[0] == "name" and tok[1] == "and":
-                self.index += 1
-                parts.append(self.parse_unit())
-            else:
-                break
-        return conjoin(parts)
-
-    def parse_unit(self) -> Concept:
-        tok = self.next()
-        kind, value, pos = tok
-        if kind == "punct":
-            if value != "(":
-                raise ConceptSyntaxError(f"unexpected {value!r}", pos)
-            # The text up to the matching ')' is the group's key.  An
-            # unclosed group has none: its parse fails, and says where.
-            close = self.closes.get(self.index - 1)
-            key = None if close is None else self.text[pos + 1:self.tokens[close][2]]
-            hit = self.memo.get(key)
-            if hit is not None and self.depth + hit[1] <= self.max_shared:
-                self.index = close + 1
-                self.reach = max(self.reach, self.depth + hit[1])
-                return hit[0]
-            outer_reach = self.reach
-            self.depth += 1
-            self.reach = self.depth
-            inner = self.parse_conjunction()
-            self.expect_punct(")")
-            # A group that parses ends at its own ')', so key is its text.
-            self.memo[key] = (inner, self.reach - self.depth + 1)
-            self.depth -= 1
-            self.reach = max(outer_reach, self.reach)
-            return inner
-        if value == "Top":
-            return TOP
-        if value == "Bottom":
-            return BOTTOM
-        if value == "some":
-            role_tok = self.next()
-            if role_tok[0] != "name" or role_tok[1] in _KEYWORDS:
-                raise ConceptSyntaxError("expected role name after 'some'", role_tok[2])
-            if role_tok[1] in _AXIOM_KEYWORDS:
-                raise ConceptSyntaxError(
-                    f"reserved word {role_tok[1]!r} cannot name a role", role_tok[2]
-                )
-            self.expect_punct(".")
-            # An unparenthesized filler is greedy: it extends to the end of
-            # the current scope, so "some r.A and B" means some r.(A and B).
-            self.depth += 1
-            self.reach = max(self.reach, self.depth)
-            filler = self.parse_conjunction()
-            self.depth -= 1
-            return BOTTOM if isinstance(filler, Bottom) else Exists(role_tok[1], filler)
-        if value == "and":
-            raise ConceptSyntaxError("unexpected 'and'", pos)
-        if value in _AXIOM_KEYWORDS:
-            raise ConceptSyntaxError(f"reserved word {value!r} cannot name a concept", pos)
-        hit = self.memo.get(value)
-        if hit is None:
-            hit = self.memo[value] = (Atom(value), 0)
-        return hit[0]
+def _expected(token, message) -> ConceptSyntaxError:
+    kind, _, pos = token
+    return ConceptSyntaxError("unexpected end of input" if kind == "end" else message, pos)
 
 
 def parse_concept(text: str, _memo=None) -> Concept:
-    """Canonical concept of the text, built bottom-up as it is read.  A memo
-    shared across calls (text -> (concept, nesting)) returns the same object
-    for a text, or a parenthesized group's text, that parsed before."""
+    """Canonical concept of the text, built bottom-up as it is read, in one
+    loop over the tokens.  A memo shared across calls, from text to concept,
+    returns the same object for a text, or a parenthesized group's text, that
+    parsed before: a group is a self-contained conjunction, so equal text
+    means an equal concept."""
     if _memo is None:
         _memo = {}
     hit = _memo.get(text)
     if hit is not None:
-        return hit[0]
-    parser = _Parser(text, _memo)
-    try:
-        c = parser.parse_conjunction()
-    except RecursionError:
-        pos = parser.tokens[parser.index - 1][2]
-        raise ConceptSyntaxError("concept nests too deeply", pos) from None
-    tok = parser.peek()
-    if tok is not None:
-        raise ConceptSyntaxError(f"trailing input {tok[1]!r}", tok[2])
-    _memo[text] = (c, parser.reach)
-    return c
+        return hit
+    tokens, closes = _tokenize(text)
+    # The open scopes, innermost last, as (kind, conjuncts read so far, key):
+    # the whole text, keyed by itself; a group, keyed by its text; and a
+    # 'some' filler, keyed by its role.  A filler is greedy: it extends to
+    # the end of the scope around it, so "some r.A and B" means some r.(A and B).
+    scopes = [("text", [], text)]
+    index = 0
+    while True:
+        # A unit is due.
+        kind, value, pos = token = tokens[index]
+        index += 1
+        if value == "(":
+            # The text up to the matching ')' is the group's key.  An
+            # unclosed group has none: its parse fails, and says where.
+            close = closes.get(index - 1)
+            key = None if close is None else text[pos + 1:tokens[close][2]]
+            unit = _memo.get(key)
+            if unit is None:
+                scopes.append(("group", [], key))
+                continue
+            index = close + 1
+        elif kind != "name":
+            raise _expected(token, f"unexpected {value!r}")
+        elif value in ("Top", "Bottom"):
+            unit = TOP if value == "Top" else BOTTOM
+        elif value == "some":
+            role_kind, role, role_pos = tokens[index]
+            if role_kind != "name" or role in _KEYWORDS:
+                raise _expected(tokens[index], "expected role name after 'some'")
+            if role in _AXIOM_KEYWORDS:
+                raise ConceptSyntaxError(f"reserved word {role!r} cannot name a role", role_pos)
+            if tokens[index + 1][1] != ".":
+                raise _expected(tokens[index + 1], "expected '.'")
+            index += 2
+            scopes.append(("some", [], role))
+            continue
+        elif value == "and":
+            raise ConceptSyntaxError("unexpected 'and'", pos)
+        elif value in _AXIOM_KEYWORDS:
+            raise ConceptSyntaxError(f"reserved word {value!r} cannot name a concept", pos)
+        else:
+            unit = _memo.get(value)
+            if unit is None:
+                unit = _memo[value] = Atom(value)
+        # The unit joins the innermost scope.  Unless 'and' follows, that
+        # scope ends here, and its concept joins the scope around it.
+        while tokens[index][1] != "and":
+            scope, parts, key = scopes.pop()
+            parts.append(unit)
+            unit = conjoin(parts)
+            if scope == "some":
+                unit = BOTTOM if unit is BOTTOM else Exists(key, unit)
+            elif scope == "group":
+                if tokens[index][1] != ")":
+                    raise _expected(tokens[index], "expected ')'")
+                index += 1
+                _memo[key] = unit
+            elif tokens[index][0] != "end":
+                raise ConceptSyntaxError(f"trailing input {tokens[index][1]!r}", tokens[index][2])
+            else:
+                _memo[text] = unit
+                return unit
+        scopes[-1][1].append(unit)
+        index += 1
 
 
 # ---------------------------------------------------------------------------

@@ -109,43 +109,40 @@ def graph_of_interpretation(i: Interpretation) -> DescriptionGraph:
 
 
 def tree_of_concept(c: Concept) -> DescriptionTree:
-    """Description tree of a canonical concept; Bottom has none."""
-    if isinstance(c, Bottom):
-        raise ValidationError("Bottom has no description tree")
-    vertices = []
+    """Description tree of a canonical concept; Bottom has none.  Vertices
+    are numbered in breadth-first order from the root 0."""
     edges = []
-    labels = {}
-
-    def build(concept) -> int:
-        node = len(vertices)
-        vertices.append(node)
-        labels[node] = set()
+    labels = {0: set()}
+    queue = [(0, c)]  # grows as it is read
+    for node, concept in queue:
         for part in conjuncts_of(concept):
             if isinstance(part, Atom):
                 labels[node].add(part.name)
             elif isinstance(part, Exists):
-                child = build(part.filler)
+                child = len(labels)
+                labels[child] = set()
                 edges.append((node, part.role, child))
-            elif not isinstance(part, (Bottom,)):
-                raise ValidationError(f"concept not canonical: {part!r}")
-            else:
+                queue.append((child, part.filler))
+            elif isinstance(part, Bottom):
                 raise ValidationError("Bottom has no description tree")
-        return node
-
-    root = build(c)
-    return DescriptionTree(DescriptionGraph(vertices, edges, labels), root)
+            else:
+                raise ValidationError(f"concept not canonical: {part!r}")
+    return DescriptionTree(DescriptionGraph(labels, edges, labels), 0)
 
 
 def concept_of_tree(t: DescriptionTree) -> Concept:
-    """Canonical concept of a tree, built bottom-up with `conjoin`; children
-    are canonical by construction."""
-
-    def build(v) -> Concept:
+    """Canonical concept of a tree, built bottom-up with `conjoin` over the
+    breadth-first order reversed, children before parents; children are
+    canonical by construction."""
+    order = [t.root]
+    for v in order:
+        order.extend(child for _, child in t.children(v))
+    built = {}
+    for v in reversed(order):
         parts = [Atom(a) for a in t.graph.label(v)]
-        parts.extend(Exists(role, build(child)) for role, child in t.children(v))
-        return conjoin(parts)
-
-    return build(t.root)
+        parts.extend(Exists(role, built.pop(child)) for role, child in t.children(v))
+        built[v] = conjoin(parts)
+    return built[t.root]
 
 
 def unravel(g: DescriptionGraph, x, d: int, node_cap: int = DEFAULT_NODE_CAP) -> DescriptionTree:
@@ -175,7 +172,7 @@ def unravel(g: DescriptionGraph, x, d: int, node_cap: int = DEFAULT_NODE_CAP) ->
             labels[child] = g.label(tgt)
             edges.append((node, role, child))
             frontier.append((child, tgt, budget - 1))
-    return DescriptionTree(DescriptionGraph(vertices, edges, labels), 0)
+    return DescriptionTree(DescriptionGraph(labels, edges, labels), 0)
 
 
 def product_reachable(

@@ -5,18 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .concepts import (
-    Atom,
+    And,
     BOTTOM,
-    Bottom,
     Concept,
     Exists,
     Interpretation,
-    TOP,
-    Top,
+    bottom_up,
     conjoin,
-    conjuncts_of,
 )
-from .errors import ResourceCapError, ValidationError
+from .errors import ValidationError
 from .graphs import (
     DEFAULT_NODE_CAP,
     DescriptionGraph,
@@ -26,7 +23,7 @@ from .graphs import (
     unravel,
 )
 from .mvf import condensation, mmvf, mvf, scc
-from .simulation import semantic_extension, subsumed_empty
+from .simulation import subsumed_empty
 
 
 @dataclass(frozen=True)
@@ -112,26 +109,22 @@ def adaptable_depth(
 def prune_subsumed_conjuncts(c: Concept) -> Concept:
     """Drop conjuncts that are consequences of a more specific sibling; keeps
     emitted MMSCs readable, preserves equivalence."""
-    if isinstance(c, (Top, Bottom, Atom)):
-        return c
+    return bottom_up(c, _prune)
+
+
+def _prune(c: Concept, parts: list) -> Concept:
     if isinstance(c, Exists):
-        return Exists(c.role, prune_subsumed_conjuncts(c.filler))
-    parts = [prune_subsumed_conjuncts(d) for d in conjuncts_of(c)]
-    kept: list[Concept] = []
-    for idx, d in enumerate(parts):
-        redundant = False
-        for jdx, e in enumerate(parts):
-            if idx == jdx or not subsumed_empty(e, d):
-                continue
-            # e entails d: keep d only if it is the earlier of two equivalent
-            # conjuncts, otherwise drop it.
-            if subsumed_empty(d, e) and idx < jdx:
-                continue
-            redundant = True
-            break
-        if not redundant:
-            kept.append(d)
-    return conjoin(kept)
+        return Exists(c.role, parts[0])
+    if not isinstance(c, And):
+        return c
+    # d goes if a sibling e entails it, unless they are equivalent and d is first.
+    return conjoin([
+        d for idx, d in enumerate(parts)
+        if not any(
+            idx != jdx and subsumed_empty(e, d) and not (idx < jdx and subsumed_empty(d, e))
+            for jdx, e in enumerate(parts)
+        )
+    ])
 
 
 def mmsc_at_depth(
@@ -150,13 +143,7 @@ def mmsc_at_depth(
     if not elements:
         return BOTTOM
     product = _context(i).product(elements, node_cap)
-    tree = unravel(product, elements, d, node_cap=node_cap)
-    try:
-        return concept_of_tree(tree)
-    except RecursionError:
-        raise ResourceCapError(
-            f"the concept of depth {d} nests too deeply to build"
-        ) from None
+    return concept_of_tree(unravel(product, elements, d, node_cap=node_cap))
 
 
 def mmsc_adaptive(i: Interpretation, X, node_cap: int = DEFAULT_NODE_CAP) -> Concept:
@@ -166,23 +153,3 @@ def mmsc_adaptive(i: Interpretation, X, node_cap: int = DEFAULT_NODE_CAP) -> Con
         return BOTTOM
     report = adaptable_depth(i, elements, node_cap=node_cap)
     return mmsc_at_depth(i, elements, report.chosen_depth, node_cap=node_cap)
-
-
-def lower_approximation(c: Concept, i: Interpretation) -> Concept:
-    """Replace each top-level existential filler E by the adaptive MMSC of
-    E's extension; same extension as c, but built from mined vocabulary."""
-    if isinstance(c, Bottom):
-        return BOTTOM
-    if isinstance(c, Top):
-        return TOP
-    parts: list[Concept] = []
-    for d in conjuncts_of(c):
-        if isinstance(d, Exists):
-            filler = mmsc_adaptive(i, semantic_extension(d.filler, i))
-            # An empty extension's MMSC is Bottom, and so is ∃r.Bottom.
-            parts.append(
-                BOTTOM if isinstance(filler, Bottom) else Exists(d.role, filler)
-            )
-        else:
-            parts.append(d)
-    return conjoin(parts)

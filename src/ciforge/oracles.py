@@ -40,19 +40,18 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
     atoms = [(Atom(name), 1, name) for name in sorted(sig.concept_names)]
     roles = sorted(sig.role_names)
 
-    def basics(d: int) -> list:
-        """The atoms and restrictions of role depth <= d within the cap, as
-        (concept, node count, sort key) triples in canonical conjunct order;
-        the sort key is the rendered form, `render_concept`."""
+    def basics(below: list) -> list:
+        """The atoms, and the restrictions to the concepts of `below` within
+        the cap, as (concept, node count, sort key) triples in canonical
+        conjunct order; the sort key is the rendered form, `render_concept`."""
         pool = list(atoms)
-        if d > 0:
-            for f, f_size, f_key in level(d - 1):
-                if f is BOTTOM or f_size == size_cap:
-                    continue
-                if isinstance(f, (And, Exists)):
-                    f_key = f"({f_key})"
-                for role in roles:
-                    pool.append((Exists(role, f), f_size + 1, f"some {role}.{f_key}"))
+        for f, f_size, f_key in below:
+            if f is BOTTOM or f_size == size_cap:
+                continue
+            if isinstance(f, (And, Exists)):
+                f_key = f"({f_key})"
+            for role in roles:
+                pool.append((Exists(role, f), f_size + 1, f"some {role}.{f_key}"))
         pool.sort(key=itemgetter(2))
         return pool
 
@@ -93,13 +92,15 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
 
         return extend(0, [], 1, "")
 
-    def level(d: int) -> list:
-        """Every concept of role depth <= d within the cap, in yield order,
-        as (concept, node count, sort key) triples."""
-        pool = basics(d)
-        return [(TOP, 1, "Top"), (BOTTOM, 1, "Bottom"), *pool, *conjunctions(pool, True)]
-
-    pool = basics(depth)
+    # The basic concepts of role depth <= d restrict the concepts of depth
+    # <= d - 1, as triples that live only while the pool above is built.  A
+    # concept of role depth k has at least k + 1 nodes, so levels deeper
+    # than size_cap - 1 add nothing.
+    pool = basics([])
+    for _ in range(min(depth, size_cap - 1)):
+        pool = basics(
+            [(TOP, 1, "Top"), (BOTTOM, 1, "Bottom"), *pool, *conjunctions(pool, True)]
+        )
     yield TOP
     yield BOTTOM
     for c, _, _ in pool:

@@ -34,12 +34,13 @@ conjunction C1 ⊓ … ⊓ Cn by joining completions of its parts.  Both sides o
 a join are already closed, so only conjunction axioms with a conjunct new
 from one side can fire, once the union holds all their conjuncts, before
 the closure resumes.
-Atoms and restrictions are memoized per concept.  Conjunctions are not: a
-slot per conjunct count keeps the last conjunction completed, and one whose
-prefix C1 ⊓ … ⊓ Cn-1 is in the slot one shorter joins that completion with
-the completion of Cn.  Queries in the order of `oracles.enumerate_concepts`
-(as the completeness check asks them) thus cost one join each, and no
-conjunction on the left of a query is hashed.  Equal completions share one
+Every concept but a conjunction on the left of a query is completed children
+first (`concepts.bottom_up`) and memoized per concept.  A conjunction on the
+left is not: a slot per conjunct count keeps the last conjunction completed,
+and one whose prefix C1 ⊓ … ⊓ Cn-1 is in the slot one shorter joins that
+completion with the completion of Cn.  Queries in the order of
+`oracles.enumerate_concepts` (as the completeness check asks them) thus cost
+one join each, and no conjunction on the left of a query is hashed.  Equal completions share one
 interned frozenset, and the join of two completions and the completion of
 ∃r.F are memoized per interned completion (per role and completion of F),
 so concepts with equal parts share one closure.
@@ -53,6 +54,8 @@ already in the set.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .concepts import (
     And,
     Atom,
@@ -62,6 +65,7 @@ from .concepts import (
     Exists,
     TOP,
     Top,
+    bottom_up,
     canonicalize,
     render_concept,
 )
@@ -120,10 +124,6 @@ class _Normalizer(_Axioms):
         self.counter = 0
         self.log: list = []  # one entry per axiom, in emission order
 
-    def fresh(self) -> str:
-        self.counter += 1
-        return f"_N{self.counter}"
-
     def _emit(self, kind, premise, conclusion, mentioned):
         self.add(kind, premise, conclusion)
         self.log.append((kind, premise, conclusion, mentioned))
@@ -131,40 +131,31 @@ class _Normalizer(_Axioms):
     def add_sub(self, a, b):
         self._emit("ax_sub", a, b, (a, b))
 
-    def add_conj(self, parts, b):
-        self._emit("ax_conj", frozenset(parts), b, (*parts, b))
-
-    def add_exists_rhs(self, a, role, b):
-        self._emit("ax_exists_rhs", a, (role, b), (a, b))
-
-    def add_exists_lhs(self, role, a, b):
-        self._emit("ax_exists_lhs", (role, a), b, (a, b))
-
     def name_of(self, c: Concept) -> str:
         """Definitional name for c; emits axioms in both directions so the
-        name is equivalent to c in every model of the output."""
-        if isinstance(c, Top):
-            return _TOP
-        if isinstance(c, Bottom):
-            return _BOT
+        name is equivalent to c in every model of the output.  Subconcepts
+        are named first, each once."""
+        return bottom_up(c, self._define, self.names)
+
+    def _define(self, c: Concept, parts: list) -> str:
+        """Name of c, given the names of its children."""
         if isinstance(c, Atom):
             return c.name
-        known = self.names.get(c)
-        if known is not None:
-            return known
-        name = self.fresh()
-        self.names[c] = name
+        if isinstance(c, (Top, Bottom)):
+            return _TOP if isinstance(c, Top) else _BOT
+        self.counter += 1
+        name = f"_N{self.counter}"
         if isinstance(c, Exists):
-            filler = self.name_of(c.filler)
-            self.add_exists_rhs(name, c.role, filler)
-            self.add_exists_lhs(c.role, filler, name)
+            filler = parts[0]
+            self._emit("ax_exists_rhs", name, (c.role, filler), (name, filler))
+            self._emit("ax_exists_lhs", (c.role, filler), name, (filler, name))
             return name
         # Conjunction: name ⊑ each part, and all parts together ⊑ name; the
         # empty conjunction is ⊤, so ⊤ ⊑ name.
-        parts = [self.name_of(d) for d in c.conjuncts] or [_TOP]
+        parts = parts or [_TOP]
         for p in parts:
             self.add_sub(name, p)
-        self.add_conj(parts, name)
+        self._emit("ax_conj", frozenset(parts), name, (*parts, name))
         return name
 
 
@@ -337,37 +328,39 @@ class Reasoner:
         """Subsumer set of the root of C's canonical tree model, completed
         against the saturated TBox; base saturation is never mutated.
 
-        Atoms, Top, Bottom and restrictions are memoized per concept.
-        Conjunctions are not: a slot per conjunct count holds the last
-        conjunction completed.  A conjunction whose conjuncts but the last
-        equal those of the slot one shorter costs one join; in the order of
-        `oracles.enumerate_concepts` every conjunction of three or more
+        A conjunction is not memoized: a slot per conjunct count holds the
+        last conjunction completed.  A conjunction whose conjuncts but the
+        last equal those of the slot one shorter costs one join; in the order
+        of `oracles.enumerate_concepts` every conjunction of three or more
         conjuncts does.  Any other folds the memoized joins over its
-        conjuncts, in a loop, so that wide conjunctions cannot exhaust the
-        stack.  A restriction's filler is folded without the slots, which
-        stay with the conjunctions queried."""
+        conjuncts.  Every other concept, and every concept below a
+        restriction, is completed by `_complete`."""
         if isinstance(c, And):
             parts = c.conjuncts
             slots = self._slots
             prefix = slots.get(len(parts) - 1)
             if prefix is not None and prefix[0] == parts[:-1]:
-                s = self._join(prefix[1], self._complete_tree(parts[-1]))
+                s = self._join(prefix[1], self._complete(parts[-1]))
             else:
-                s = self._fold(parts)
+                s = self._fold([self._complete(d) for d in parts])
             slots[len(parts)] = (parts, s)
             return s
-        memo = self._completions
-        known = memo.get(c)
-        if known is not None:
-            return known
+        return self._complete(c)
+
+    def _complete(self, c: Concept) -> frozenset:
+        """Completion of c, built children first and memoized per concept."""
+        known = self._completions.get(c)  # read before a walk is set up
+        if known is None:
+            known = bottom_up(c, self._complete_node, self._completions)
+        return known
+
+    def _complete_node(self, c: Concept, children: list) -> frozenset:
+        """Completion of c, given the completions of its children.  Leaves,
+        which `bottom_up` does not memoize, are memoized here."""
         if isinstance(c, Exists):
             # Told-child rule: an r-edge to the filler's completion, which
             # alone decides the result.
-            filler = c.filler
-            if isinstance(filler, And):
-                child = self._fold(filler.conjuncts)
-            else:
-                child = self._complete_tree(filler)
+            child = children[0]
             s = self._told.get((c.role, child))
             if s is None:
                 s = {_TOP, _BOT} if _BOT in child else {_TOP}
@@ -375,26 +368,20 @@ class Reasoner:
                 for a in child:
                     s.update(exists_lhs.get((c.role, a), ()))
                 s = self._told[c.role, child] = self._close(s, list(s))
-            memo[c] = s
             return s
-        if isinstance(c, Atom):
-            s = {_TOP, c.name}
-        elif isinstance(c, Bottom):
-            s = {_TOP, _BOT}
-        else:
-            s = {_TOP}
-        s = self._close(s, list(s))
-        memo[c] = s
+        if isinstance(c, And):
+            return self._fold(children)
+        memo = self._completions
+        s = memo.get(c)
+        if s is None:
+            leaf = c.name if isinstance(c, Atom) else _BOT if isinstance(c, Bottom) else _TOP
+            s = memo[c] = self._close({_TOP, leaf}, list({_TOP, leaf}))
         return s
 
-    def _fold(self, parts) -> frozenset:
-        """Completion of the conjunction of `parts` (⊤ if none), joined left
-        to right."""
-        rest = iter(parts)
-        s = self._complete_tree(next(rest, TOP))
-        for d in rest:
-            s = self._join(s, self._complete_tree(d))
-        return s
+    def _fold(self, completions: list) -> frozenset:
+        """Completion of a conjunction from the completions of its conjuncts,
+        joined left to right; ⊤'s if it has none."""
+        return reduce(self._join, completions) if completions else self._complete(TOP)
 
     def _join(self, left: frozenset, right: frozenset) -> frozenset:
         """Completion of L ⊓ R from the closed completions of L and R: an

@@ -11,59 +11,68 @@ from .concepts import (
     Exists,
     Interpretation,
     Top,
+    bottom_up,
 )
 from .graphs import tree_of_concept
 
 
 def semantic_extension(c: Concept, i: Interpretation, _memo=None) -> frozenset:
-    """Recursive evaluation of C^I straight from the semantics; the tests
-    cross-check it against a greatest simulation into G(I)."""
-    if _memo is None:
-        _memo = {}
-    hit = _memo.get(c)
-    if hit is not None:
-        return hit
-    if isinstance(c, Top):
-        result = i.domain
-    elif isinstance(c, Bottom):
-        result = frozenset()
-    elif isinstance(c, Atom):
-        result = i.concept_ext.get(c.name, frozenset())
-    elif isinstance(c, And):
-        result = i.domain
-        for d in c.conjuncts:
-            result = result & semantic_extension(d, i, _memo)
-    elif isinstance(c, Exists):
-        filler = semantic_extension(c.filler, i, _memo)
-        pairs = i.role_ext.get(c.role, frozenset())
-        result = frozenset(src for src, tgt in pairs if tgt in filler)
-    else:
-        raise TypeError(f"not a concept: {c!r}")
-    _memo[c] = result
-    return result
+    """C^I evaluated straight from the semantics, children first; the tests
+    cross-check it against a greatest simulation into G(I).  A memo shared
+    across calls evaluates each distinct conjunction and restriction once."""
+
+    def extension(d: Concept, parts: list) -> frozenset:
+        if isinstance(d, Exists):
+            return frozenset(src for src, tgt in i.role_ext.get(d.role, ()) if tgt in parts[0])
+        if isinstance(d, And):
+            return i.domain.intersection(*parts)
+        if isinstance(d, Atom):
+            return i.concept_ext.get(d.name, frozenset())
+        if isinstance(d, (Top, Bottom)):
+            return i.domain if isinstance(d, Top) else frozenset()
+        raise TypeError(f"not a concept: {d!r}")
+
+    return bottom_up(c, extension, _memo)
 
 
 def tree_simulates(t1, v1, t2, v2, _memo=None) -> bool:
-    """Simulation between tree nodes, decided by memoized recursion.
+    """Simulation between tree nodes, decided depth-first on an explicit
+    stack with a memo per node pair.
 
     Equivalent to a greatest-simulation fixpoint on the underlying graphs,
-    without its global refinement: trees have no cycles, so the recursion is
+    without its global refinement: trees have no cycles, so the search is
     well-founded and only touches node pairs reachable from (v1, v2)."""
     if _memo is None:
         _memo = {}
-    key = (v1, v2)
-    hit = _memo.get(key)
-    if hit is not None:
-        return hit
-    result = t1.graph.label(v1) <= t2.graph.label(v2) and all(
-        any(
-            tree_simulates(t1, u1, t2, u2, _memo)
-            for u2 in t2.graph.successors_by_role(v2, role)
-        )
-        for role, u1 in t1.children(v1)
-    )
-    _memo[key] = result
-    return result
+    # The open pairs, innermost last, each with its decision, which asks for
+    # the verdicts on the child pairs it needs one at a time.
+    stack, pair = [], (v1, v2)
+    verdict = _memo.get(pair)
+    while verdict is None or stack:
+        if verdict is None:
+            stack.append((pair, _decide(t1, pair[0], t2, pair[1])))
+        key, decision = stack[-1]
+        try:
+            pair = decision.send(verdict)
+            verdict = _memo.get(pair)
+        except StopIteration as stop:
+            verdict = _memo[key] = stop.value
+            stack.pop()
+    return verdict
+
+
+def _decide(t1, v1, t2, v2):
+    """Whether v2 simulates v1: the labels, then for each child of v1 some
+    child of v2 along its role that simulates it, asked by yielding the pair."""
+    if not t1.graph.label(v1) <= t2.graph.label(v2):
+        return False
+    for role, u1 in t1.children(v1):
+        for u2 in t2.graph.successors_by_role(v2, role):
+            if (yield (u1, u2)):
+                break
+        else:
+            return False
+    return True
 
 
 def subsumed_empty(c: Concept, d: Concept) -> bool:

@@ -37,6 +37,9 @@ def load_interpretation(path) -> Interpretation:
         raise CiforgeError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
         ) from exc
+    except RecursionError:
+        # The decoder recurses once per nested array or object.
+        raise CiforgeError(f"{path}: JSON nests too deeply to read") from None
     return interpretation_from_document(doc, origin=str(path))
 
 

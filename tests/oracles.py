@@ -16,6 +16,7 @@ import random
 from ciforge.concepts import (
     And,
     Atom,
+    BOTTOM,
     Bottom,
     Concept,
     Exists,
@@ -24,9 +25,9 @@ from ciforge.concepts import (
     TOP,
     Top,
     canonicalize,
-    exists_chain,
+    conjoin,
+    conjuncts_of,
     make_interpretation,
-    node_count,
 )
 from ciforge.errors import ResourceCapError, ValidationError
 from ciforge.fixtures import builtin_fixture
@@ -37,7 +38,7 @@ from ciforge.graphs import (
     graph_of_interpretation,
     tree_of_concept,
 )
-from ciforge.mmsc import adaptable_depth, mmsc_at_depth
+from ciforge.mmsc import adaptable_depth, mmsc_adaptive, mmsc_at_depth
 from ciforge.mvf import mvf
 from ciforge.simulation import semantic_extension
 
@@ -239,6 +240,43 @@ def reach_count(g: DescriptionGraph, v) -> int:
 
 # ---------------------------------------------------------------------------
 # Reference constructions
+
+
+def exists_chain(role: str, depth: int, filler: Concept) -> Concept:
+    """Nested restriction ∃r^depth.C, written some r.some r. ... C."""
+    c = filler
+    for _ in range(depth):
+        c = Exists(role, c)
+    return c
+
+
+def node_count(c: Concept) -> int:
+    """Number of AST nodes; used as the size measure for enumeration caps."""
+    if isinstance(c, (Top, Bottom, Atom)):
+        return 1
+    if isinstance(c, Exists):
+        return 1 + node_count(c.filler)
+    return 1 + sum(node_count(d) for d in c.conjuncts)
+
+
+def lower_approximation(c: Concept, i: Interpretation) -> Concept:
+    """Replace each top-level existential filler E by the adaptive MMSC of
+    E's extension; same extension as c, but built from mined vocabulary."""
+    if isinstance(c, Bottom):
+        return BOTTOM
+    if isinstance(c, Top):
+        return TOP
+    parts: list[Concept] = []
+    for d in conjuncts_of(c):
+        if isinstance(d, Exists):
+            filler = mmsc_adaptive(i, semantic_extension(d.filler, i))
+            # An empty extension's MMSC is Bottom, and so is ∃r.Bottom.
+            parts.append(
+                BOTTOM if isinstance(filler, Bottom) else Exists(d.role, filler)
+            )
+        else:
+            parts.append(d)
+    return conjoin(parts)
 
 
 def is_canonical(c: Concept) -> bool:

@@ -15,14 +15,12 @@ from ciforge.concepts import (
     Exists,
     TOP,
     canonicalize,
-    exists_chain,
 )
 from ciforge.fixtures import FIXTURE_NAMES, builtin_fixture
 from ciforge.graphs import graph_of_interpretation, product_reachable, unravel
 from ciforge.miner import build_base, check_base_complete, check_base_sound
 from ciforge.mmsc import (
     adaptable_depth,
-    lower_approximation,
     mmsc_adaptive,
     mmsc_at_depth,
 )
@@ -36,9 +34,11 @@ from ciforge.simulation import (
 
 from oracles import (
     claim_dsim_check,
+    exists_chain,
     functional_subsimulation,
     greatest_simulation,
     is_simulation,
+    lower_approximation,
     mvf_oracle,
     random_graph,
     random_mineable_interpretation,

@@ -25,9 +25,7 @@ from ciforge.concepts import (
     canonicalize,
     conjoin,
     conjuncts_of,
-    exists_chain,
     make_interpretation,
-    node_count,
     parse_concept,
     render_concept,
     role_depth,
@@ -36,7 +34,7 @@ from ciforge.errors import ConceptSyntaxError, ValidationError
 from ciforge.simulation import semantic_extension
 
 from conftest import concepts, interpretations
-from oracles import is_canonical, signature_of
+from oracles import exists_chain, is_canonical, node_count, signature_of
 
 
 # -- canonical form ---------------------------------------------------------
@@ -128,6 +126,36 @@ def test_equal_concepts_built_apart_are_one_object():
     assert {first: 1}[second] == 1
     assert And((Atom("A"), Exists("r", TOP))) is And((Atom("A"), Exists("r", TOP)))
     assert Atom("A") != Atom("B")
+
+
+def test_repr_of_a_deep_concept_is_dataclass_style_text():
+    chain = exists_chain("r", 5000, Atom("B"))
+    text = repr(chain)
+    assert text.startswith("Exists(role='r', filler=Exists(role='r', filler=")
+    assert text.endswith("filler=Atom(name='B')" + ")" * 5000)
+    assert len(text) == 5000 * len("Exists(role='r', filler=)") + len("Atom(name='B')")
+    assert repr(And((Atom("A"), Exists("r", TOP)))) == (
+        "And(conjuncts=(Atom(name='A'), Exists(role='r', filler=Top())))"
+    )
+    assert repr(And((Atom("A"),))) == "And(conjuncts=(Atom(name='A'),))"
+
+
+def test_concept_functions_walk_any_depth():
+    # Deeper than the recursion limit.  The first is shared: each level is
+    # the filler of both conjuncts of the next, so its tree has 2**3000
+    # leaves, and a walk must visit each distinct subconcept once.
+    c = And((Atom("A"), Atom("B")))
+    for _ in range(3000):
+        c = And((Exists("r", c), Exists("s", c)))
+    depth = role_depth(c)  # a failing assert must not show c's 2**3000 leaves
+    assert depth == 3000
+    chain = exists_chain("r", 5000, And((Atom("A"), Atom("B"))))
+    assert canonicalize(chain) is chain
+    text = render_concept(chain)
+    assert text == "some r.(" * 5000 + "A and B" + ")" * 5000
+    assert parse_concept(text) is chain
+    i = make_interpretation(["x"], {"A": ["x"], "B": ["x"]}, {"r": [("x", "x")]})
+    assert semantic_extension(chain, i) == frozenset({"x"})
 
 
 def test_top_and_bottom_are_singletons():

@@ -32,7 +32,7 @@ from ciforge.oracles import enumerate_concepts
 from ciforge.reasoner import Reasoner, entails
 from ciforge.simulation import equivalent_empty, semantic_extension
 
-from oracles import closed_extents, cycle_interpretation, seeded_instance
+from oracles import closed_extents, cycle_interpretation, exists_chain, seeded_instance
 
 
 @functools.lru_cache(maxsize=None)
@@ -252,8 +252,6 @@ def test_equivalence_axioms_are_extension_faithful():
 
 
 def test_base_entails_an_unbounded_depth_family():
-    from ciforge.concepts import exists_chain
-
     tbox, _ = fixture_base("fig4i")
     family = [
         ConceptInclusion(Atom("A"), canonicalize(exists_chain("r", n, TOP)))

@@ -7,6 +7,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ciforge
+import ciforge.concepts as concepts_module
+from ciforge import mmsc as mmsc_module
 from ciforge.concepts import (
     And,
     BOTTOM,
@@ -17,7 +20,6 @@ from ciforge.concepts import (
     canonicalize,
     render_concept,
     conjuncts_of,
-    node_count,
     role_depth,
 )
 from ciforge.errors import ResourceCapError, ValidationError
@@ -31,6 +33,7 @@ from oracles import (
     exponential_depth_check,
     fbp_witness_check,
     harness_seed,
+    node_count,
     random_concept,
     random_graph,
     random_interpretation,
@@ -72,6 +75,15 @@ def test_enumeration_counts_are_stable():
     assert len(list(enumerate_concepts(SIG_2A1R, 1, 5))) == 21
     assert len(list(enumerate_concepts(SIG_1A1R, 2, 9))) == 51
     assert len(list(enumerate_concepts(SIG_2A2R, 2, 9))) == 3681
+
+
+def test_enumeration_stops_at_the_deepest_level_the_size_cap_allows():
+    # A concept of role depth k has at least k + 1 nodes, so a size cap of 3
+    # admits role depth 2 at most, and depth 400 is walked as depth 2.
+    sig = active_signature(builtin_fixture("fig3"))
+    at_10 = list(enumerate_concepts(sig, 10, 3))
+    assert len(at_10) == 89
+    assert list(enumerate_concepts(sig, 400, 3)) == at_10 == list(enumerate_concepts(sig, 2, 3))
 
 
 def test_enumeration_smallest_fragment():
@@ -191,7 +203,6 @@ def test_random_concepts_respect_their_depth_bound(seed):
 def test_mineable_instances_have_desk_scale_concepts(seed):
     import itertools
 
-    from ciforge.concepts import node_count as nodes
     from ciforge.mmsc import mmsc_adaptive
 
     i = random_mineable_interpretation(random.Random(seed))
@@ -199,7 +210,7 @@ def test_mineable_instances_have_desk_scale_concepts(seed):
     assert 1 <= len(elements) <= 4
     for n in range(1, len(elements) + 1):
         for combo in itertools.combinations(elements, n):
-            assert nodes(mmsc_adaptive(i, combo)) <= 400
+            assert node_count(mmsc_adaptive(i, combo)) <= 400
 
 
 def test_mineable_sampler_reports_exhaustion():
@@ -263,6 +274,57 @@ def test_library_holds_only_pipeline_code():
                 and not node.name.startswith("_")
             ]
             assert public == ["enumerate_concepts"]
+    # Helpers only the tests call live in tests/oracles.py.
+    for module, name in (
+        (concepts_module, "node_count"),
+        (concepts_module, "exists_chain"),
+        (mmsc_module, "lower_approximation"),
+        (ciforge, "node_count"),
+        (ciforge, "exists_chain"),
+        (ciforge, "lower_approximation"),
+    ):
+        assert not hasattr(module, name), (module.__name__, name)
+
+
+# Functions that may call themselves, each with why its depth is bounded.
+RECURSION_ALLOWED = {
+    # enumerate_concepts' inner generator recurses once per conjunct chosen,
+    # and a conjunction within the size cap has fewer conjuncts than the cap.
+    ("oracles.py", "extend"),
+}
+
+
+def test_no_library_function_recurses():
+    # Concepts and trees may be deeper than the recursion limit, so library
+    # code walks them in loops: no function calls its own name, and no
+    # method calls self.<its name>.
+    package = pathlib.Path(__file__).resolve().parents[1] / "src" / "ciforge"
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child)
+                continue
+            if isinstance(child, ast.Call) and function is not None:
+                f = child.func
+                if isinstance(f, ast.Name):
+                    called = f.id
+                elif (
+                    isinstance(f, ast.Attribute)
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id == "self"
+                ):
+                    called = f.attr
+                else:
+                    called = None
+                if called == function.name:
+                    found.add((path.name, function.name))
+            visit(child, function)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    assert found == RECURSION_ALLOWED
 
 
 def test_no_module_has_an_unused_import():

@@ -23,6 +23,7 @@ from ciforge.simulation import (
 from conftest import concepts, interpretations
 from oracles import (
     bounded_simulates,
+    exists_chain,
     extension,
     functional_subsimulation,
     greatest_simulation,
@@ -116,8 +117,6 @@ def test_membership_golden_values():
     assert member("x1", Atom("City"), fig3)
     assert not member("x1", BOTTOM, fig3)
     fig5 = builtin_fixture("fig5")
-    from ciforge.concepts import exists_chain
-
     assert not member("x4", exists_chain("r", 29, Atom("A")), fig5)
     assert not member("x4", exists_chain("r", 28, Atom("A")), fig5)
     for d in (0, 1, 5, 29):

@@ -14,6 +14,7 @@ from ciforge.concepts import (
     Exists,
     make_interpretation,
     parse_concept,
+    role_depth,
 )
 from ciforge.errors import CiforgeError, ValidationError
 from ciforge.fixtures import FIXTURE_NAMES, builtin_fixture
@@ -30,7 +31,7 @@ from ciforge.storage import (
 )
 
 from conftest import interpretations
-from oracles import random_mineable_interpretation
+from oracles import exists_chain, random_mineable_interpretation
 
 
 # -- interpretation documents ------------------------------------------------
@@ -64,6 +65,17 @@ def test_invalid_json_reports_the_position(tmp_path):
     with pytest.raises(CiforgeError) as err:
         load_interpretation(path)
     assert "line 2" in str(err.value)
+
+
+def test_cli_mine_reports_json_too_deep_to_decode(tmp_path, capsys):
+    # The JSON decoder recurses once per nested array.
+    path = tmp_path / "deep.json"
+    path.write_text('{"domain": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    out_path = tmp_path / "out.owlish"
+    assert main(["mine", "--input", str(path), "--output", str(out_path)]) == 1
+    line = _one_error_line(capsys.readouterr().err)
+    assert f"{path}: JSON nests too deeply" in line
+    assert not out_path.exists()
 
 
 def test_missing_domain_is_rejected():
@@ -168,26 +180,38 @@ def test_tbox_file_errors_carry_the_line_number(tmp_path):
 
 
 def test_tbox_file_with_a_too_deep_concept_names_the_line(tmp_path):
+    # 600 levels load: more than a recursive parser reads under the default
+    # recursion limit.
     path = tmp_path / "t.owlish"
     path.write_text("A SubClassOf B\n" + "some r." * 600 + "A SubClassOf B\n")
-    with pytest.raises(CiforgeError) as err:
-        load_tbox(path)
-    assert f"{path}:2:" in str(err.value)
-    assert "nests too deeply" in str(err.value)
+    deep = ConceptInclusion(exists_chain("r", 600, Atom("A")), Atom("B"))
+    assert load_tbox(path) == {ConceptInclusion(Atom("A"), Atom("B")), deep}
 
 
 def test_a_shared_group_builds_no_concept_too_deep_to_parse(tmp_path):
-    # Line 2 nests line 1's group 400 levels deeper: 800 levels in all, which
-    # one parse cannot read, so sharing the group must not read it either.
+    # Line 2 nests line 1's group 400 levels deeper, 800 levels in all, and
+    # shares it: the group is read once, and line 2 is the object its text
+    # parses to alone.
     group = "some r." * 400 + "B"
+    rhs = f"{'some s.' * 400}({group})"
     path = tmp_path / "t.owlish"
-    path.write_text(
-        f"A SubClassOf ({group})\nA SubClassOf {'some s.' * 400}({group})\n"
-    )
-    with pytest.raises(CiforgeError) as err:
-        load_tbox(path)
-    assert f"{path}:2:" in str(err.value)
-    assert "nests too deeply" in str(err.value)
+    path.write_text(f"A SubClassOf ({group})\nA SubClassOf {rhs}\n")
+    second = parse_concept(rhs)
+    assert second is exists_chain("s", 400, exists_chain("r", 400, Atom("B")))
+    assert ConceptInclusion(Atom("A"), second) in load_tbox(path)
+
+
+def test_a_base_of_nested_groups_round_trips(tmp_path):
+    # 2,000 levels of some r.(A and (some r.(... , the shape of the deepest
+    # line of the base mined from cycle_interpretation(4, 9).
+    c = Atom("B")
+    for _ in range(2000):
+        c = And((Atom("A"), Exists("r", c)))
+    tbox = frozenset({ConceptInclusion(Atom("A"), Exists("r", c))})
+    path = tmp_path / "t.owlish"
+    save_tbox(tbox, path)
+    assert path.read_text().startswith("A SubClassOf some r.(A and (some r.(A and (")
+    assert load_tbox(path) == tbox
 
 
 def test_tbox_round_trip_merges_equivalences(tmp_path):
@@ -355,11 +379,12 @@ def _one_error_line(err: str) -> str:
 
 
 def test_cli_entails_rejects_a_too_deep_concept(tmp_path, capsys):
+    # 5,000 levels: parsed, named and completed in loops.
+    ci = "A SubClassOf " + "some r." * 5000 + "B"
     path = tmp_path / "t.owlish"
-    path.write_text("A SubClassOf B\n")
-    ci = "A SubClassOf " + "some r." * 600 + "B"
-    assert main(["entails", "--tbox", str(path), "--ci", ci]) == 1
-    assert "nests too deeply" in _one_error_line(capsys.readouterr().err)
+    path.write_text(ci + "\n")
+    assert main(["entails", "--tbox", str(path), "--ci", ci]) == 0
+    assert capsys.readouterr().out.strip() == "true"
 
 
 def test_cli_entails_a_deep_query_equal_to_a_tbox_axiom(tmp_path, capsys):
@@ -399,9 +424,12 @@ def test_cli_entails_names_a_reserved_word_in_a_tbox(tmp_path, capsys):
 
 
 def test_cli_mmsc_rejects_a_too_deep_concept(capsys):
+    # 1,500 levels are built, pruned and rendered in loops.
     args = ["mmsc", "--fixture", "fig4i", "--elements", "v1", "--depth", "1500"]
-    assert main(args) == 1
-    assert "depth 1500" in _one_error_line(capsys.readouterr().err)
+    assert main(args) == 0
+    concept, depth = capsys.readouterr().out.splitlines()
+    assert role_depth(parse_concept(concept)) == 1500
+    assert depth == "depth: fixed 1500"
 
 
 def test_cli_mvf_unknown_vertex(capsys):
@@ -505,6 +533,29 @@ def test_cli_entails_equivalence_saturates_once(
     assert main(["entails", "--tbox", str(path), "--ci", query]) == 0
     assert capsys.readouterr().out.strip() == expected
     assert len(saturations) == 1
+
+
+def test_cli_check_enumerates_no_deeper_than_the_size_cap(tmp_path, capsys):
+    # A concept of role depth k has at least k + 1 nodes, so depth 600 with
+    # size cap 3 enumerates what depth 2 does.  The walks here are short, so
+    # the completeness targets, which keep depth 600, stay small.
+    doc = {
+        "domain": ["a", "b", "c"],
+        "concepts": {"A": ["a"], "B": ["b", "c"]},
+        "roles": {"r": [["a", "b"], ["b", "c"]], "s": [["a", "c"]]},
+    }
+    src, base = tmp_path / "i.json", tmp_path / "base.owlish"
+    src.write_text(json.dumps(doc))
+    assert main(["mine", "--input", str(src), "--output", str(base)]) == 0
+    capsys.readouterr()
+    args = ["check", "--input", str(src), "--tbox", str(base), "--size-cap", "3"]
+    assert main([*args, "--depth", "600"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out.splitlines() == [
+        "sound: yes",
+        "complete within fragment (depth 600, size 3): yes (23 concepts checked)",
+    ]
 
 
 def test_cli_check_flags_an_unsound_incomplete_tbox(tmp_path, capsys):

@@ -2,9 +2,19 @@
 """Mine a base for every built-in fixture and print the mining reports.
 
 Usage: python scripts/mine_fixtures.py [--out DIR]
+
+Each fixture's report ends with a line `sha256 <fixture> <digest>`: the
+first 16 hex digits of the sha256 of the base's text, its `tbox_lines`
+each ended by a newline (the file `--out` writes, without its `#` lines).
+The script imports the `src/` beside it, so the bases two checkouts mine
+compare with one command:
+
+    diff <(python A/scripts/mine_fixtures.py | grep ^sha256) \
+         <(python B/scripts/mine_fixtures.py | grep ^sha256)
 """
 
 import argparse
+import hashlib
 import pathlib
 import sys
 import time
@@ -13,7 +23,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from ciforge.fixtures import FIXTURE_NAMES, builtin_fixture
 from ciforge.miner import build_base, check_base_sound
-from ciforge.storage import save_tbox
+from ciforge.storage import save_tbox, tbox_lines
 
 
 def main() -> int:
@@ -39,6 +49,10 @@ def main() -> int:
             path = out_dir / f"{name}.owlish"
             save_tbox(tbox, path, report=report)
             print(f"   wrote {path}")
+        digest = hashlib.sha256()
+        for line in tbox_lines(tbox):
+            digest.update(line.encode() + b"\n")
+        print(f"sha256 {name} {digest.hexdigest()[:16]}")
     return 0
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import gc
 import re
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -313,13 +314,64 @@ def _render(c: Concept, texts: list) -> str:
 # Canonical form
 
 
+# Characters of a conjunct's text that `conjoin` sorts by.  Siblings almost
+# always differ within them, so building a conjunction at every level of an
+# n-deep concept costs O(n) characters, not the O(n²) of full texts.
+_SORT_PREFIX = 64
+
+
+def _text_prefix(c: Concept) -> str:
+    """The first _SORT_PREFIX characters of c's text (all of it if shorter),
+    written in pre-order from an explicit stack that stops once they are
+    there."""
+    pieces = []
+    size = 0
+    stack = [c]
+    while stack and size < _SORT_PREFIX:
+        item = stack.pop()
+        kind = type(item)
+        if kind is str:
+            piece = item
+        elif kind is Exists:
+            filler = item.filler
+            if type(filler) is And or type(filler) is Exists:
+                piece = f"some {item.role}.("
+                stack += (")", filler)
+            else:
+                piece = f"some {item.role}."
+                stack.append(filler)
+        elif kind is And:
+            todo = []
+            for d in item.conjuncts:
+                if todo:
+                    todo.append(" and ")
+                if type(d) is And or type(d) is Exists:
+                    todo += ("(", d, ")")
+                else:
+                    todo.append(d)
+            stack += reversed(todo)
+            continue
+        elif kind is Atom:
+            piece = item.name
+        elif kind is Top or kind is Bottom:
+            piece = kind.__name__
+        else:
+            raise TypeError(f"not a concept: {item!r}")
+        pieces.append(piece)
+        size += len(piece)
+    return "".join(pieces)[:_SORT_PREFIX]
+
+
 def conjoin(parts: list) -> Concept:
     """Canonical conjunction of a list of canonical concepts: nested
     conjunctions flattened, Top dropped, Bottom absorbing, duplicates
     removed, the rest sorted by rendering; one conjunct stands for itself,
-    none for Top."""
-    # Return before the sort, whose key would render a lone conjunct in
-    # full at every level of a deep chain.
+    none for Top.
+
+    The sort reads the first _SORT_PREFIX characters of each text.  Prefixes
+    that differ order their texts the same way, so only conjuncts whose
+    prefixes tie are rendered in full, and the order is that of the full
+    texts."""
     if len(parts) == 1:
         return parts[0]
     flat = set()
@@ -332,7 +384,11 @@ def conjoin(parts: list) -> Concept:
             flat.add(d)
     if len(flat) < 2:
         return flat.pop() if flat else TOP
-    return And(tuple(sorted(flat, key=render_concept)))
+    key = {d: _text_prefix(d) for d in flat}
+    if len(set(key.values())) < len(key):
+        ties = Counter(key.values())
+        key = {d: (p, render_concept(d) if ties[p] > 1 else "") for d, p in key.items()}
+    return And(tuple(sorted(flat, key=key.__getitem__)))
 
 
 def canonicalize(c: Concept) -> Concept:

@@ -134,13 +134,16 @@ def concept_of_tree(t: DescriptionTree) -> Concept:
     """Canonical concept of a tree, built bottom-up with `conjoin` over the
     breadth-first order reversed, children before parents; children are
     canonical by construction."""
+    successors = t.graph.successors
+    label = t.graph.label
     order = [t.root]
     for v in order:
-        order.extend(child for _, child in t.children(v))
+        order += [child for _, child in successors(v)]
     built = {}
+    pop = built.pop
     for v in reversed(order):
-        parts = [Atom(a) for a in t.graph.label(v)]
-        parts.extend(Exists(role, built.pop(child)) for role, child in t.children(v))
+        parts = [Atom(a) for a in label(v)]
+        parts += [Exists(role, pop(child)) for role, child in successors(v)]
         built[v] = conjoin(parts)
     return built[t.root]
 
@@ -153,23 +156,24 @@ def unravel(g: DescriptionGraph, x, d: int, node_cap: int = DEFAULT_NODE_CAP) ->
         raise ValidationError(f"{x!r} is not a vertex")
     if d < 0:
         raise ValidationError(f"unravelling depth must be at least 0, got {d}")
-    # node -> (last graph vertex of the walk, remaining depth)
-    vertices = [0]
-    labels = {0: g.label(x)}
+    # The frontier holds (node, last graph vertex of its walk, remaining
+    # depth); nodes are numbered in creation order, so `labels` counts them.
+    successors = g.successors
+    label = g.label
+    labels = {0: label(x)}
     edges = []
     frontier = [(0, x, d)]
     while frontier:
         node, last, budget = frontier.pop()
         if budget == 0:
             continue
-        for role, tgt in g.successors(last):
-            child = len(vertices)
+        for role, tgt in successors(last):
+            child = len(labels)
             if child >= node_cap:
                 raise ResourceCapError(
                     f"unravelling exceeded the node cap of {node_cap}"
                 )
-            vertices.append(child)
-            labels[child] = g.label(tgt)
+            labels[child] = label(tgt)
             edges.append((node, role, child))
             frontier.append((child, tgt, budget - 1))
     return DescriptionTree(DescriptionGraph(labels, edges, labels), 0)

@@ -91,11 +91,8 @@ def attribute_set(
     mmsc_by_set = {}
     for n in range(1, len(elements) + 1):
         for combo in itertools.combinations(elements, n):
-            report = adaptable_depth(i, combo, node_cap=node_cap)
-            depth_reports.append((combo, report))
-            mmsc_by_set[combo] = mmsc_at_depth(
-                i, combo, report.chosen_depth, node_cap=node_cap
-            )
+            depth_reports.append((combo, adaptable_depth(i, combo, node_cap=node_cap)))
+            mmsc_by_set[combo] = mmsc_adaptive(i, combo, node_cap=node_cap)
     for role in sorted(sig.role_names):
         for combo, concept in mmsc_by_set.items():
             # mmsc output is canonical and never Bottom for non-empty sets,

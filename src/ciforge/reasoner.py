@@ -33,17 +33,13 @@ Query completions are built compositionally: an atom is closed from {⊤, A};
 conjunction C1 ⊓ … ⊓ Cn by joining completions of its parts.  Both sides of
 a join are already closed, so only conjunction axioms with a conjunct new
 from one side can fire, once the union holds all their conjuncts, before
-the closure resumes.
-Every concept but a conjunction on the left of a query is completed children
-first (`concepts.bottom_up`) and memoized per concept.  A conjunction on the
-left is not: a slot per conjunct count keeps the last conjunction completed,
-and one whose prefix C1 ⊓ … ⊓ Cn-1 is in the slot one shorter joins that
-completion with the completion of Cn.  Queries in the order of
-`oracles.enumerate_concepts` (as the completeness check asks them) thus cost
-one join each, and no conjunction on the left of a query is hashed.  Equal completions share one
-interned frozenset, and the join of two completions and the completion of
-∃r.F are memoized per interned completion (per role and completion of F),
-so concepts with equal parts share one closure.
+the closure resumes.  Every concept is completed children first
+(`concepts.bottom_up`) and memoized per concept.  Equal completions share
+one interned frozenset, and the join of two completions and the completion
+of ∃r.F are memoized per interned completion (per role and completion of
+F), so concepts with equal parts share one closure.  `completion`, `join`
+and `completion_entails` expose these steps, so that a caller can build the
+completion of a conjunction from completions it already holds.
 
 Closing a set reads the saturation: an atom reached brings its saturated
 subsumer set S(a) in one union.  S(a) is closed under the sub, ∃ and ⊥ rules
@@ -312,47 +308,32 @@ class Reasoner:
             todo = {}
             for x, delta in rnd.items():
                 fire(x, delta)
-        # Query completions per basic concept, the last conjunction completed
-        # per conjunct count, one shared frozenset per distinct completion,
-        # and joins and told children per interned completion; all depend on
-        # the axioms saturated here.
+        # Query completions per concept, one shared frozenset per distinct
+        # completion, and joins and told children per interned completion;
+        # all depend on the axioms saturated here.
         self._completions: dict = {}
-        self._slots: dict = {}  # conjunct count -> (conjuncts, completion)
         self._interned: dict = {}
         self._joins: dict = {}
         self._told: dict = {}
 
     # -- queries -----------------------------------------------------------
 
-    def _complete_tree(self, c: Concept) -> frozenset:
-        """Subsumer set of the root of C's canonical tree model, completed
-        against the saturated TBox; base saturation is never mutated.
-
-        A conjunction is not memoized: a slot per conjunct count holds the
-        last conjunction completed.  A conjunction whose conjuncts but the
-        last equal those of the slot one shorter costs one join; in the order
-        of `oracles.enumerate_concepts` every conjunction of three or more
-        conjuncts does.  Any other folds the memoized joins over its
-        conjuncts.  Every other concept, and every concept below a
-        restriction, is completed by `_complete`."""
-        if isinstance(c, And):
-            parts = c.conjuncts
-            slots = self._slots
-            prefix = slots.get(len(parts) - 1)
-            if prefix is not None and prefix[0] == parts[:-1]:
-                s = self._join(prefix[1], self._complete(parts[-1]))
-            else:
-                s = self._fold([self._complete(d) for d in parts])
-            slots[len(parts)] = (parts, s)
-            return s
-        return self._complete(c)
-
-    def _complete(self, c: Concept) -> frozenset:
-        """Completion of c, built children first and memoized per concept."""
+    def completion(self, c: Concept) -> frozenset:
+        """Atoms subsuming the root of C's canonical tree model, completed
+        against the saturated TBox; right-hand sides registered since the
+        last query are saturated first.  The set is interned: equal
+        completions are one object.  It holds for the right-hand sides
+        registered so far, and `join` and `completion_entails` take it until
+        the next registration."""
+        if self._saturated < len(self.norm.log):
+            self._saturate()
         known = self._completions.get(c)  # read before a walk is set up
-        if known is None:
-            known = bottom_up(c, self._complete_node, self._completions)
-        return known
+        return known if known is not None else self._complete_tree(c)
+
+    def _complete_tree(self, c: Concept) -> frozenset:
+        """Completion of c, built children first and memoized per concept;
+        base saturation is never mutated."""
+        return bottom_up(c, self._complete_node, self._completions)
 
     def _complete_node(self, c: Concept, children: list) -> frozenset:
         """Completion of c, given the completions of its children.  Leaves,
@@ -381,12 +362,12 @@ class Reasoner:
     def _fold(self, completions: list) -> frozenset:
         """Completion of a conjunction from the completions of its conjuncts,
         joined left to right; ⊤'s if it has none."""
-        return reduce(self._join, completions) if completions else self._complete(TOP)
+        return reduce(self.join, completions) if completions else self._complete_tree(TOP)
 
-    def _join(self, left: frozenset, right: frozenset) -> frozenset:
-        """Completion of L ⊓ R from the closed completions of L and R: an
-        axiom A1 ⊓ … ⊓ Ak ⊑ B can only add B when some Ai is new from the
-        right, and does once the union holds every Ai.  Memoized per pair of
+    def join(self, left: frozenset, right: frozenset) -> frozenset:
+        """Completion of L ⊓ R from the completions of L and R: an axiom
+        A1 ⊓ … ⊓ Ak ⊑ B can only add B when some Ai is new from the right,
+        and does once the union holds every Ai.  Memoized per pair of
         interned completions."""
         if right <= left:
             return left
@@ -431,11 +412,11 @@ class Reasoner:
         result = frozenset(s)
         return self._interned.setdefault(result, result)
 
-    def entails_registered(self, lhs: Concept, rhs: Concept) -> bool:
-        """lhs in any form; rhs must have been registered, as itself or in
-        canonical form, and a CiforgeError names it otherwise, whatever the
-        lhs; only ⊤ needs no registration.  Right-hand sides registered
-        since the last query are saturated first."""
+    def completion_entails(self, s: frozenset, rhs: Concept) -> bool:
+        """Whether T entails C ⊑ rhs for a C whose completion is s: rhs is
+        ⊤, or s holds rhs's name or ⊥.  rhs must have been registered, as
+        itself or in canonical form, and a CiforgeError names it otherwise;
+        only ⊤ needs no registration."""
         if isinstance(rhs, Top):
             return True
         target = self.rhs_names.get(rhs)
@@ -444,12 +425,12 @@ class Reasoner:
                 f"right-hand side {render_concept(rhs)} is not registered; "
                 "pass it to register_rhs first"
             )
-        if isinstance(lhs, Bottom):
-            return True
-        if self._saturated < len(self.norm.log):
-            self._saturate()
-        s = self._complete_tree(lhs)
         return target in s or _BOT in s
+
+    def entails_registered(self, lhs: Concept, rhs: Concept) -> bool:
+        """lhs in any form (⊥ completes to a set that holds ⊥); rhs
+        registered, as `completion_entails` asks, whatever the lhs."""
+        return self.completion_entails(self.completion(lhs), rhs)
 
     def entails(self, ci: ConceptInclusion) -> bool:
         self.register_rhs(ci.rhs)

@@ -19,11 +19,13 @@ from ciforge.concepts import (
     BOTTOM,
     Bottom,
     Concept,
+    ConceptInclusion,
     Exists,
     Interpretation,
     Signature,
     TOP,
     Top,
+    active_signature,
     canonicalize,
     conjoin,
     conjuncts_of,
@@ -38,8 +40,11 @@ from ciforge.graphs import (
     graph_of_interpretation,
     tree_of_concept,
 )
+from ciforge.miner import CompletenessReport
 from ciforge.mmsc import adaptable_depth, mmsc_adaptive, mmsc_at_depth
 from ciforge.mvf import mvf
+from ciforge.oracles import enumerate_concepts
+from ciforge.reasoner import Reasoner
 from ciforge.simulation import semantic_extension
 
 DEFAULT_SEED = 20260823
@@ -191,6 +196,41 @@ def closed_extents(domain, extents) -> frozenset:
         closed |= new
         frontier = new
     return frozenset(closed)
+
+
+# ---------------------------------------------------------------------------
+# Completeness, one concept at a time
+
+
+def completeness_by_concept(i: Interpretation, tbox, depth: int, size_cap: int):
+    """`check_base_complete`'s report, computed concept by concept: each
+    enumerated C is built, its extension evaluated and T ⊨ C ⊑ mmsc_d(C^I)
+    asked, the MMSC registered when its extension first comes up; a failing
+    C gives C ⊑ E per conjunct E of the MMSC that is not entailed."""
+    memo: dict = {}
+    targets: dict = {}
+    reasoner = Reasoner(tbox)
+    checked = 0
+    counterexamples = []
+    for c in enumerate_concepts(active_signature(i), depth, size_cap):
+        ext = semantic_extension(c, i, memo)
+        target = targets.get(ext)
+        if target is None:
+            target = targets[ext] = mmsc_at_depth(i, ext, depth)
+            reasoner.register_rhs(target)
+        checked += 1
+        if not reasoner.entails_registered(c, target):
+            for e in conjuncts_of(target):
+                ci = ConceptInclusion(c, e)
+                if not reasoner.entails(ci):
+                    counterexamples.append(ci)
+    subsumers = reasoner.subsumers
+    return CompletenessReport(
+        checked,
+        tuple(counterexamples),
+        len(subsumers),
+        sum(map(len, subsumers.values())),
+    )
 
 
 # ---------------------------------------------------------------------------

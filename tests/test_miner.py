@@ -34,7 +34,13 @@ from ciforge.reasoner import Reasoner, entails
 from ciforge.simulation import equivalent_empty, semantic_extension
 from ciforge.storage import tbox_lines
 
-from oracles import closed_extents, cycle_interpretation, exists_chain, seeded_instance
+from oracles import (
+    closed_extents,
+    completeness_by_concept,
+    cycle_interpretation,
+    exists_chain,
+    seeded_instance,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -348,26 +354,85 @@ def test_empty_tbox_is_incomplete_for_structured_data():
     assert any("City" in m and "partof" in m for m in missing)
 
 
-def test_completeness_check_does_not_depend_on_the_conjunction_order(monkeypatch):
-    # The check evaluates a conjunction from its prefix only when the prefix
-    # came just before; with the conjunctions reversed (the basic concepts
-    # still first) it must still give every verdict.
+def test_completeness_check_does_not_depend_on_the_basic_concept_order(monkeypatch):
+    # The conjunctions are built from the basic concepts, in the order they
+    # are read.  With the basics shuffled, and the enumeration a plain list,
+    # the check must count the same concepts and report the same
+    # counterexamples.
     import ciforge.miner as miner_module
 
     i = builtin_fixture("fig3")
-    in_order = check_base_complete(i, frozenset(), depth=1, size_cap=5)
+    tbox = _fig3_base_with_every_third_axiom_dropped()
+    in_order = check_base_complete(i, tbox, depth=2, size_cap=5)
     enumerate_concepts = miner_module.enumerate_concepts
 
-    def conjunctions_reversed(*args):
+    def basics_shuffled(*args):
         produced = list(enumerate_concepts(*args))
-        basics = [c for c in produced if not isinstance(c, And)]
-        return basics + [c for c in reversed(produced) if isinstance(c, And)]
+        basics = [c for c in produced[2:] if not isinstance(c, And)]
+        random.Random(7).shuffle(basics)
+        return produced[:2] + basics + [c for c in produced if isinstance(c, And)]
 
-    monkeypatch.setattr(miner_module, "enumerate_concepts", conjunctions_reversed)
-    reversed_order = check_base_complete(i, frozenset(), depth=1, size_cap=5)
-    assert reversed_order.checked == in_order.checked
-    assert set(reversed_order.counterexamples) == set(in_order.counterexamples)
-    assert len(reversed_order.counterexamples) == len(in_order.counterexamples)
+    monkeypatch.setattr(miner_module, "enumerate_concepts", basics_shuffled)
+    shuffled = check_base_complete(i, tbox, depth=2, size_cap=5)
+    assert shuffled.checked == in_order.checked
+    assert set(shuffled.counterexamples) == set(in_order.counterexamples)
+    assert len(shuffled.counterexamples) == len(in_order.counterexamples)
+    assert any(isinstance(ci.lhs, And) for ci in in_order.counterexamples)
+
+
+def test_a_complete_base_is_checked_from_the_basic_concepts_alone(monkeypatch):
+    # The check reads the enumeration up to its first conjunction, and on a
+    # complete base it asks the reasoner about no conjunction.
+    import ciforge.miner as miner_module
+
+    i = builtin_fixture("fig3")
+    tbox, _ = fixture_base("fig3")
+    read = []
+    enumerate_concepts = miner_module.enumerate_concepts
+
+    def recorded(*args):
+        for c in enumerate_concepts(*args):
+            read.append(c)
+            yield c
+
+    left_sides = []
+    for name in ("completion", "entails_registered", "entails"):
+        method = getattr(Reasoner, name)
+
+        def recording(self, lhs, *rest, _method=method):
+            left_sides.append(lhs.lhs if isinstance(lhs, ConceptInclusion) else lhs)
+            return _method(self, lhs, *rest)
+
+        monkeypatch.setattr(Reasoner, name, recording)
+    monkeypatch.setattr(miner_module, "enumerate_concepts", recorded)
+    report = check_base_complete(i, tbox, depth=2, size_cap=6)
+    assert report.complete and report.checked == 4_929
+    assert [isinstance(c, And) for c in read] == [False] * (len(read) - 1) + [True]
+    assert left_sides and not any(isinstance(c, And) for c in left_sides)
+
+
+@pytest.mark.parametrize(
+    "name", ["fig3", "fig4i", "fig4ii", "fig7", *(f"seed{k}" for k in range(10))]
+)
+def test_completeness_check_matches_the_concept_by_concept_check(name):
+    # The whole report: count, counterexamples in order, and the reasoner's
+    # saturation size, on the mined base, the empty TBox and the mined base
+    # with every third axiom dropped.
+    if name.startswith("seed"):
+        i, (tbox, _) = seeded_instance(int(name[4:])), seeded_base(int(name[4:]))
+    else:
+        i, (tbox, _) = builtin_fixture(name), fixture_base(name)
+    dropped = frozenset(ci for k, ci in enumerate(sorted(tbox, key=str)) if k % 3)
+    failures = 0
+    for base in (tbox, frozenset(), dropped):
+        for depth in range(3):
+            for size_cap in range(1, 7):
+                report = check_base_complete(i, base, depth, size_cap)
+                assert report == completeness_by_concept(i, base, depth, size_cap), (
+                    depth, size_cap
+                )
+                failures += len(report.counterexamples)
+    assert failures
 
 
 def _fig3_base_with_every_third_axiom_dropped():

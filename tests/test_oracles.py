@@ -24,6 +24,7 @@ from ciforge.concepts import (
 )
 from ciforge.errors import ResourceCapError, ValidationError
 from ciforge.fixtures import builtin_fixture
+from ciforge.miner import _conjunction_count
 from ciforge.oracles import enumerate_concepts
 
 from oracles import (
@@ -128,6 +129,23 @@ def test_enumeration_order_is_prefix_first_and_yields_nothing_twice(sig, depth, 
             assert last[len(parts) - 1] == parts[:-1], c
         last[len(parts)] = parts
     assert max(last) >= 3
+
+
+@pytest.mark.parametrize(
+    "sig", [SIG_2A1R, SIG_1A1R, SIG_2A2R, Signature(frozenset(), frozenset())],
+    ids=["2A1R", "1A1R", "2A2R", "empty"],
+)
+def test_basics_and_a_knapsack_count_give_the_enumeration_size(sig):
+    # The completeness check reads only Top, Bottom and the basic concepts,
+    # and counts the conjunctions: the sets of at least two basics whose
+    # node counts, with the And node, fit the cap.
+    for depth in range(4):
+        for size_cap in range(1, 10):
+            produced = list(enumerate_concepts(sig, depth, size_cap))
+            basics = [c for c in produced if not isinstance(c, And)]
+            sizes = [node_count(c) for c in basics if c not in (TOP, BOTTOM)]
+            counted = len(basics) + _conjunction_count(sizes, size_cap - 1)
+            assert counted == len(produced), (depth, size_cap)
 
 
 @pytest.mark.parametrize("depth, size_cap, message", [

@@ -128,10 +128,9 @@ def test_new_rhs_after_a_query_is_not_answered_from_a_stale_completion():
 
 
 def test_shared_reasoner_answers_like_fresh_ones_in_any_order():
-    # A conjunction is completed from the slot of the last conjunction one
-    # conjunct shorter when that is its prefix, and by a fold of joins
-    # otherwise.  The pool holds every prefix of its conjunctions; shuffled,
-    # most conjunctions miss their prefix slot and some hit it.
+    # A conjunction is completed by a fold of memoized joins over its
+    # conjuncts; the pool holds every prefix of its conjunctions, shuffled,
+    # so some joins are met again in another order.
     sig = Signature(frozenset({"A", "B", "C"}), frozenset({"r", "s"}))
     pool = list(enumerate_concepts(sig, 1, 6))
     verdicts = set()
@@ -305,18 +304,16 @@ def _oracle_completion(r: Reasoner, c) -> frozenset:
 
 
 def _memos_match_the_oracle(r: Reasoner) -> int:
-    """Every memoized completion, conjunction slot, join and told child
-    equals the rule-by-rule closure of its start set; returns how many memo
-    entries were checked."""
+    """Every memoized completion, join and told child equals the
+    rule-by-rule closure of its start set; returns how many memo entries
+    were checked."""
     for c, s in r._completions.items():
         assert s == _oracle_completion(r, c), c
-    for parts, s in r._slots.values():
-        assert s == _oracle_completion(r, And(parts)), parts
     for (left, right), s in r._joins.items():
         assert s == _rule_by_rule_close(r, left | right)
     for (role, child), s in r._told.items():
         assert s == _rule_by_rule_close(r, _told_start(r, role, child))
-    return len(r._completions) + len(r._slots) + len(r._joins) + len(r._told)
+    return len(r._completions) + len(r._joins) + len(r._told)
 
 
 def _count_closes(r: Reasoner) -> list:
@@ -331,42 +328,29 @@ def _count_closes(r: Reasoner) -> list:
     return calls
 
 
-def _count_joins(r: Reasoner) -> list:
-    calls = []
-    join = r._join
-
-    def counting(left, right):
-        calls.append(1)
-        return join(left, right)
-
-    r._join = counting
-    return calls
-
-
-def test_conjunctions_in_enumeration_order_cost_one_join_each():
-    # A conjunction of three or more conjuncts follows its prefix in
-    # enumeration order, so it joins the prefix's slot with its last
-    # conjunct; a conjunction of two joins its two conjuncts.
-    sig = Signature(frozenset({"A", "B", "C"}), frozenset({"r"}))
+def test_joined_completions_answer_like_the_conjunction():
+    # The public steps: the join of the conjuncts' completions is the
+    # conjunction's completion, and the verdict read from it is the query's.
     tbox = frozenset({ci(And((A, B)), C), ci(Exists("r", C), And((A, B)))})
-    r = Reasoner(tbox)
-    stream = list(enumerate_concepts(sig, 1, 8))
-    conjunctions = [c for c in stream if isinstance(c, And)]
-    for c in stream:
-        if not isinstance(c, And):
-            r._complete_tree(c)
-    joins = _count_joins(r)
-    for c in conjunctions:
-        r._complete_tree(c)
-    assert len(joins) == len(conjunctions)
-    assert max(len(c.conjuncts) for c in conjunctions) >= 4
+    r = Reasoner(tbox, rhs_concepts=[C, Exists("r", A)])
+    joined = r.join(r.completion(A), r.completion(B))
+    assert joined is r.completion(And((A, B)))
+    assert r.completion_entails(joined, C) and r.entails_registered(And((A, B)), C)
+    assert not r.completion_entails(joined, Exists("r", A))
+    assert r.completion_entails(r.completion(Exists("r", C)), C)
+    assert r.completion_entails(r.completion(Exists("r", And((A, B)))), Exists("r", A))
+    assert r.completion_entails(joined, TOP)
+    assert r.completion_entails(r.completion(BOTTOM), Exists("r", A))
+    with pytest.raises(CiforgeError, match="not registered"):
+        r.completion_entails(joined, B)
     assert _memos_match_the_oracle(r)
 
 
-def test_conjunction_slots_from_before_a_late_rhs_are_not_reused():
-    # A ⊓ C and A ⊓ C ⊓ D are completed before the late right-hand side
-    # A ⊓ C names their common prefix.  Asked again, they must gain its
-    # name, and so must A ⊓ C ⊓ E, whose prefix A ⊓ C was in a slot.
+def test_completions_from_before_a_late_rhs_are_not_reused():
+    # A ⊓ C and A ⊓ C ⊓ D are completed, and A ⊓ C's join memoized, before
+    # the late right-hand side A ⊓ C names their common part.  Asked again,
+    # they must gain its name, and so must A ⊓ C ⊓ E, whose first join is
+    # that of A and C.
     D, E = Atom("D"), Atom("E")
     r = Reasoner(frozenset({ci(A, Exists("r", B))}), rhs_concepts=[B])
     ac, acd, ace = And((A, C)), And((A, C, D)), And((A, C, E))
@@ -381,10 +365,10 @@ def test_conjunction_slots_from_before_a_late_rhs_are_not_reused():
 
 def test_a_repeated_join_is_closed_once():
     r = Reasoner(frozenset({ci(And((A, B)), C)}))
-    left, right = r._complete_tree(A), r._complete_tree(B)
+    left, right = r.completion(A), r.completion(B)
     calls = _count_closes(r)
-    first = r._join(left, right)
-    assert r._join(left, right) is first
+    first = r.join(left, right)
+    assert r.join(left, right) is first
     assert "C" in first and len(calls) == 1
 
 
@@ -424,7 +408,7 @@ def test_a_subsumer_from_the_saturation_meets_an_earlier_conjunct():
 
 def _same_saturation(late: Reasoner, upfront: Reasoner):
     """Subsumer sets agree; on an unsatisfiable atom only ⊥ is compared."""
-    # Queries with a trivial answer do not saturate what is pending.
+    # A right-hand side registered after the last query is still pending.
     late._saturate()
     assert late.norm.names == upfront.norm.names
     assert late.subsumers.keys() == upfront.subsumers.keys()

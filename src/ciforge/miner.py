@@ -34,7 +34,7 @@ from .graphs import DEFAULT_NODE_CAP
 from .mmsc import adaptable_depth, mmsc_adaptive, mmsc_at_depth
 from .oracles import enumerate_concepts
 from .reasoner import Reasoner
-from .simulation import equivalent_empty, semantic_extension
+from .simulation import equivalent_empty, preimage, semantic_extension
 
 DEFAULT_DOMAIN_CAP = 12
 
@@ -338,7 +338,10 @@ def check_base_complete(
     per C in the order of the MMSC's conjuncts.
 
     Only the basic concepts are read from the enumeration, each checked on
-    its own.  Every other concept is a conjunction B1 ⊓ … ⊓ Bn of at least
+    its own.  A restriction ∃r.F takes its facts from F's, found once per
+    distinct filler: its extension is the r-preimage of F's, its completion
+    the reasoner's `restriction` step on F's, and its node count one more
+    than F's.  Every other concept is a conjunction B1 ⊓ … ⊓ Bn of at least
     two of them within the cap, with extension ∩ Bi^I, and the reasoner
     completes it by joining the completions of the Bi.  Both operations are
     idempotent, commutative and associative, so its verdict depends only on
@@ -356,25 +359,31 @@ def check_base_complete(
     extension groups whose smallest members fit the cap together.
     """
     sig = active_signature(i)
-    memo: dict = {}  # semantic_extension's, for the basic concepts' fillers
-    basics = []  # (concept, extension): Top, Bottom, atoms and restrictions
+    memo: dict = {}  # semantic_extension's, for the leaves and fillers
+    sizes: dict = {}  # _node_count's
+    facts: dict = {}  # leaf or filler -> (extension, node count)
+    preimages: dict = {}  # (role, filler extension) -> restriction's extension
+    basics = []  # (concept, extension, node count): Top, Bottom, atoms and restrictions
     for c in enumerate_concepts(sig, depth, size_cap):
         if isinstance(c, And):
             break
-        basics.append((c, semantic_extension(c, i, memo)))
-    sizes: dict = {}
-    # (concept, node count, extension) per atom and restriction, in yield
-    # order: the conjuncts of the conjunctions, which follow them.
-    pool = [
-        (c, bottom_up(c, _node_count, sizes), ext)
-        for c, ext in basics
-        if isinstance(c, (Atom, Exists))
-    ]
+        f = c.filler if isinstance(c, Exists) else c
+        known = facts.get(f)
+        if known is None:
+            known = facts[f] = (semantic_extension(f, i, memo), bottom_up(f, _node_count, sizes))
+        if f is c:
+            basics.append((c, *known))
+            continue
+        key = (c.role, known[0])
+        ext = preimages.get(key)
+        if ext is None:
+            ext = preimages[key] = preimage(i, c.role, known[0])
+        basics.append((c, ext, known[1] + 1))
     budget = size_cap - 1  # nodes of the conjuncts of a top-level conjunction
 
-    targets = dict.fromkeys(ext for _, ext in basics)
-    groups = _grouped([(ext, size) for _, size, ext in pool])
-    for _, ext, _ in _fitting_sets(groups, budget, frozenset.__and__):
+    targets = dict.fromkeys(ext for _, ext, _ in basics)
+    conjuncts = [(ext, size) for c, ext, size in basics if isinstance(c, (Atom, Exists))]
+    for _, ext, _ in _fitting_sets(_grouped(conjuncts), budget, frozenset.__and__):
         targets.setdefault(ext)
     reasoner = Reasoner(tbox)
     for ext in targets:
@@ -392,18 +401,28 @@ def check_base_complete(
                 found.append(e)
         return found
 
+    # The leaves are asked as queries; a restriction ∃r.F is completed from
+    # F's completion, which the reasoner memoizes per filler.
     counterexamples = []
-    for c, ext in basics:
-        if not reasoner.entails_registered(c, targets[ext]):
-            found = missing(ext, reasoner.completion(c))
-            counterexamples.extend(ConceptInclusion(c, e) for e in found)
+    pool = []  # (concept, node count, extension, completion) per atom and restriction
+    for c, ext, size in basics:
+        if isinstance(c, Exists):
+            s = reasoner.restriction(c.role, reasoner.completion(c.filler))
+            entailed = reasoner.completion_entails(s, targets[ext])
+        else:
+            entailed = reasoner.entails_registered(c, targets[ext])
+            s = reasoner.completion(c)
+        if not entailed:
+            counterexamples.extend(ConceptInclusion(c, e) for e in missing(ext, s))
+        if isinstance(c, (Atom, Exists)):
+            pool.append((c, size, ext, s))
 
     def combine(left, right):
         return left[0] & right[0], reasoner.join(left[1], right[1])
 
     # Classes (extension, completion) of the basics; a set of one class
     # stands for the conjunctions of two or more of its members.
-    classes = _grouped([((ext, reasoner.completion(c)), size) for c, size, ext in pool])
+    classes = _grouped([((ext, s), size) for _, size, ext, s in pool])
     members: dict = {}  # class -> its ((pool position,), node count), ascending
 
     def members_of(k: int) -> list:
@@ -429,7 +448,7 @@ def check_base_complete(
         counterexamples.extend(ConceptInclusion(c, e) for e in found)
     subsumers = reasoner.subsumers
     return CompletenessReport(
-        len(basics) + _conjunction_count([size for _, size, _ in pool], budget),
+        len(basics) + _conjunction_count([size for _, size, _, _ in pool], budget),
         tuple(counterexamples),
         len(subsumers),
         sum(map(len, subsumers.values())),

@@ -30,9 +30,9 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
     two basic concepts within the cap.
 
     The conjunctions of the top level are yielded as they are built, so a
-    caller that drops them keeps none alive; the levels below, whose
-    concepts are the fillers of the top level's restrictions, are built in
-    full first.
+    caller that drops them keeps none alive.  The levels below are built
+    first, each only as far as its concepts can still be fillers: a concept
+    k restrictions below the top has at most size_cap - k nodes.
     """
     if depth < 0:
         raise ValidationError(f"role depth must be at least 0, got {depth}")
@@ -42,12 +42,12 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
     roles = sorted(sig.role_names)
 
     def basics(below: list) -> list:
-        """The atoms, and the restrictions to the concepts of `below` within
-        the cap, as (concept, node count, sort key) triples in canonical
-        conjunct order; the sort key is the rendered form, `render_concept`."""
+        """The atoms, and the restrictions to the concepts of `below`, as
+        (concept, node count, sort key) triples in canonical conjunct order;
+        the sort key is the rendered form, `render_concept`."""
         pool = list(atoms)
         for f, f_size, f_key in below:
-            if f is BOTTOM or f_size == size_cap:
+            if f is BOTTOM:
                 continue
             if isinstance(f, (And, Exists)):
                 f_key = f"({f_key})"
@@ -56,10 +56,10 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
         pool.sort(key=itemgetter(2))
         return pool
 
-    def conjunctions(pool: list, keyed: bool):
-        """The conjunctions of pool concepts within the cap, in yield order:
-        as (concept, node count, sort key) triples when keyed, for the level
-        above, and as concepts otherwise."""
+    def conjunctions(pool: list, cap: int, keyed: bool):
+        """The conjunctions of pool concepts of at most `cap` nodes, in yield
+        order: as (concept, node count, sort key) triples when keyed, for the
+        level above, and as concepts otherwise."""
         # Conjunctions are index-increasing lists of pool positions.  The
         # pool holds distinct concepts in canonical order, so each canonical
         # And is built exactly once, and as it is: `conjoin` would re-render
@@ -68,13 +68,13 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
         # cannot fit is scanned.
         fitting = [
             [k for k, (_, size, _) in enumerate(pool) if size <= budget]
-            for budget in range(size_cap)
+            for budget in range(cap)
         ]
 
         def extend(start: int, chosen: list, used: int, key: str):
             # `used` counts the And node and the chosen conjuncts; `key` is
             # their rendered conjunction.
-            candidates = fitting[size_cap - used]
+            candidates = fitting[cap - used]
             for k in candidates[bisect_left(candidates, start):]:
                 c, c_size, c_key = pool[k]
                 total = used + c_size
@@ -87,7 +87,7 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
                 if len(chosen) > 1:
                     conj = And(tuple(chosen))
                     yield (conj, total, c_key) if keyed else conj
-                if total < size_cap:
+                if total < cap:
                     yield from extend(k + 1, chosen, total, c_key)
                 chosen.pop()
 
@@ -96,14 +96,17 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
     # The basic concepts of role depth <= d restrict the concepts of depth
     # <= d - 1, as triples that live only while the pool above is built.  A
     # concept of role depth k has at least k + 1 nodes, so levels deeper
-    # than size_cap - 1 add nothing.
+    # than size_cap - 1 add nothing.  The pool `below` levels under the top
+    # holds basics of at most size_cap - below nodes, and its conjunctions
+    # are built to that cap.
     pool = basics([])
-    for _ in range(min(depth, size_cap - 1)):
-        pool = basics(
-            [(TOP, 1, "Top"), (BOTTOM, 1, "Bottom"), *pool, *conjunctions(pool, True)]
-        )
+    for below in range(min(depth, size_cap - 1), 0, -1):
+        pool = basics([
+            (TOP, 1, "Top"), (BOTTOM, 1, "Bottom"), *pool,
+            *conjunctions(pool, size_cap - below, True),
+        ])
     yield TOP
     yield BOTTOM
     for c, _, _ in pool:
         yield c
-    yield from conjunctions(pool, False)
+    yield from conjunctions(pool, size_cap, False)

@@ -37,9 +37,10 @@ the closure resumes.  Every concept is completed children first
 (`concepts.bottom_up`) and memoized per concept.  Equal completions share
 one interned frozenset, and the join of two completions and the completion
 of ∃r.F are memoized per interned completion (per role and completion of
-F), so concepts with equal parts share one closure.  `completion`, `join`
-and `completion_entails` expose these steps, so that a caller can build the
-completion of a conjunction from completions it already holds.
+F), so concepts with equal parts share one closure.  `completion`,
+`restriction`, `join` and `completion_entails` expose these steps, so that a
+caller can build the completion of a restriction or a conjunction from
+completions it already holds.
 
 Closing a set reads the saturation: an atom reached brings its saturated
 subsumer set S(a) in one union.  S(a) is closed under the sub, ∃ and ⊥ rules
@@ -323,8 +324,8 @@ class Reasoner:
         against the saturated TBox; right-hand sides registered since the
         last query are saturated first.  The set is interned: equal
         completions are one object.  It holds for the right-hand sides
-        registered so far, and `join` and `completion_entails` take it until
-        the next registration."""
+        registered so far, and `restriction`, `join` and `completion_entails`
+        take it until the next registration."""
         if self._saturated < len(self.norm.log):
             self._saturate()
         known = self._completions.get(c)  # read before a walk is set up
@@ -339,17 +340,7 @@ class Reasoner:
         """Completion of c, given the completions of its children.  Leaves,
         which `bottom_up` does not memoize, are memoized here."""
         if isinstance(c, Exists):
-            # Told-child rule: an r-edge to the filler's completion, which
-            # alone decides the result.
-            child = children[0]
-            s = self._told.get((c.role, child))
-            if s is None:
-                s = {_TOP, _BOT} if _BOT in child else {_TOP}
-                exists_lhs = self.norm.ax_exists_lhs
-                for a in child:
-                    s.update(exists_lhs.get((c.role, a), ()))
-                s = self._told[c.role, child] = self._close(s, list(s))
-            return s
+            return self.restriction(c.role, children[0])
         if isinstance(c, And):
             return self._fold(children)
         memo = self._completions
@@ -363,6 +354,19 @@ class Reasoner:
         """Completion of a conjunction from the completions of its conjuncts,
         joined left to right; ⊤'s if it has none."""
         return reduce(self.join, completions) if completions else self._complete_tree(TOP)
+
+    def restriction(self, role: str, filler: frozenset) -> frozenset:
+        """Completion of ∃r.F from the completion of F, by the told-child
+        rule: an r-edge to F's completion, which alone decides the result.
+        Memoized per role and interned completion."""
+        s = self._told.get((role, filler))
+        if s is None:
+            s = {_TOP, _BOT} if _BOT in filler else {_TOP}
+            exists_lhs = self.norm.ax_exists_lhs
+            for a in filler:
+                s.update(exists_lhs.get((role, a), ()))
+            s = self._told[role, filler] = self._close(s, list(s))
+        return s
 
     def join(self, left: frozenset, right: frozenset) -> frozenset:
         """Completion of L ⊓ R from the completions of L and R: an axiom

@@ -23,7 +23,7 @@ def semantic_extension(c: Concept, i: Interpretation, _memo=None) -> frozenset:
 
     def extension(d: Concept, parts: list) -> frozenset:
         if isinstance(d, Exists):
-            return frozenset(src for src, tgt in i.role_ext.get(d.role, ()) if tgt in parts[0])
+            return preimage(i, d.role, parts[0])
         if isinstance(d, And):
             return i.domain.intersection(*parts)
         if isinstance(d, Atom):
@@ -33,6 +33,11 @@ def semantic_extension(c: Concept, i: Interpretation, _memo=None) -> frozenset:
         raise TypeError(f"not a concept: {d!r}")
 
     return bottom_up(c, extension, _memo)
+
+
+def preimage(i: Interpretation, role: str, ext: frozenset) -> frozenset:
+    """(∃role.F)^I from F^I = ext: the elements with a role-edge into ext."""
+    return frozenset(src for src, tgt in i.role_ext.get(role, ()) if tgt in ext)
 
 
 def tree_simulates(t1, v1, t2, v2, _memo=None) -> bool:

@@ -30,6 +30,7 @@ from ciforge.concepts import (
     conjoin,
     conjuncts_of,
     make_interpretation,
+    role_depth,
 )
 from ciforge.errors import ResourceCapError, ValidationError
 from ciforge.fixtures import builtin_fixture
@@ -297,6 +298,25 @@ def node_count(c: Concept) -> int:
     if isinstance(c, Exists):
         return 1 + node_count(c.filler)
     return 1 + sum(node_count(d) for d in c.conjuncts)
+
+
+def fragment(sig: Signature, depth: int, size_cap: int) -> set:
+    """Every canonical concept over sig of role depth at most `depth` and at
+    most `size_cap` nodes, by brute force: {⊤, ⊥, atoms} closed under the
+    canonical conjunction of two concepts and under restriction, keeping
+    what is within the bounds.  Each round combines the concepts new in the
+    last round with all found so far."""
+    found = {TOP, BOTTOM, *(Atom(name) for name in sig.concept_names)}
+    frontier = set(found)
+    while frontier:
+        grown = {Exists(role, c) for c in frontier if c is not BOTTOM for role in sig.role_names}
+        grown.update(conjoin([c, d]) for c in frontier for d in found)
+        frontier = {
+            c for c in grown
+            if c not in found and role_depth(c) <= depth and node_count(c) <= size_cap
+        }
+        found |= frontier
+    return found
 
 
 def lower_approximation(c: Concept, i: Interpretation) -> Concept:

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -382,7 +383,8 @@ def test_completeness_check_does_not_depend_on_the_basic_concept_order(monkeypat
 
 def test_a_complete_base_is_checked_from_the_basic_concepts_alone(monkeypatch):
     # The check reads the enumeration up to its first conjunction, and on a
-    # complete base it asks the reasoner about no conjunction.
+    # complete base the only conjunctions it asks the reasoner about are
+    # the fillers of the restrictions it read.
     import ciforge.miner as miner_module
 
     i = builtin_fixture("fig3")
@@ -408,7 +410,41 @@ def test_a_complete_base_is_checked_from_the_basic_concepts_alone(monkeypatch):
     report = check_base_complete(i, tbox, depth=2, size_cap=6)
     assert report.complete and report.checked == 4_929
     assert [isinstance(c, And) for c in read] == [False] * (len(read) - 1) + [True]
-    assert left_sides and not any(isinstance(c, And) for c in left_sides)
+    fillers = {c.filler for c in read if isinstance(c, Exists)}
+    asked = {c for c in left_sides if isinstance(c, And)}
+    assert left_sides and asked <= fillers
+
+
+def test_the_check_walks_each_filler_and_leaf_once(monkeypatch):
+    # A restriction ∃r.F takes its extension, completion and node count from
+    # F's: the check evaluates and completes each distinct filler or leaf
+    # (Top, Bottom, an atom) at most once, and nothing else.
+    import ciforge.miner as miner_module
+
+    i = builtin_fixture("fig3")
+    tbox, _ = fixture_base("fig3")
+    read = list(itertools.takewhile(
+        lambda c: not isinstance(c, And), enumerate_concepts(active_signature(i), 2, 6)
+    ))
+    allowed = {c.filler if isinstance(c, Exists) else c for c in read}
+    walked = {"extension": [], "completion": []}
+    extension, complete_tree = miner_module.semantic_extension, Reasoner._complete_tree
+
+    def recorded_extension(c, *rest):
+        walked["extension"].append(c)
+        return extension(c, *rest)
+
+    def recorded_completion(self, c):
+        walked["completion"].append(c)
+        return complete_tree(self, c)
+
+    monkeypatch.setattr(miner_module, "semantic_extension", recorded_extension)
+    monkeypatch.setattr(Reasoner, "_complete_tree", recorded_completion)
+    report = check_base_complete(i, tbox, depth=2, size_cap=6)
+    assert report.complete and report.checked == 4_929
+    for name, concepts in walked.items():
+        assert concepts and set(concepts) <= allowed, name
+        assert len(set(concepts)) == len(concepts), name
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 """Exhaustive enumerators, random instance generators, and check suites."""
 
 import ast
+import hashlib
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +35,7 @@ from oracles import (
     closed_extents,
     exponential_depth_check,
     fbp_witness_check,
+    fragment,
     harness_seed,
     node_count,
     random_concept,
@@ -44,6 +47,7 @@ from oracles import (
 SIG_1A1R = Signature(frozenset({"A"}), frozenset({"r"}))
 SIG_2A1R = Signature(frozenset({"A", "B"}), frozenset({"r"}))
 SIG_2A2R = Signature(frozenset({"A", "B"}), frozenset({"r", "s"}))
+SIG_1A2R = Signature(frozenset({"A"}), frozenset({"r", "s"}))
 
 
 # -- closed extents -----------------------------------------------------------
@@ -158,24 +162,63 @@ def test_enumeration_rejects_an_empty_fragment(depth, size_cap, message):
 
 
 def test_enumeration_is_exhaustive_within_the_fragment():
-    # Depth-1, five-node fragment over one atom/one role, checked against a
-    # hand-built closure: every canonical concept reachable by conjunction
-    # and restriction must appear.
-    produced = set(enumerate_concepts(SIG_1A1R, 1, 5))
-    from ciforge.concepts import Atom, Exists
+    # The brute-force closure under conjunction and restriction, within the
+    # bounds, is exactly what the enumeration yields, each concept once.
+    for sig in (SIG_2A1R, SIG_1A2R):
+        for depth in (2, 3):
+            for size_cap in range(1, 8):
+                produced = list(enumerate_concepts(sig, depth, size_cap))
+                assert len(set(produced)) == len(produced)
+                assert set(produced) == fragment(sig, depth, size_cap), (sig, depth, size_cap)
 
-    a = Atom("A")
-    layer0 = {TOP, BOTTOM, a}
-    expected = set(layer0)
-    fillers = [TOP, a]
-    exists = [Exists("r", f) for f in fillers]
-    expected.update(exists)
-    for e in exists:
-        expected.add(canonicalize(And((a, e))))
-    expected.add(canonicalize(And((a, *exists))))
-    expected.add(canonicalize(And(tuple(exists))))
-    expected = {c for c in expected if node_count(c) <= 5}
-    assert expected <= produced
+
+@pytest.mark.parametrize("size_cap, digest", [
+    (6, "ec844eff6a781d9b676bcbef06cc9916c70de6ea2e8e85d739452a5d73e6501c"),
+    (7, "8df47387704dba07ec3680a46a297aa1999790019cdd05ef265ca8dab4180fe3"),
+])
+def test_enumeration_of_fig3s_signature_is_pinned(size_cap, digest):
+    # Order and content of the enumeration, one rendered concept a line.
+    sig = active_signature(builtin_fixture("fig3"))
+    texts: dict = {}
+    rendered = "\n".join(render_concept(c, texts) for c in enumerate_concepts(sig, 2, size_cap))
+    assert hashlib.sha256(rendered.encode()).hexdigest() == digest
+
+
+class _Recorded(type):
+    """A stand-in for And, to the module that uses it: its instances are
+    the And nodes, and each node it builds is recorded."""
+
+    def __instancecheck__(cls, obj):
+        return isinstance(obj, And)
+
+
+def test_lower_levels_stop_at_the_size_a_filler_can_have(monkeypatch):
+    # Up to the first top-level conjunction, the enumeration builds the
+    # conjunctions of each level k below the top once, and only those of at
+    # most size_cap - k nodes: the top-level conjunctions of the enumeration
+    # at role depth depth - k and size cap size_cap - k.
+    import ciforge.oracles as oracles_module
+
+    sig = active_signature(builtin_fixture("fig3"))
+    depth, size_cap = 2, 6
+    expected = Counter(
+        c
+        for k in range(1, depth + 1)
+        for c in enumerate_concepts(sig, depth - k, size_cap - k)
+        if isinstance(c, And)
+    )
+    built = []
+
+    class Recording(metaclass=_Recorded):
+        def __new__(cls, conjuncts):
+            built.append(And(conjuncts))
+            return built[-1]
+
+    monkeypatch.setattr(oracles_module, "And", Recording)
+    first = next(c for c in enumerate_concepts(sig, depth, size_cap) if isinstance(c, And))
+    assert built[-1] is first
+    assert max(map(node_count, built[:-1])) == size_cap - 1
+    assert Counter(built[:-1]) == expected
 
 
 # -- random generators -------------------------------------------------------

@@ -14,6 +14,7 @@ from ciforge.concepts import (
     Exists,
     Signature,
     TOP,
+    active_signature,
     canonicalize,
     make_interpretation,
 )
@@ -344,6 +345,22 @@ def test_joined_completions_answer_like_the_conjunction():
     with pytest.raises(CiforgeError, match="not registered"):
         r.completion_entails(joined, B)
     assert _memos_match_the_oracle(r)
+
+
+def test_restricted_completions_answer_like_the_restriction():
+    # The public told-child step: on fig3's base, ∃r.F's completion from
+    # F's, for every role and every F of a small fragment, is the one a
+    # second reasoner finds for ∃r.F as a whole.
+    i = builtin_fixture("fig3")
+    tbox, _ = build_base(i)
+    sig = active_signature(i)
+    fillers = list(enumerate_concepts(sig, 1, 4))
+    steps, whole = (Reasoner(tbox, rhs_concepts=fillers) for _ in range(2))
+    for f in fillers:
+        for role in sorted(sig.role_names):
+            s = steps.restriction(role, steps.completion(f))
+            assert s == whole.completion(Exists(role, f)), (role, f)
+    assert _memos_match_the_oracle(steps)
 
 
 def test_completions_from_before_a_late_rhs_are_not_reused():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .concepts import render_concept
+from .concepts import check_fragment, render_concept
 from .errors import CiforgeError
 from .fixtures import FIXTURE_NAMES, builtin_fixture
 from .graphs import DEFAULT_NODE_CAP, graph_of_interpretation
@@ -126,6 +126,7 @@ def _cmd_entails(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    check_fragment(args.depth, args.size_cap)
     i = _load(args)
     tbox = load_tbox(args.tbox)
     sound = check_base_sound(i, tbox)

@@ -561,6 +561,16 @@ class ConceptInclusion:
         return f"{render_concept(self.lhs)} SubClassOf {render_concept(self.rhs)}"
 
 
+def check_fragment(depth: int, size_cap: int):
+    """Rejects the bounds of an empty fragment, concepts of role depth at
+    most `depth` and at most `size_cap` nodes, with a ValidationError: a
+    negative depth or a size cap below 1."""
+    if depth < 0:
+        raise ValidationError(f"role depth must be at least 0, got {depth}")
+    if size_cap < 1:
+        raise ValidationError(f"size cap must be at least 1, got {size_cap}")
+
+
 # ---------------------------------------------------------------------------
 # Interpretations
 

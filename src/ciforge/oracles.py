@@ -12,8 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from operator import itemgetter
 
-from .concepts import And, Atom, BOTTOM, Exists, Signature, TOP
-from .errors import ValidationError
+from .concepts import And, Atom, BOTTOM, Exists, Signature, TOP, check_fragment
 
 
 def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
@@ -34,10 +33,7 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
     first, each only as far as its concepts can still be fillers: a concept
     k restrictions below the top has at most size_cap - k nodes.
     """
-    if depth < 0:
-        raise ValidationError(f"role depth must be at least 0, got {depth}")
-    if size_cap < 1:
-        raise ValidationError(f"size cap must be at least 1, got {size_cap}")
+    check_fragment(depth, size_cap)
     atoms = [(Atom(name), 1, name) for name in sorted(sig.concept_names)]
     roles = sorted(sig.role_names)
 

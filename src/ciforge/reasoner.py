@@ -29,18 +29,20 @@ they alone fire on the saturation already there, which stays, and what they
 derive then goes through all axioms; only the query memos are dropped.
 
 Query completions are built compositionally: an atom is closed from {⊤, A};
-∃r.F from the consequences of an r-edge to the completion of F; a
-conjunction C1 ⊓ … ⊓ Cn by joining completions of its parts.  Both sides of
-a join are already closed, so only conjunction axioms with a conjunct new
-from one side can fire, once the union holds all their conjuncts, before
-the closure resumes.  Every concept is completed children first
-(`concepts.bottom_up`) and memoized per concept.  Equal completions share
-one interned frozenset, and the join of two completions and the completion
-of ∃r.F are memoized per interned completion (per role and completion of
-F), so concepts with equal parts share one closure.  `completion`,
-`restriction`, `join` and `completion_entails` expose these steps, so that a
-caller can build the completion of a restriction or a conjunction from
-completions it already holds.
+∃r.F from the told set of an r-edge to the completion of F, the B of every
+∃r.a ⊑ B with a in it (and ⊥ if it holds ⊥), read through a per-role index
+of the fillers a of such axioms; a conjunction C1 ⊓ … ⊓ Cn by joining
+completions of its parts.  Both sides of a join are already closed, so only
+conjunction axioms with a conjunct new from one side can fire, once the
+union holds all their conjuncts, before the closure resumes.  Every concept
+is completed children first (`concepts.bottom_up`) and memoized per
+concept.  Equal completions share one interned frozenset; the join of two
+completions is memoized per pair of interned completions, and the
+completion of ∃r.F is closed once per told set, so concepts with equal
+parts, or fillers that differ only in atoms no ∃r.a ⊑ B reads, share one
+closure.  `completion`, `restriction`, `join` and `completion_entails`
+expose these steps, so that a caller can build the completion of a
+restriction or a conjunction from completions it already holds.
 
 Closing a set reads the saturation: an atom reached brings its saturated
 subsumer set S(a) in one union.  S(a) is closed under the sub, ∃ and ⊥ rules
@@ -80,29 +82,31 @@ class _Axioms:
         self.ax_conj: dict = {}  # Ai -> [({A1..Ak}, B)]  (A1 ⊓ … ⊓ Ak ⊑ B)
         self.ax_exists_rhs: dict = {}  # A -> [(r, B)]  (A ⊑ ∃r.B)
         self.ax_exists_lhs: dict = {}  # (r, A) -> [B]  (∃r.A ⊑ B)
+        self.exists_fillers: dict = {}  # r -> {A}  (∃r.A ⊑ B for some B)
         for kind, premise, conclusion, _ in entries:
             self.add(kind, premise, conclusion)
 
     def add(self, kind, premise, conclusion):
         """Indexes one axiom in the index named `kind`.  A conjunction's
         premise is the frozenset of its conjuncts, and the axiom is indexed
-        once under each of them."""
+        once under each of them; an ∃r.A ⊑ B axiom also adds A to r's
+        fillers."""
         if kind == "ax_conj":
             axiom = (premise, conclusion)
             for a in premise:
                 self.ax_conj.setdefault(a, []).append(axiom)
-        else:
-            getattr(self, kind).setdefault(premise, []).append(conclusion)
+            return
+        if kind == "ax_exists_lhs":
+            role, a = premise
+            self.exists_fillers.setdefault(role, set()).add(a)
+        getattr(self, kind).setdefault(premise, []).append(conclusion)
 
     def premises(self) -> set:
         """Atoms on which some axiom here fires: the premises, and the
         fillers of the ∃r.A ⊑ B axioms."""
-        return {
-            *self.ax_sub,
-            *self.ax_conj,
-            *self.ax_exists_rhs,
-            *(a for _, a in self.ax_exists_lhs),
-        }
+        return set().union(
+            self.ax_sub, self.ax_conj, self.ax_exists_rhs, *self.exists_fillers.values()
+        )
 
 
 class _Normalizer(_Axioms):
@@ -310,12 +314,13 @@ class Reasoner:
             for x, delta in rnd.items():
                 fire(x, delta)
         # Query completions per concept, one shared frozenset per distinct
-        # completion, and joins and told children per interned completion;
-        # all depend on the axioms saturated here.
+        # completion, joins and told children per interned completion, and
+        # closed told sets; all depend on the axioms saturated here.
         self._completions: dict = {}
         self._interned: dict = {}
         self._joins: dict = {}
         self._told: dict = {}
+        self._told_sets: dict = {}
 
     # -- queries -----------------------------------------------------------
 
@@ -357,15 +362,21 @@ class Reasoner:
 
     def restriction(self, role: str, filler: frozenset) -> frozenset:
         """Completion of ∃r.F from the completion of F, by the told-child
-        rule: an r-edge to F's completion, which alone decides the result.
-        Memoized per role and interned completion."""
+        rule: an r-edge to F's completion adds its told set, ⊤, the B of
+        every ∃r.a ⊑ B with a in it, and ⊥ if it holds ⊥.  The told set
+        alone decides the result, which is closed once per told set and
+        memoized per role and interned completion too."""
         s = self._told.get((role, filler))
         if s is None:
-            s = {_TOP, _BOT} if _BOT in filler else {_TOP}
+            told = {_TOP, _BOT} if _BOT in filler else {_TOP}
             exists_lhs = self.norm.ax_exists_lhs
-            for a in filler:
-                s.update(exists_lhs.get((role, a), ()))
-            s = self._told[role, filler] = self._close(s, list(s))
+            for a in filler.intersection(self.norm.exists_fillers.get(role, ())):
+                told.update(exists_lhs[role, a])
+            key = frozenset(told)
+            s = self._told_sets.get(key)
+            if s is None:
+                s = self._told_sets[key] = self._close(told, list(told))
+            self._told[role, filler] = s
         return s
 
     def join(self, left: frozenset, right: frozenset) -> frozenset:

@@ -305,16 +305,29 @@ def _oracle_completion(r: Reasoner, c) -> frozenset:
 
 
 def _memos_match_the_oracle(r: Reasoner) -> int:
-    """Every memoized completion, join and told child equals the
-    rule-by-rule closure of its start set; returns how many memo entries
-    were checked."""
+    """Every memoized completion, join, told child and closed told set
+    equals the rule-by-rule closure of its start set, and a told child is
+    the closed told set of its start; returns how many memo entries were
+    checked."""
     for c, s in r._completions.items():
         assert s == _oracle_completion(r, c), c
     for (left, right), s in r._joins.items():
         assert s == _rule_by_rule_close(r, left | right)
     for (role, child), s in r._told.items():
-        assert s == _rule_by_rule_close(r, _told_start(r, role, child))
-    return len(r._completions) + len(r._joins) + len(r._told)
+        start = _told_start(r, role, child)
+        assert s == _rule_by_rule_close(r, start)
+        assert r._told_sets[frozenset(start)] is s
+    for told, s in r._told_sets.items():
+        assert s == _rule_by_rule_close(r, told)
+    return len(r._completions) + len(r._joins) + len(r._told) + len(r._told_sets)
+
+
+def _exists_fillers_of(norm) -> dict:
+    """The fillers of the ∃r.A ⊑ B axioms per role, read from the axioms."""
+    fillers: dict = {}
+    for role, a in norm.ax_exists_lhs:
+        fillers.setdefault(role, set()).add(a)
+    return fillers
 
 
 def _count_closes(r: Reasoner) -> list:
@@ -400,15 +413,36 @@ def test_restrictions_on_equally_completed_fillers_share_one_closure():
     assert "B" in first and len(calls) == 1
 
 
+def test_restrictions_on_fillers_with_equal_told_sets_share_one_closure():
+    # A ⊓ C and A ⊓ D complete differently, but only A is read by an
+    # ∃r.a ⊑ B axiom: an r-edge to either tells {⊤, B}, closed once.
+    D = Atom("D")
+    r = Reasoner(frozenset({ci(Exists("r", A), B)}))
+    left, right = r.completion(And((A, C))), r.completion(And((A, D)))
+    assert left != right
+    calls = _count_closes(r)
+    first = r.restriction("r", left)
+    assert r.restriction("r", right) is first
+    assert "B" in first and len(calls) == 1
+    assert _memos_match_the_oracle(r)
+
+
 def test_joins_and_told_children_from_before_a_late_rhs_are_not_reused():
     # The late right-hand sides A ⊓ C and ∃s.B leave the completions of A,
     # C and B as they were, but add axioms that fire on their join and on
-    # an s-edge to B's completion.
-    r = Reasoner(frozenset({ci(A, Exists("r", B))}))
+    # an s-edge to B's completion.  The late D ⊓ E leaves the told set of a
+    # t-edge to B's completion as it was, but its name joins the closure.
+    D, E = Atom("D"), Atom("E")
+    tbox = {ci(A, Exists("r", B)), ci(Exists("t", B), D), ci(Exists("t", B), E)}
+    r = Reasoner(frozenset(tbox))
     assert not r.entails(ci(And((A, C)), B))
     assert r.entails(ci(And((A, C)), And((A, C))))
     assert not r.entails(ci(Exists("s", B), C))
     assert r.entails(ci(Exists("s", B), Exists("s", B)))
+    assert not r.entails(ci(Exists("t", B), C))
+    assert r.entails(ci(Exists("t", B), And((D, E))))
+    assert r.norm.exists_fillers == _exists_fillers_of(r.norm)
+    assert _memos_match_the_oracle(r)
 
 
 def test_a_subsumer_from_the_saturation_meets_an_earlier_conjunct():
@@ -542,6 +576,7 @@ def test_late_registration_matches_fresh_reasoners():
                 assert verdict == entails(tbox, q), f"seed {seed}: {q}"
                 seen["true" if verdict else "false"] += 1
             seen["memo entries"] += _memos_match_the_oracle(r)
+            assert r.norm.exists_fillers == _exists_fillers_of(r.norm)
             _same_saturation(r, Reasoner(tbox, rhs_concepts=registered))
         seen["bottom atoms"] += sum("⊥" in s for s in r.subsumers.values()) > 1
         seen["conjunctions of 3+"] += sum(

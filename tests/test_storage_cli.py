@@ -468,10 +468,17 @@ def test_cli_mmsc_rejects_a_negative_depth(capsys):
      ("--size-cap", "0", "size cap must be at least 1, got 0")],
 )
 def test_cli_check_rejects_an_empty_fragment(tmp_path, capsys, option, value, message):
+    # Rejected before the TBox is read: no soundness verdict is printed, and
+    # a TBox path that does not exist is never opened.
     path = tmp_path / "empty.owlish"
     path.write_text("")
     assert main(["check", "--fixture", "fig4i", "--tbox", str(path), option, value]) == 1
-    assert message in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert message in err and "sound:" not in out
+    missing = str(tmp_path / "missing.owlish")
+    assert main(["check", "--fixture", "fig4i", "--tbox", missing, option, value]) == 1
+    out, err = capsys.readouterr()
+    assert message in err and "sound:" not in out
 
 
 def test_cli_mine_entails_check_pipeline(tmp_path, capsys):

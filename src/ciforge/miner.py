@@ -12,7 +12,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, not_
 
 from .concepts import (
     And,
@@ -352,11 +352,23 @@ def check_base_complete(
     expanded into its conjunctions, and the conjunctions are counted with a
     knapsack over the basics' node counts.
 
+    A completion that holds ⊥ settles the verdict (the ⊥ rule of Baader,
+    Brandt and Lutz 2005): it entails every right-hand side, and so does
+    every join with it and every ∃r.F over it, whose told set holds ⊥.  So
+    a restriction over a filler whose completion holds ⊥ passes without
+    being completed, and it and every basic whose completion holds ⊥ join
+    no class: each conjunction with one of them passes.  They are still
+    counted.  The class search extends no set whose join holds ⊥, since
+    every set above it passes.
+
     Registering a right-hand side re-saturates the reasoner and can add its
     name to completions made before, so the MMSC of every extension a
     concept of the fragment has is registered before any completion: the
     basics' extensions, and the intersection of every set of at least two
-    extension groups whose smallest members fit the cap together.
+    extension groups whose smallest members fit the cap together.  A set
+    whose intersection is empty is not extended, since every set above it
+    has the empty extension too, whose target was registered when the set
+    was found.
     """
     sig = active_signature(i)
     memo: dict = {}  # semantic_extension's, for the leaves and fillers
@@ -383,9 +395,17 @@ def check_base_complete(
 
     targets = dict.fromkeys(ext for _, ext, _ in basics)
     conjuncts = [(ext, size) for c, ext, size in basics if isinstance(c, (Atom, Exists))]
-    for _, ext, _ in _fitting_sets(_grouped(conjuncts), budget, frozenset.__and__):
+    for _, ext, _ in _fitting_sets(
+        _grouped(conjuncts), budget, frozenset.__and__, settles=not_
+    ):
         targets.setdefault(ext)
     reasoner = Reasoner(tbox)
+    reasoner.register_rhs(BOTTOM)  # ⊥'s name is ⊥ itself: no axiom is logged
+
+    def settled(s: frozenset) -> bool:
+        """Whether a completion holds ⊥, and so entails every target."""
+        return reasoner.completion_entails(s, BOTTOM)
+
     for ext in targets:
         targets[ext] = mmsc_at_depth(i, ext, depth)
         reasoner.register_rhs(targets[ext])
@@ -404,23 +424,26 @@ def check_base_complete(
     # The leaves are asked as queries; a restriction ∃r.F is completed from
     # F's completion, which the reasoner memoizes per filler.
     counterexamples = []
-    pool = []  # (concept, node count, extension, completion) per atom and restriction
+    pool = []  # (concept, node count, extension, completion) per atom and restriction without ⊥
     for c, ext, size in basics:
         if isinstance(c, Exists):
-            s = reasoner.restriction(c.role, reasoner.completion(c.filler))
+            filler = reasoner.completion(c.filler)
+            if settled(filler):  # so ∃r.F's told set holds ⊥, and it passes
+                continue
+            s = reasoner.restriction(c.role, filler)
             entailed = reasoner.completion_entails(s, targets[ext])
         else:
             entailed = reasoner.entails_registered(c, targets[ext])
             s = reasoner.completion(c)
         if not entailed:
             counterexamples.extend(ConceptInclusion(c, e) for e in missing(ext, s))
-        if isinstance(c, (Atom, Exists)):
+        if isinstance(c, (Atom, Exists)) and not settled(s):
             pool.append((c, size, ext, s))
 
     def combine(left, right):
         return left[0] & right[0], reasoner.join(left[1], right[1])
 
-    # Classes (extension, completion) of the basics; a set of one class
+    # Classes (extension, completion) of the pool; a set of one class
     # stands for the conjunctions of two or more of its members.
     classes = _grouped([((ext, s), size) for _, size, ext, s in pool])
     members: dict = {}  # class -> its ((pool position,), node count), ascending
@@ -432,7 +455,9 @@ def check_base_complete(
         return members[k]
 
     conjunctions = []  # (positions in pool, conjuncts E not entailed)
-    for chosen, (ext, s), _ in _fitting_sets(classes, budget, combine):
+    for chosen, (ext, s), _ in _fitting_sets(
+        classes, budget, combine, settles=lambda key: settled(key[1])
+    ):
         if not reasoner.completion_entails(s, targets[ext]):
             found = missing(ext, s)
             spread = _spread([members_of(k) for k in chosen], budget)
@@ -448,7 +473,7 @@ def check_base_complete(
         counterexamples.extend(ConceptInclusion(c, e) for e in found)
     subsumers = reasoner.subsumers
     return CompletenessReport(
-        len(basics) + _conjunction_count([size for _, size, _, _ in pool], budget),
+        len(basics) + _conjunction_count([size for _, size in conjuncts], budget),
         tuple(counterexamples),
         len(subsumers),
         sum(map(len, subsumers.values())),
@@ -473,12 +498,14 @@ def _grouped(keyed: list) -> list:
     )
 
 
-def _fitting_sets(items: list, budget: int, combine):
+def _fitting_sets(items: list, budget: int, combine, settles=None):
     """(positions, combined key, size) for every non-empty set of `items`,
     (key, size, …) tuples in ascending size, whose sizes sum to at most
     `budget`; the combined key folds `combine` over the members' keys.  One
     depth-first loop over an explicit stack, extending each set by later
-    items only."""
+    items only.  A set whose combined key `settles` is yielded but not
+    extended: the caller knows that combining more keys into a settled key
+    changes nothing it asks, so the sets above it are skipped."""
     stack = [((), None, 0, 0)]
     while stack:
         chosen, value, used, start = stack.pop()
@@ -490,7 +517,11 @@ def _fitting_sets(items: list, budget: int, combine):
             here = key if value is None else combine(value, key)
             grown = (*chosen, k)
             yield grown, here, total
-            if k + 1 < len(items) and total + items[k + 1][1] <= budget:
+            if (
+                k + 1 < len(items)
+                and total + items[k + 1][1] <= budget
+                and not (settles and settles(here))
+            ):
                 stack.append((grown, here, total, k + 1))
 
 

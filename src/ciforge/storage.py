@@ -102,22 +102,25 @@ _AXIOM_KEYWORD_RE = re.compile(r"\b(?:SubClassOf|EquivalentTo)\b")
 
 def parse_inclusion(line: str, _memo=None) -> list[ConceptInclusion]:
     """One axiom line: `C SubClassOf D` or `C EquivalentTo D` (the latter
-    expands to both inclusions).  `_memo` is `parse_concept`'s."""
+    expands to both inclusions).  The keyword is found as a whole word,
+    whatever whitespace sets it off.  `_memo` is `parse_concept`'s."""
     keywords = list(_AXIOM_KEYWORD_RE.finditer(line))
+    if not keywords:
+        raise CiforgeError(f"axiom line needs SubClassOf or EquivalentTo: {line!r}")
     if len(keywords) > 1:
         second = keywords[1]
         raise CiforgeError(
             f"second axiom keyword {second.group()!r} (at position {second.start()})"
         )
-    for keyword in (" SubClassOf ", " EquivalentTo "):
-        if keyword in line:
-            lhs_text, rhs_text = line.split(keyword, 1)
-            lhs = parse_concept(lhs_text.strip(), _memo)
-            rhs = parse_concept(rhs_text.strip(), _memo)
-            if keyword == " SubClassOf ":
-                return [ConceptInclusion(lhs, rhs)]
-            return [ConceptInclusion(lhs, rhs), ConceptInclusion(rhs, lhs)]
-    raise CiforgeError(f"axiom line needs SubClassOf or EquivalentTo: {line!r}")
+    [keyword] = keywords
+    sides = line[: keyword.start()].strip(), line[keyword.end() :].strip()
+    for side, text in zip(("left", "right"), sides):
+        if not text:
+            raise CiforgeError(f"nothing on the {side} of {keyword.group()!r}: {line!r}")
+    lhs, rhs = (parse_concept(text, _memo) for text in sides)
+    if keyword.group() == "SubClassOf":
+        return [ConceptInclusion(lhs, rhs)]
+    return [ConceptInclusion(lhs, rhs), ConceptInclusion(rhs, lhs)]
 
 
 def load_tbox(path) -> frozenset:

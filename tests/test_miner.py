@@ -447,6 +447,88 @@ def test_the_check_walks_each_filler_and_leaf_once(monkeypatch):
         assert len(set(concepts)) == len(concepts), name
 
 
+def test_the_check_stops_at_every_completion_that_holds_bottom(monkeypatch):
+    # A completion that holds ⊥ entails every target, and so do its joins and
+    # every ∃r.F over it.  The class search starts from classes without ⊥ and
+    # extends no set whose join holds ⊥; the target search extends no set
+    # whose extensions meet in nothing; and the check completes no ∃r.F over
+    # a filler that holds ⊥.  The reasoner's own walk of a filler may still
+    # complete a restriction inside it over ⊥: it keeps exact completions.
+    import ciforge.miner as miner_module
+
+    i = builtin_fixture("fig3")
+    tbox, _ = fixture_base("fig3")
+    searches = {"targets": [], "classes": []}
+    fitting_sets = miner_module._fitting_sets
+
+    def recorded(items, budget, combine, **settles):
+        if combine is tuple.__add__:  # a failing set spread into conjunctions
+            yield from fitting_sets(items, budget, combine, **settles)
+            return
+        yielded = {}
+        kind = "targets" if combine is frozenset.__and__ else "classes"
+        searches[kind].append((items, yielded))
+        for chosen, key, size in fitting_sets(items, budget, combine, **settles):
+            yielded[chosen] = key
+            yield chosen, key, size
+
+    reasoners, walking, told = set(), [0], []
+    completion, restriction = Reasoner.completion, Reasoner.restriction
+
+    def recorded_completion(self, c):
+        walking[0] += 1
+        try:
+            return completion(self, c)
+        finally:
+            walking[0] -= 1
+
+    def recorded_restriction(self, role, filler):
+        reasoners.add(self)
+        if not walking[0]:
+            told.append(filler)
+        return restriction(self, role, filler)
+
+    monkeypatch.setattr(miner_module, "_fitting_sets", recorded)
+    monkeypatch.setattr(Reasoner, "completion", recorded_completion)
+    monkeypatch.setattr(Reasoner, "restriction", recorded_restriction)
+    report = check_base_complete(i, tbox, depth=2, size_cap=6)
+    assert report.complete and report.checked == 4_929
+    [reasoner] = reasoners
+
+    def settled(s):
+        return reasoner.completion_entails(s, BOTTOM)
+
+    assert told and not any(map(settled, told))
+    [(items, yielded)] = searches["classes"]
+    assert items and not any(settled(s) for (_, s), *_ in items)
+    assert any(settled(s) for _, s in yielded.values())
+    for chosen in yielded:
+        assert len(chosen) == 1 or not settled(yielded[chosen[:-1]][1]), chosen
+    [(items, yielded)] = searches["targets"]
+    assert any(not ext for ext in yielded.values())
+    for chosen in yielded:
+        assert len(chosen) == 1 or yielded[chosen[:-1]], chosen
+
+
+@pytest.mark.parametrize("name", ["fig3", "fig4i", "fig4ii", "fig7"])
+def test_completeness_check_of_a_base_that_never_derives_bottom(name):
+    # Without its ⊥ axioms a mined base completes no concept but ⊥ to a set
+    # that holds ⊥, though many concepts still have an empty extension: the
+    # check must settle on ⊥ in a completion, not on an empty extension.
+    i, (tbox, _) = builtin_fixture(name), fixture_base(name)
+    base = frozenset(ci for ci in tbox if ci.rhs != BOTTOM)
+    assert len(base) < len(tbox) and not any("Bottom" in str(ci) for ci in base)
+    failures = 0
+    for depth in range(3):
+        for size_cap in range(1, 7):
+            report = check_base_complete(i, base, depth, size_cap)
+            assert report == completeness_by_concept(i, base, depth, size_cap), (
+                depth, size_cap
+            )
+            failures += len(report.counterexamples)
+    assert failures
+
+
 @pytest.mark.parametrize(
     "name", ["fig3", "fig4i", "fig4ii", "fig7", *(f"seed{k}" for k in range(10))]
 )

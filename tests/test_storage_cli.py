@@ -171,6 +171,31 @@ def test_axiom_line_without_keyword_is_rejected():
         parse_inclusion("A is-a B")
 
 
+def test_axiom_keyword_may_be_set_off_by_any_whitespace(tmp_path):
+    path = tmp_path / "t.owlish"
+    path.write_text("A\tSubClassOf B\nC EquivalentTo\tsome r.D\n")
+    assert load_tbox(path) == {
+        ConceptInclusion(Atom("A"), Atom("B")),
+        ConceptInclusion(Atom("C"), Exists("r", Atom("D"))),
+        ConceptInclusion(Exists("r", Atom("D")), Atom("C")),
+    }
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("A SubClassOf", "nothing on the right of 'SubClassOf'"),
+     ("EquivalentTo B", "nothing on the left of 'EquivalentTo'")],
+)
+def test_axiom_line_with_an_empty_side_names_it(tmp_path, line, message):
+    with pytest.raises(CiforgeError, match=message):
+        parse_inclusion(line)
+    path = tmp_path / "t.owlish"
+    path.write_text(f"A SubClassOf B\n{line}\n")
+    with pytest.raises(CiforgeError) as err:
+        load_tbox(path)
+    assert str(err.value).startswith(f"{path}:2: {message}")
+
+
 def test_tbox_file_errors_carry_the_line_number(tmp_path):
     path = tmp_path / "t.owlish"
     path.write_text("A SubClassOf B\n\n# comment\nbroken line\n")
@@ -394,6 +419,13 @@ def test_cli_entails_a_deep_query_equal_to_a_tbox_axiom(tmp_path, capsys):
     path = tmp_path / "t.owlish"
     path.write_text(ci + "\n")
     assert main(["entails", "--tbox", str(path), "--ci", ci]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+
+
+def test_cli_entails_a_query_with_a_tab_before_its_keyword(tmp_path, capsys):
+    path = tmp_path / "t.owlish"
+    path.write_text("A SubClassOf B\n")
+    assert main(["entails", "--tbox", str(path), "--ci", "A\tSubClassOf B"]) == 0
     assert capsys.readouterr().out.strip() == "true"
 
 

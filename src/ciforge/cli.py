@@ -97,6 +97,8 @@ def _cmd_mvf(args) -> int:
 def _cmd_mmsc(args) -> int:
     i = _load(args)
     elements = [e for e in args.elements.split(",") if e]
+    if not elements:
+        raise CiforgeError(f"--elements names no element: {args.elements!r}")
     unknown = [e for e in elements if e not in i.domain]
     if unknown:
         raise CiforgeError(f"unknown element {unknown[0]!r}")

@@ -16,8 +16,8 @@ import gc
 import re
 import weakref
 from collections import Counter
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 from .errors import ConceptSyntaxError, ValidationError
 
@@ -582,13 +582,18 @@ class Interpretation:
     role_ext: Mapping[str, frozenset]
 
     def __post_init__(self):
-        if not self.domain:
+        # Any collections will do: each is checked, then frozen.
+        domain = _items(self.domain, "interpretation domain")
+        if not domain:
             raise ValidationError("interpretation domain must be non-empty")
-        for x in self.domain:
+        for x in domain:
             if not isinstance(x, str):
                 raise ValidationError(f"element id {x!r} is not a string")
+        domain = frozenset(domain)
         # Mined bases name these, and the TBox syntax must read them back.
         for kind, names in (("concept", self.concept_ext), ("role", self.role_ext)):
+            if not isinstance(names, Mapping):
+                raise ValidationError(f"{kind} extensions are not a mapping: {names!r}")
             for name in names:
                 valid = isinstance(name, str) and _NAME_RE.fullmatch(name)
                 if not valid or name in _RESERVED:
@@ -596,28 +601,38 @@ class Interpretation:
                         f"{kind} name {name!r} is not an identifier other than "
                         "Top, Bottom, and, some, SubClassOf, EquivalentTo"
                     )
-        for name, ext in self.concept_ext.items():
-            bad = ext - self.domain
-            if bad:
-                raise ValidationError(
-                    f"concept {name!r} mentions unknown element {sorted(bad)[0]!r}"
-                )
+        concept_ext = {
+            name: frozenset(_items(ext, f"concept {name!r}", domain))
+            for name, ext in self.concept_ext.items()
+        }
+        role_ext = {}
         for name, pairs in self.role_ext.items():
-            for src, tgt in pairs:
-                if src not in self.domain:
-                    raise ValidationError(f"role {name!r} mentions unknown element {src!r}")
-                if tgt not in self.domain:
-                    raise ValidationError(f"role {name!r} mentions unknown element {tgt!r}")
+            what = f"role {name!r}"
+            pairs = [_items(pair, f"{what} pair", domain) for pair in _items(pairs, what)]
+            for pair in pairs:
+                if len(pair) != 2:
+                    raise ValidationError(f"{what} pair {pair!r} is not two elements")
+            role_ext[name] = frozenset(pairs)
+        _set(self, "domain", domain)
+        _set(self, "concept_ext", concept_ext)
+        _set(self, "role_ext", role_ext)
+
+
+def _items(value, what: str, domain=None) -> tuple:
+    """The items of `value`, a collection other than a string, each one an
+    element of `domain` if it is given; a ValidationError names `what`
+    otherwise."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+        raise ValidationError(f"{what} is not a collection: {value!r}")
+    items = tuple(value)
+    bad = [x for x in items if domain is not None and not (isinstance(x, str) and x in domain)]
+    if bad:
+        raise ValidationError(f"{what} mentions unknown element {min(bad, key=str)!r}")
+    return items
 
 
 def make_interpretation(domain, concept_ext=None, role_ext=None) -> Interpretation:
-    concept_ext = concept_ext or {}
-    role_ext = role_ext or {}
-    return Interpretation(
-        domain=frozenset(domain),
-        concept_ext={name: frozenset(ext) for name, ext in concept_ext.items()},
-        role_ext={name: frozenset(tuple(p) for p in pairs) for name, pairs in role_ext.items()},
-    )
+    return Interpretation(domain, concept_ext or {}, role_ext or {})
 
 
 def active_signature(i: Interpretation) -> Signature:

@@ -24,7 +24,6 @@ from .concepts import (
     Interpretation,
     TOP,
     active_signature,
-    bottom_up,
     conjuncts_of,
     render_concept,
     role_depth,
@@ -321,36 +320,36 @@ def check_base_complete(
     i: Interpretation, tbox, depth: int, size_cap: int
 ) -> CompletenessReport:
     """Checks the canonical concepts over the active signature up to the
-    given role depth and node count, those `enumerate_concepts` yields: for
-    each C, whether T ⊨ C ⊑ mmsc_d(extension(C)), d the enumeration depth.
-    That MMSC is below every concept of role depth at most d valid on C's
-    extension, so the TBox is complete for the fragment exactly when every C
-    passes.  A negative depth or a size cap below 1 is a ValidationError.
+    given role depth and node count: for each C, whether
+    T ⊨ C ⊑ mmsc_d(extension(C)), d the given depth.  That MMSC is below
+    every concept of role depth at most d valid on C's extension, so the
+    TBox is complete for the fragment exactly when every C passes.  A
+    negative depth or a size cap below 1 is a ValidationError.
 
     For a C that fails, each top-level conjunct E of its MMSC (⊥ for an
     empty extension) that T does not entail below C gives the counterexample
     C ⊑ E.  It is valid, since C's extension is inside the MMSC's, and every
     failing C has at least one.  E may exceed the size cap: the check covers
     every right-hand side up to the role depth, whatever its size.  The
-    counterexamples come in enumeration order: Top, Bottom and the basic
-    concepts (atoms and restrictions), then the conjunctions in the
-    lexicographic order of their conjuncts' positions among the basics, and
-    per C in the order of the MMSC's conjuncts.
+    counterexamples come in this order: Top, Bottom and the basic concepts
+    (atoms and restrictions) in canonical conjunct order, then the
+    conjunctions in the lexicographic order of their conjuncts' positions
+    among the basics, and per C in the order of the MMSC's conjuncts.
 
-    Only the basic concepts are read from the enumeration, each checked on
-    its own.  A restriction ∃r.F takes its facts from F's, found once per
-    distinct filler: its extension is the r-preimage of F's, its completion
-    the reasoner's `restriction` step on F's, and its node count one more
-    than F's.  Every other concept is a conjunction B1 ⊓ … ⊓ Bn of at least
-    two of them within the cap, with extension ∩ Bi^I, and the reasoner
-    completes it by joining the completions of the Bi.  Both operations are
-    idempotent, commutative and associative, so its verdict depends only on
-    the set of (extension, completion) classes of its conjuncts.  So the
-    conjunctions are checked once per set of at least two classes whose
-    smallest members fit the cap together; a conjunction whose conjuncts
-    share one class has that class's verdict.  Only a failing set is
-    expanded into its conjunctions, and the conjunctions are counted with a
-    knapsack over the basics' node counts.
+    `enumerate_concepts` yields Top, Bottom and the basic concepts with
+    their node counts, and each is checked on its own.  A restriction ∃r.F
+    takes its facts from F's, found once per distinct filler: its extension
+    is the r-preimage of F's, and its completion the reasoner's
+    `restriction` step on F's.  Every other concept is a conjunction
+    B1 ⊓ … ⊓ Bn of at least two basics within the cap, with extension
+    ∩ Bi^I, and the reasoner completes it by joining the completions of
+    the Bi.  Both operations are idempotent, commutative and associative,
+    so its verdict depends only on the set of (extension, completion)
+    classes of its conjuncts.  So the conjunctions are checked once per set
+    of at least two classes whose smallest members fit the cap together; a
+    conjunction whose conjuncts share one class has that class's verdict.
+    Only a failing set is expanded into its conjunctions, and the
+    conjunctions are counted with a knapsack over the basics' node counts.
 
     A completion that holds ⊥ settles the verdict (the ⊥ rule of Baader,
     Brandt and Lutz 2005): it entails every right-hand side, and so does
@@ -372,25 +371,20 @@ def check_base_complete(
     """
     sig = active_signature(i)
     memo: dict = {}  # semantic_extension's, for the leaves and fillers
-    sizes: dict = {}  # _node_count's
-    facts: dict = {}  # leaf or filler -> (extension, node count)
+    facts: dict = {}  # leaf or filler -> extension
     preimages: dict = {}  # (role, filler extension) -> restriction's extension
     basics = []  # (concept, extension, node count): Top, Bottom, atoms and restrictions
-    for c in enumerate_concepts(sig, depth, size_cap):
-        if isinstance(c, And):
-            break
+    for c, size in enumerate_concepts(sig, depth, size_cap):
         f = c.filler if isinstance(c, Exists) else c
-        known = facts.get(f)
-        if known is None:
-            known = facts[f] = (semantic_extension(f, i, memo), bottom_up(f, _node_count, sizes))
-        if f is c:
-            basics.append((c, *known))
-            continue
-        key = (c.role, known[0])
-        ext = preimages.get(key)
+        ext = facts.get(f)
         if ext is None:
-            ext = preimages[key] = preimage(i, c.role, known[0])
-        basics.append((c, ext, known[1] + 1))
+            ext = facts[f] = semantic_extension(f, i, memo)
+        if f is not c:
+            key = (c.role, ext)
+            ext = preimages.get(key)
+            if ext is None:
+                ext = preimages[key] = preimage(i, *key)
+        basics.append((c, ext, size))
     budget = size_cap - 1  # nodes of the conjuncts of a top-level conjunction
 
     targets = dict.fromkeys(ext for _, ext, _ in basics)
@@ -478,10 +472,6 @@ def check_base_complete(
         len(subsumers),
         sum(map(len, subsumers.values())),
     )
-
-
-def _node_count(c: Concept, counts: list) -> int:
-    return 1 + sum(counts)
 
 
 def _grouped(keyed: list) -> list:

@@ -1,9 +1,11 @@
 """Concept enumeration for the completeness check.
 
 `enumerate_concepts` is the only library code here; `miner.check_base_complete`
-runs it.  It stays in this module until the benchmark harness, which traces it
-by the name `ciforge.oracles.enumerate_concepts`, follows it into `miner.py`
-(ROADMAP item 1).  The brute-force oracles the tests use live in
+runs it.  It yields the basic concepts of the fragment, not its conjunctions:
+the check counts those.  It stays in this module until the benchmark harness,
+which traces it by the name `ciforge.oracles.enumerate_concepts`, follows it
+into `miner.py` (ROADMAP item 1).  The brute-force oracles the tests use,
+and the whole fragment in order (`enumerate_fragment`), live in
 `tests/oracles.py`.
 """
 
@@ -16,22 +18,17 @@ from .concepts import And, Atom, BOTTOM, Exists, Signature, TOP, check_fragment
 
 
 def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
-    """Every canonical concept over sig with role_depth <= depth and at most
-    size_cap AST nodes, each exactly once.  A negative depth or a size cap
+    """Top, Bottom and the basic concepts (atoms and restrictions) over sig
+    with role_depth <= depth and at most size_cap AST nodes, each exactly
+    once and as a (concept, node count) pair: Top and Bottom first, then
+    the basics in canonical conjunct order.  Every other canonical concept
+    of the fragment is a conjunction of at least two basics whose node
+    counts, with the And node, fit the cap.  A negative depth or a size cap
     below 1 raises ValidationError when iteration starts.
 
-    Order: Top, Bottom, the basic concepts (atoms and restrictions) in
-    canonical conjunct order, then the conjunctions in depth-first pre-order
-    of their conjunct lists.  So for n >= 3 the last conjunction of n - 1
-    conjuncts yielded before one of n conjuncts is its prefix, the
-    conjunction of its conjuncts but the last.  The completeness check reads
-    only up to the first conjunction: every conjunction is one of at least
-    two basic concepts within the cap.
-
-    The conjunctions of the top level are yielded as they are built, so a
-    caller that drops them keeps none alive.  The levels below are built
-    first, each only as far as its concepts can still be fillers: a concept
-    k restrictions below the top has at most size_cap - k nodes.
+    The fillers are built first, a level at a time, each level only as far
+    as its concepts can still be fillers: a concept k restrictions below
+    the top has at most size_cap - k nodes.
     """
     check_fragment(depth, size_cap)
     atoms = [(Atom(name), 1, name) for name in sorted(sig.concept_names)]
@@ -52,10 +49,9 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
         pool.sort(key=itemgetter(2))
         return pool
 
-    def conjunctions(pool: list, cap: int, keyed: bool):
-        """The conjunctions of pool concepts of at most `cap` nodes, in yield
-        order: as (concept, node count, sort key) triples when keyed, for the
-        level above, and as concepts otherwise."""
+    def conjunctions(pool: list, cap: int):
+        """The conjunctions of pool concepts of at most `cap` nodes, as
+        (concept, node count, sort key) triples."""
         # Conjunctions are index-increasing lists of pool positions.  The
         # pool holds distinct concepts in canonical order, so each canonical
         # And is built exactly once, and as it is: `conjoin` would re-render
@@ -75,14 +71,12 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
                 c, c_size, c_key = pool[k]
                 total = used + c_size
                 chosen.append(c)
-                if keyed:
-                    if isinstance(c, Exists):
-                        c_key = f"({c_key})"
-                    if key:
-                        c_key = f"{key} and {c_key}"
+                if isinstance(c, Exists):
+                    c_key = f"({c_key})"
+                if key:
+                    c_key = f"{key} and {c_key}"
                 if len(chosen) > 1:
-                    conj = And(tuple(chosen))
-                    yield (conj, total, c_key) if keyed else conj
+                    yield And(tuple(chosen)), total, c_key
                 if total < cap:
                     yield from extend(k + 1, chosen, total, c_key)
                 chosen.pop()
@@ -99,10 +93,9 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
     for below in range(min(depth, size_cap - 1), 0, -1):
         pool = basics([
             (TOP, 1, "Top"), (BOTTOM, 1, "Bottom"), *pool,
-            *conjunctions(pool, size_cap - below, True),
+            *conjunctions(pool, size_cap - below),
         ])
-    yield TOP
-    yield BOTTOM
-    for c, _, _ in pool:
-        yield c
-    yield from conjunctions(pool, size_cap, False)
+    yield TOP, 1
+    yield BOTTOM, 1
+    for c, size, _ in pool:
+        yield c, size

@@ -38,11 +38,12 @@ union holds all their conjuncts, before the closure resumes.  Every concept
 is completed children first (`concepts.bottom_up`) and memoized per
 concept.  Equal completions share one interned frozenset; the join of two
 completions is memoized per pair of interned completions, and the
-completion of ∃r.F is closed once per told set, so concepts with equal
-parts, or fillers that differ only in atoms no ∃r.a ⊑ B reads, share one
-closure.  `completion`, `restriction`, `join` and `completion_entails`
-expose these steps, so that a caller can build the completion of a
-restriction or a conjunction from completions it already holds.
+completion of ∃r.F is closed once per told set, its only memo key, so
+concepts with equal parts, or fillers that differ only in atoms no ∃r.a ⊑ B
+reads, share one closure.  `completion`, `restriction`, `join` and
+`completion_entails` expose these steps, so that a caller can build the
+completion of a restriction or a conjunction from completions it already
+holds.
 
 Closing a set reads the saturation: an atom reached brings its saturated
 subsumer set S(a) in one union.  S(a) is closed under the sub, ∃ and ⊥ rules
@@ -314,12 +315,11 @@ class Reasoner:
             for x, delta in rnd.items():
                 fire(x, delta)
         # Query completions per concept, one shared frozenset per distinct
-        # completion, joins and told children per interned completion, and
-        # closed told sets; all depend on the axioms saturated here.
+        # completion, joins per pair of interned completions, and closed
+        # told sets; all depend on the axioms saturated here.
         self._completions: dict = {}
         self._interned: dict = {}
         self._joins: dict = {}
-        self._told: dict = {}
         self._told_sets: dict = {}
 
     # -- queries -----------------------------------------------------------
@@ -364,19 +364,15 @@ class Reasoner:
         """Completion of ∃r.F from the completion of F, by the told-child
         rule: an r-edge to F's completion adds its told set, ⊤, the B of
         every ∃r.a ⊑ B with a in it, and ⊥ if it holds ⊥.  The told set
-        alone decides the result, which is closed once per told set and
-        memoized per role and interned completion too."""
-        s = self._told.get((role, filler))
+        alone decides the result, which is closed once per told set."""
+        told = {_TOP, _BOT} if _BOT in filler else {_TOP}
+        exists_lhs = self.norm.ax_exists_lhs
+        for a in filler.intersection(self.norm.exists_fillers.get(role, ())):
+            told.update(exists_lhs[role, a])
+        key = frozenset(told)
+        s = self._told_sets.get(key)
         if s is None:
-            told = {_TOP, _BOT} if _BOT in filler else {_TOP}
-            exists_lhs = self.norm.ax_exists_lhs
-            for a in filler.intersection(self.norm.exists_fillers.get(role, ())):
-                told.update(exists_lhs[role, a])
-            key = frozenset(told)
-            s = self._told_sets.get(key)
-            if s is None:
-                s = self._told_sets[key] = self._close(told, list(told))
-            self._told[role, filler] = s
+            s = self._told_sets[key] = self._close(told, list(told))
         return s
 
     def join(self, left: frozenset, right: frozenset) -> frozenset:

@@ -8,6 +8,7 @@ pin golden values and cross-check the fast paths.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import os
@@ -213,7 +214,7 @@ def completeness_by_concept(i: Interpretation, tbox, depth: int, size_cap: int):
     reasoner = Reasoner(tbox)
     checked = 0
     counterexamples = []
-    for c in enumerate_concepts(active_signature(i), depth, size_cap):
+    for c in enumerate_fragment(active_signature(i), depth, size_cap):
         ext = semantic_extension(c, i, memo)
         target = targets.get(ext)
         if target is None:
@@ -317,6 +318,41 @@ def fragment(sig: Signature, depth: int, size_cap: int) -> set:
         }
         found |= frontier
     return found
+
+
+def enumerate_fragment(sig: Signature, depth: int, size_cap: int):
+    """Every canonical concept over sig with role_depth <= depth and at most
+    size_cap AST nodes, each exactly once, in a fixed order: Top, Bottom
+    and the basic concepts as `enumerate_concepts` yields them, then the
+    conjunctions in depth-first pre-order of their conjunct lists, the
+    index-increasing lists of at least two basics that fit the cap with the
+    And node.  So for n >= 3 the last conjunction of n - 1 conjuncts yielded
+    before one of n conjuncts is its prefix, the conjunction of its
+    conjuncts but the last."""
+    pairs = list(enumerate_concepts(sig, depth, size_cap))
+    yield from (c for c, _ in pairs)
+    # The basics are in canonical conjunct order, so each conjunct list is
+    # a canonical And as it stands.  `fitting[b]` lists the positions of the
+    # basics of at most b nodes.
+    pool = pairs[2:]
+    fitting = [
+        [k for k, (_, size) in enumerate(pool) if size <= budget]
+        for budget in range(size_cap)
+    ]
+
+    def extend(start: int, chosen: list, used: int):
+        # `used` counts the And node and the chosen conjuncts.
+        candidates = fitting[size_cap - used]
+        for k in candidates[bisect.bisect_left(candidates, start):]:
+            c, size = pool[k]
+            chosen.append(c)
+            if len(chosen) > 1:
+                yield And(tuple(chosen))
+            if used + size < size_cap:
+                yield from extend(k + 1, chosen, used + size)
+            chosen.pop()
+
+    yield from extend(0, [], 1)
 
 
 def lower_approximation(c: Concept, i: Interpretation) -> Concept:

@@ -430,6 +430,10 @@ def test_interpretation_validation():
         make_interpretation(["a"], concept_ext={"A": ["b"]})
     with pytest.raises(ValidationError):
         make_interpretation(["a"], role_ext={"r": [("a", "b")]})
+    with pytest.raises(ValidationError, match="interpretation domain is not a collection: 'ab'"):
+        make_interpretation("ab")
+    with pytest.raises(ValidationError, match="concept extensions are not a mapping"):
+        make_interpretation(["a"], [("A", ["a"])])
 
 
 def test_interpretation_rejects_non_string_element_ids():
@@ -440,6 +444,22 @@ def test_interpretation_rejects_non_string_element_ids():
         make_interpretation([1, "b"], role_ext={"r": [(1, "b")]})
     with pytest.raises(ValidationError, match=r"element id \('a',\) is not a string"):
         make_interpretation(["b", ("a",)])
+
+
+@pytest.mark.parametrize("concept_ext, role_ext, message", [
+    ({"A": 5}, {}, "concept 'A' is not a collection: 5"),
+    ({"A": "a"}, {}, "concept 'A' is not a collection: 'a'"),
+    ({"A": [["a"]]}, {}, r"concept 'A' mentions unknown element \['a'\]"),
+    ({}, {"r": 5}, "role 'r' is not a collection: 5"),
+    ({}, {"r": [5]}, "role 'r' pair is not a collection: 5"),
+    ({}, {"r": [("a", "a", "a")]}, r"role 'r' pair \('a', 'a', 'a'\) is not two elements"),
+    ({}, {"r": [("a", "b")]}, "role 'r' pair mentions unknown element 'b'"),
+    ({}, {"r": ["aa"]}, "role 'r' pair is not a collection: 'aa'"),
+    ({}, {"r": [(["a"], "a")]}, r"role 'r' pair mentions unknown element \['a'\]"),
+])
+def test_interpretation_names_the_key_of_a_bad_shape(concept_ext, role_ext, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        make_interpretation(["a"], concept_ext, role_ext)
 
 
 def test_active_signature_ignores_empty_extensions():

@@ -2,7 +2,6 @@
 
 import functools
 import hashlib
-import itertools
 import random
 
 import pytest
@@ -14,6 +13,7 @@ from ciforge.concepts import (
     BOTTOM,
     ConceptInclusion,
     Exists,
+    Interpretation,
     TOP,
     active_signature,
     canonicalize,
@@ -39,6 +39,7 @@ from oracles import (
     closed_extents,
     completeness_by_concept,
     cycle_interpretation,
+    enumerate_fragment,
     exists_chain,
     seeded_instance,
 )
@@ -227,6 +228,29 @@ def test_mined_text_is_pinned():
     )
 
 
+@pytest.mark.parametrize("name", ["fig3", "fig4ii"])
+def test_plain_collections_mine_the_same_base(name):
+    # An interpretation built from sets or lists, not frozensets, is frozen
+    # when it is made, and mines the same text.
+    i = builtin_fixture(name)
+    shapes = [
+        Interpretation(i.domain, i.concept_ext, i.role_ext),
+        Interpretation(
+            set(i.domain),
+            {n: set(ext) for n, ext in i.concept_ext.items()},
+            {r: set(pairs) for r, pairs in i.role_ext.items()},
+        ),
+        make_interpretation(
+            sorted(i.domain),
+            {n: sorted(ext) for n, ext in i.concept_ext.items()},
+            {r: [list(p) for p in sorted(pairs)] for r, pairs in i.role_ext.items()},
+        ),
+    ]
+    texts = [tbox_lines(build_base(shape)[0]) for shape in shapes]
+    assert all(shape == i for shape in shapes)
+    assert texts[0] and texts[1:] == [texts[0]] * 2
+
+
 def _valid_by_form(ci):
     return ci.lhs == BOTTOM or set(conjuncts_of(ci.rhs)) <= set(conjuncts_of(ci.lhs))
 
@@ -369,9 +393,9 @@ def test_completeness_check_does_not_depend_on_the_basic_concept_order(monkeypat
 
     def basics_shuffled(*args):
         produced = list(enumerate_concepts(*args))
-        basics = [c for c in produced[2:] if not isinstance(c, And)]
+        basics = produced[2:]
         random.Random(7).shuffle(basics)
-        return produced[:2] + basics + [c for c in produced if isinstance(c, And)]
+        return produced[:2] + basics
 
     monkeypatch.setattr(miner_module, "enumerate_concepts", basics_shuffled)
     shuffled = check_base_complete(i, tbox, depth=2, size_cap=5)
@@ -382,9 +406,9 @@ def test_completeness_check_does_not_depend_on_the_basic_concept_order(monkeypat
 
 
 def test_a_complete_base_is_checked_from_the_basic_concepts_alone(monkeypatch):
-    # The check reads the enumeration up to its first conjunction, and on a
-    # complete base the only conjunctions it asks the reasoner about are
-    # the fillers of the restrictions it read.
+    # The check reads no conjunction from the enumeration, and on a complete
+    # base the only conjunctions it asks the reasoner about are the fillers
+    # of the restrictions it read.
     import ciforge.miner as miner_module
 
     i = builtin_fixture("fig3")
@@ -393,9 +417,9 @@ def test_a_complete_base_is_checked_from_the_basic_concepts_alone(monkeypatch):
     enumerate_concepts = miner_module.enumerate_concepts
 
     def recorded(*args):
-        for c in enumerate_concepts(*args):
+        for c, size in enumerate_concepts(*args):
             read.append(c)
-            yield c
+            yield c, size
 
     left_sides = []
     for name in ("completion", "entails_registered", "entails"):
@@ -409,23 +433,21 @@ def test_a_complete_base_is_checked_from_the_basic_concepts_alone(monkeypatch):
     monkeypatch.setattr(miner_module, "enumerate_concepts", recorded)
     report = check_base_complete(i, tbox, depth=2, size_cap=6)
     assert report.complete and report.checked == 4_929
-    assert [isinstance(c, And) for c in read] == [False] * (len(read) - 1) + [True]
+    assert read and not any(isinstance(c, And) for c in read)
     fillers = {c.filler for c in read if isinstance(c, Exists)}
     asked = {c for c in left_sides if isinstance(c, And)}
     assert left_sides and asked <= fillers
 
 
 def test_the_check_walks_each_filler_and_leaf_once(monkeypatch):
-    # A restriction ∃r.F takes its extension, completion and node count from
-    # F's: the check evaluates and completes each distinct filler or leaf
-    # (Top, Bottom, an atom) at most once, and nothing else.
+    # A restriction ∃r.F takes its extension and completion from F's: the
+    # check evaluates and completes each distinct filler or leaf (Top,
+    # Bottom, an atom) at most once, and nothing else.
     import ciforge.miner as miner_module
 
     i = builtin_fixture("fig3")
     tbox, _ = fixture_base("fig3")
-    read = list(itertools.takewhile(
-        lambda c: not isinstance(c, And), enumerate_concepts(active_signature(i), 2, 6)
-    ))
+    read = [c for c, _ in enumerate_concepts(active_signature(i), 2, 6)]
     allowed = {c.filler if isinstance(c, Exists) else c for c in read}
     walked = {"extension": [], "completion": []}
     extension, complete_tree = miner_module.semantic_extension, Reasoner._complete_tree
@@ -561,7 +583,7 @@ def _fig3_base_with_every_third_axiom_dropped():
 def _left_sides_of_literal_pairs(i, tbox, depth, size_cap):
     """Brute-force reference: every fragment concept C for which some
     fragment concept D has C's extension inside its own and T ⊭ C ⊑ D."""
-    concepts = list(enumerate_concepts(active_signature(i), depth, size_cap))
+    concepts = list(enumerate_fragment(active_signature(i), depth, size_cap))
     memo: dict = {}
     ext = {c: semantic_extension(c, i, memo) for c in concepts}
     reasoner = Reasoner(tbox, rhs_concepts=concepts)

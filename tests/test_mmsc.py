@@ -34,7 +34,6 @@ from ciforge.mmsc import (
     prune_subsumed_conjuncts,
 )
 from ciforge.mvf import scc
-from ciforge.oracles import enumerate_concepts
 from ciforge.simulation import (
     equivalent_empty,
     semantic_extension,
@@ -44,6 +43,7 @@ from ciforge.storage import interpretation_to_document
 
 from conftest import concepts
 from oracles import (
+    enumerate_fragment,
     lower_approximation,
     product_trees,
     random_concept,
@@ -333,7 +333,7 @@ def test_mmsc_is_most_specific_among_enumerated_concepts(seed):
     c = mmsc_at_depth(i, X, d)
     sig = Signature(frozenset({"A", "B"}), frozenset({"r"}))
     memo: dict = {}
-    for other in enumerate_concepts(sig, d, 7):
+    for other in enumerate_fragment(sig, d, 7):
         if X <= semantic_extension(other, i, memo):
             assert subsumed_empty(c, other)
 

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import itertools
 import pathlib
 import random
 from collections import Counter
@@ -33,6 +34,7 @@ from oracles import (
     DEFAULT_SEED,
     claim_dsim_check,
     closed_extents,
+    enumerate_fragment,
     exponential_depth_check,
     fbp_witness_check,
     fragment,
@@ -77,28 +79,28 @@ def test_closed_extents_reach_intersections_of_many_sets():
 
 
 def test_enumeration_counts_are_stable():
-    assert len(list(enumerate_concepts(SIG_2A1R, 1, 5))) == 21
-    assert len(list(enumerate_concepts(SIG_1A1R, 2, 9))) == 51
-    assert len(list(enumerate_concepts(SIG_2A2R, 2, 9))) == 3681
+    assert len(list(enumerate_fragment(SIG_2A1R, 1, 5))) == 21
+    assert len(list(enumerate_fragment(SIG_1A1R, 2, 9))) == 51
+    assert len(list(enumerate_fragment(SIG_2A2R, 2, 9))) == 3681
 
 
 def test_enumeration_stops_at_the_deepest_level_the_size_cap_allows():
     # A concept of role depth k has at least k + 1 nodes, so a size cap of 3
     # admits role depth 2 at most, and depth 400 is walked as depth 2.
     sig = active_signature(builtin_fixture("fig3"))
-    at_10 = list(enumerate_concepts(sig, 10, 3))
+    at_10 = list(enumerate_fragment(sig, 10, 3))
     assert len(at_10) == 89
-    assert list(enumerate_concepts(sig, 400, 3)) == at_10 == list(enumerate_concepts(sig, 2, 3))
+    assert list(enumerate_fragment(sig, 400, 3)) == at_10 == list(enumerate_fragment(sig, 2, 3))
 
 
 def test_enumeration_smallest_fragment():
     empty_sig = Signature(frozenset(), frozenset())
-    assert list(enumerate_concepts(empty_sig, 3, 9)) == [TOP, BOTTOM]
+    assert list(enumerate_fragment(empty_sig, 3, 9)) == [TOP, BOTTOM]
 
 
 def test_enumerated_concepts_are_canonical_unique_and_in_bounds():
     seen = set()
-    for c in enumerate_concepts(SIG_2A1R, 2, 7):
+    for c in enumerate_fragment(SIG_2A1R, 2, 7):
         assert c not in seen
         seen.add(c)
         assert canonicalize(c) == c
@@ -112,7 +114,7 @@ def test_enumerated_concepts_are_canonical_unique_and_in_bounds():
     ids=["2A2R", "fig3"],
 )
 def test_enumeration_order_is_prefix_first_and_yields_nothing_twice(sig, depth, size_cap):
-    produced = list(enumerate_concepts(sig, depth, size_cap))
+    produced = list(enumerate_fragment(sig, depth, size_cap))
     assert len(set(produced)) == len(produced)
     assert produced[:2] == [TOP, BOTTOM]
     basics = [c for c in produced[2:] if not isinstance(c, And)]
@@ -140,16 +142,33 @@ def test_enumeration_order_is_prefix_first_and_yields_nothing_twice(sig, depth, 
     ids=["2A1R", "1A1R", "2A2R", "empty"],
 )
 def test_basics_and_a_knapsack_count_give_the_enumeration_size(sig):
-    # The completeness check reads only Top, Bottom and the basic concepts,
-    # and counts the conjunctions: the sets of at least two basics whose
-    # node counts, with the And node, fit the cap.
+    # The library yields only Top, Bottom and the basic concepts, and the
+    # completeness check counts the conjunctions: the sets of at least two
+    # basics whose node counts, with the And node, fit the cap.
     for depth in range(4):
         for size_cap in range(1, 10):
-            produced = list(enumerate_concepts(sig, depth, size_cap))
-            basics = [c for c in produced if not isinstance(c, And)]
-            sizes = [node_count(c) for c in basics if c not in (TOP, BOTTOM)]
+            basics = list(enumerate_concepts(sig, depth, size_cap))
+            sizes = [size for _, size in basics[2:]]
             counted = len(basics) + _conjunction_count(sizes, size_cap - 1)
-            assert counted == len(produced), (depth, size_cap)
+            assert counted == len(list(enumerate_fragment(sig, depth, size_cap))), (
+                depth, size_cap
+            )
+
+
+@pytest.mark.parametrize(
+    "sig, depth, size_cap",
+    [(SIG_2A2R, 2, 9), (active_signature(builtin_fixture("fig3")), 2, 8)],
+    ids=["2A2R", "fig3"],
+)
+def test_the_library_yields_the_basic_concepts_with_their_node_counts(sig, depth, size_cap):
+    # No conjunction, and each count is the concept's own: the fragment's
+    # first concepts, up to its first conjunction, with node_count's.
+    pairs = list(enumerate_concepts(sig, depth, size_cap))
+    assert not any(isinstance(c, And) for c, _ in pairs)
+    assert all(size == node_count(c) for c, size in pairs)
+    stream = enumerate_fragment(sig, depth, size_cap)
+    assert [c for c, _ in pairs] == list(itertools.islice(stream, len(pairs)))
+    assert isinstance(next(stream), And)
 
 
 @pytest.mark.parametrize("depth, size_cap, message", [
@@ -167,7 +186,7 @@ def test_enumeration_is_exhaustive_within_the_fragment():
     for sig in (SIG_2A1R, SIG_1A2R):
         for depth in (2, 3):
             for size_cap in range(1, 8):
-                produced = list(enumerate_concepts(sig, depth, size_cap))
+                produced = list(enumerate_fragment(sig, depth, size_cap))
                 assert len(set(produced)) == len(produced)
                 assert set(produced) == fragment(sig, depth, size_cap), (sig, depth, size_cap)
 
@@ -180,7 +199,7 @@ def test_enumeration_of_fig3s_signature_is_pinned(size_cap, digest):
     # Order and content of the enumeration, one rendered concept a line.
     sig = active_signature(builtin_fixture("fig3"))
     texts: dict = {}
-    rendered = "\n".join(render_concept(c, texts) for c in enumerate_concepts(sig, 2, size_cap))
+    rendered = "\n".join(render_concept(c, texts) for c in enumerate_fragment(sig, 2, size_cap))
     assert hashlib.sha256(rendered.encode()).hexdigest() == digest
 
 
@@ -193,10 +212,10 @@ class _Recorded(type):
 
 
 def test_lower_levels_stop_at_the_size_a_filler_can_have(monkeypatch):
-    # Up to the first top-level conjunction, the enumeration builds the
-    # conjunctions of each level k below the top once, and only those of at
-    # most size_cap - k nodes: the top-level conjunctions of the enumeration
-    # at role depth depth - k and size cap size_cap - k.
+    # The enumeration builds the conjunctions of each level k below the top
+    # once, and only those of at most size_cap - k nodes: the conjunctions
+    # of the fragment at role depth depth - k and size cap size_cap - k.  It
+    # builds no conjunction of the top level.
     import ciforge.oracles as oracles_module
 
     sig = active_signature(builtin_fixture("fig3"))
@@ -204,7 +223,7 @@ def test_lower_levels_stop_at_the_size_a_filler_can_have(monkeypatch):
     expected = Counter(
         c
         for k in range(1, depth + 1)
-        for c in enumerate_concepts(sig, depth - k, size_cap - k)
+        for c in enumerate_fragment(sig, depth - k, size_cap - k)
         if isinstance(c, And)
     )
     built = []
@@ -215,10 +234,9 @@ def test_lower_levels_stop_at_the_size_a_filler_can_have(monkeypatch):
             return built[-1]
 
     monkeypatch.setattr(oracles_module, "And", Recording)
-    first = next(c for c in enumerate_concepts(sig, depth, size_cap) if isinstance(c, And))
-    assert built[-1] is first
-    assert max(map(node_count, built[:-1])) == size_cap - 1
-    assert Counter(built[:-1]) == expected
+    assert list(enumerate_concepts(sig, depth, size_cap))
+    assert max(map(node_count, built)) == size_cap - 1
+    assert Counter(built) == expected
 
 
 # -- random generators -------------------------------------------------------

@@ -21,12 +21,11 @@ from ciforge.concepts import (
 from ciforge.errors import CiforgeError
 from ciforge.fixtures import builtin_fixture
 from ciforge.miner import build_base
-from ciforge.oracles import enumerate_concepts
 from ciforge.reasoner import Reasoner, entails
 from ciforge.simulation import semantic_extension, subsumed_empty
 
 from conftest import concepts
-from oracles import random_concept
+from oracles import enumerate_fragment, random_concept
 
 A, B, C = Atom("A"), Atom("B"), Atom("C")
 
@@ -133,7 +132,7 @@ def test_shared_reasoner_answers_like_fresh_ones_in_any_order():
     # conjuncts; the pool holds every prefix of its conjunctions, shuffled,
     # so some joins are met again in another order.
     sig = Signature(frozenset({"A", "B", "C"}), frozenset({"r", "s"}))
-    pool = list(enumerate_concepts(sig, 1, 6))
+    pool = list(enumerate_fragment(sig, 1, 6))
     verdicts = set()
     for seed in range(10):
         rng = random.Random(seed)
@@ -305,21 +304,16 @@ def _oracle_completion(r: Reasoner, c) -> frozenset:
 
 
 def _memos_match_the_oracle(r: Reasoner) -> int:
-    """Every memoized completion, join, told child and closed told set
-    equals the rule-by-rule closure of its start set, and a told child is
-    the closed told set of its start; returns how many memo entries were
-    checked."""
+    """Every memoized completion, join and closed told set equals the
+    rule-by-rule closure of its start set; returns how many memo entries
+    were checked."""
     for c, s in r._completions.items():
         assert s == _oracle_completion(r, c), c
     for (left, right), s in r._joins.items():
         assert s == _rule_by_rule_close(r, left | right)
-    for (role, child), s in r._told.items():
-        start = _told_start(r, role, child)
-        assert s == _rule_by_rule_close(r, start)
-        assert r._told_sets[frozenset(start)] is s
     for told, s in r._told_sets.items():
         assert s == _rule_by_rule_close(r, told)
-    return len(r._completions) + len(r._joins) + len(r._told) + len(r._told_sets)
+    return len(r._completions) + len(r._joins) + len(r._told_sets)
 
 
 def _exists_fillers_of(norm) -> dict:
@@ -367,7 +361,7 @@ def test_restricted_completions_answer_like_the_restriction():
     i = builtin_fixture("fig3")
     tbox, _ = build_base(i)
     sig = active_signature(i)
-    fillers = list(enumerate_concepts(sig, 1, 4))
+    fillers = list(enumerate_fragment(sig, 1, 4))
     steps, whole = (Reasoner(tbox, rhs_concepts=fillers) for _ in range(2))
     for f in fillers:
         for role in sorted(sig.role_names):
@@ -643,7 +637,7 @@ def test_saturation_matches_a_naive_fixpoint(axioms, late):
 
 def test_empty_tbox_agreement_with_tree_subsumption():
     sig = Signature(frozenset({"A"}), frozenset({"r"}))
-    concepts = list(enumerate_concepts(sig, 2, 6))
+    concepts = list(enumerate_fragment(sig, 2, 6))
     reasoner = Reasoner(frozenset(), rhs_concepts=concepts)
     for c in concepts:
         for d in concepts:

@@ -488,6 +488,14 @@ def test_cli_mmsc_unknown_element(capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth", [[], ["--depth", "2"]], ids=["adaptive", "fixed"])
+def test_cli_mmsc_rejects_an_empty_element_list(capsys, depth):
+    assert main(["mmsc", "--fixture", "fig3", "--elements", ",", *depth]) == 1
+    out, err = capsys.readouterr()
+    assert not out
+    assert err.splitlines() == ["error: --elements names no element: ','"]
+
+
 def test_cli_mmsc_rejects_a_negative_depth(capsys):
     args = ["mmsc", "--fixture", "fig5", "--elements", "x1", "--depth", "-1"]
     assert main(args) == 1

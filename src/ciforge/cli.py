@@ -75,6 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_mine(args) -> int:
+    for flag, cap in (("--max-attrs", args.max_attrs), ("--product-cap", args.product_cap)):
+        if cap < 1:
+            raise CiforgeError(f"{flag} must be at least 1, got {cap}")
     i = _load(args)
     tbox, report = build_base(i, domain_cap=args.max_attrs, node_cap=args.product_cap)
     save_tbox(tbox, args.output, report=report)

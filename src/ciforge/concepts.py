@@ -601,6 +601,10 @@ class Interpretation:
                         f"{kind} name {name!r} is not an identifier other than "
                         "Top, Bottom, and, some, SubClassOf, EquivalentTo"
                     )
+        # A name is a concept or a role, even where its extension is empty.
+        both = sorted(set(self.concept_ext) & set(self.role_ext))
+        if both:
+            raise ValidationError(f"names used as both concept and role: {both}")
         concept_ext = {
             name: frozenset(_items(ext, f"concept {name!r}", domain))
             for name, ext in self.concept_ext.items()

@@ -90,16 +90,15 @@ def attribute_set(
     candidates.extend(Atom(name) for name in sorted(sig.concept_names))
     depth_reports = []
     elements = sorted(i.domain)
-    mmsc_by_set = {}
+    mmscs = []
     for n in range(1, len(elements) + 1):
         for combo in itertools.combinations(elements, n):
             depth_reports.append((combo, adaptable_depth(i, combo, node_cap=node_cap)))
-            mmsc_by_set[combo] = mmsc_adaptive(i, combo, node_cap=node_cap)
+            mmscs.append(mmsc_adaptive(i, combo, node_cap=node_cap))
     for role in sorted(sig.role_names):
-        for combo, concept in mmsc_by_set.items():
-            # mmsc output is canonical and never Bottom for non-empty sets,
-            # so the restriction is canonical as built.
-            candidates.append(Exists(role, concept))
+        # mmsc output is canonical and never Bottom for non-empty sets, so
+        # the restriction is canonical as built.
+        candidates.extend(Exists(role, concept) for concept in mmscs)
     # Dedup: drop an attribute only when an earlier one has both the same
     # extension and mutual empty-TBox subsumption (adaptable depths differ
     # per X, so equal extensions alone are not enough).  A candidate equal
@@ -129,42 +128,34 @@ def attribute_set(
 
 def intent_closure(a: AttributeSet, U, i: Interpretation) -> frozenset:
     """{m | extension(⊓U) ⊆ extension(m)} over attribute indices."""
+    return _closed(a, U, i)[0]
+
+
+def _closed(a: AttributeSet, U, i: Interpretation) -> tuple:
+    """(intent closure of U, extension of ⊓U); the closure has the same
+    extension."""
     common = i.domain
     for idx in U:
         common = common & a.ext[idx]
-    return frozenset(idx for idx in range(len(a)) if common <= a.ext[idx])
+    return frozenset(idx for idx in range(len(a)) if common <= a.ext[idx]), common
 
 
 def enumerate_intents(a: AttributeSet, i: Interpretation) -> IntentLattice:
-    """All closed attribute subsets in lectic order (NextClosure)."""
-    n = len(a)
-
-    def closure(indices):
-        return intent_closure(a, indices, i)
-
-    def extent(indices):
-        common = i.domain
-        for idx in indices:
-            common = common & a.ext[idx]
-        return common
-
-    intents = []
-    current = closure(frozenset())
+    """All closed attribute subsets in lectic order (NextClosure), each with
+    its extension."""
+    intents = [_closed(a, (), i)]
     while True:
-        intents.append((current, extent(current)))
-        nxt = None
-        for m in reversed(range(n)):
+        current = intents[-1][0]
+        for m in reversed(range(len(a))):
             if m in current:
                 continue
-            candidate = closure(frozenset(idx for idx in current if idx < m) | {m})
+            candidate = _closed(a, [idx for idx in current if idx < m] + [m], i)
             # lectic successor test: the closure adds nothing below m.
-            if not any(idx < m and idx not in current for idx in candidate):
-                nxt = candidate
+            if not any(idx < m and idx not in current for idx in candidate[0]):
+                intents.append(candidate)
                 break
-        if nxt is None:
-            break
-        current = nxt
-    return IntentLattice(tuple(intents))
+        else:
+            return IntentLattice(tuple(intents))
 
 
 def _conj_of(a: AttributeSet, indices) -> Concept:
@@ -215,20 +206,20 @@ def build_base(
         emit(c, d)
         emit(d, c)
 
-    mmsc_cache: dict = {}
+    tied: set = set()  # the MMSCs the axioms use
 
-    def mmsc_of(ext: frozenset) -> Concept:
-        cached = mmsc_cache.get(ext)
-        if cached is None:
-            cached = mmsc_adaptive(i, ext, node_cap=node_cap)
-            mmsc_cache[ext] = cached
-        return cached
+    def tie(c: Concept, ext: frozenset):
+        """c ≡ the MMSC of ext.  attribute_set built it for every non-empty
+        ext, and `mmsc_adaptive` keeps it."""
+        d = mmsc_adaptive(i, ext, node_cap=node_cap)
+        tied.add(d)
+        emit_equiv(c, d)
 
     # (1) one equivalence per attribute (the singleton conjunctions) and for
     # the empty conjunction Top.
-    for idx in range(len(attrs)):
-        emit_equiv(attrs.attributes[idx], mmsc_of(attrs.ext[idx]))
-    emit_equiv(TOP, mmsc_of(i.domain))
+    for c, ext in zip(attrs.attributes, attrs.ext):
+        tie(c, ext)
+    tie(TOP, i.domain)
 
     # (2) one equivalence per closed set: representative tied to the MMSC of
     # its extension.
@@ -238,7 +229,7 @@ def build_base(
         rep = _conj_of(attrs, indices)
         reps[ext] = rep
         rep_indices[ext] = indices
-        emit_equiv(rep, mmsc_of(ext))
+        tie(rep, ext)
 
     # (3) meet axioms: R1 ⊓ R2 ⊑ representative of the meet extension.  The
     # attribute equivalences route any conjunction of attributes through the
@@ -265,15 +256,9 @@ def build_base(
         )
 
     tbox = frozenset(axioms)
-    # Every axiom side is built from the attributes and the cached MMSCs, so
+    # Every axiom side is built from the attributes and the tied MMSCs, so
     # the maximum role depth is the maximum over those building blocks.
-    depth = max(
-        itertools.chain(
-            (role_depth(c) for c in attrs.attributes),
-            (role_depth(c) for c in mmsc_cache.values()),
-        ),
-        default=0,
-    )
+    depth = max(map(role_depth, itertools.chain(attrs.attributes, tied)), default=0)
     report = MiningReport(
         attribute_count=len(attrs),
         intent_count=len(lattice.intents),

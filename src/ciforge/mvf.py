@@ -1,8 +1,11 @@
-"""MVF/MMVF graph measures via SCC condensation.
+"""MVF/MMVF graph measures, read off the strongly connected components.
 
 The measure of interest is the maximum number of distinct vertices a single
-walk from a start vertex can visit.  On the condensation DAG this is the
-maximum path weight, computed in one pass over Tarjan's component order.
+walk from a start vertex can visit.  A walk stays in a component as long as
+it likes and leaves it for good, so from a component it visits the
+component's size plus the heaviest walk from one of its successor
+components.  Tarjan's algorithm closes every successor component before its
+predecessor, so `scc` records each component's walk as it closes it.
 """
 
 from __future__ import annotations
@@ -18,28 +21,18 @@ class SccPartition:
     components: tuple  # of frozensets, in reverse topological order of discovery
     component_of: dict  # vertex -> index into components
     cyclic: tuple  # per-component flag: size > 1 or a self-loop
-
-    def __post_init__(self):
-        assert len(self.components) == len(self.cyclic)
-
-
-@dataclass(frozen=True)
-class Condensation:
-    weights: tuple  # component index -> component size
-    dag_edges: frozenset  # (component, component), no self-pairs
-    succ: dict  # component -> sorted tuple of successor components
-    cyclic: tuple  # carried over from SccPartition
-
-    @property
-    def node_count(self):
-        return len(self.weights)
+    walk: tuple  # per component: most distinct vertices one walk from it visits
+    unbounded: tuple  # per component: whether it reaches a cyclic component
 
 
 def scc(g: DescriptionGraph) -> SccPartition:
     """Tarjan's algorithm, iterative to survive deep graphs.
 
     Role labels are ignored; multi-edges collapse.  Components come out in
-    reverse topological order (successors before predecessors).
+    reverse topological order (successors before predecessors), so when a
+    component closes, its successors' walks and verdicts are known: its walk
+    is its size plus the heaviest of theirs, and it is unbounded when it is
+    cyclic or one of them is unbounded.
     """
     adjacency = {v: sorted({tgt for _, tgt in g.successors(v)}, key=repr) for v in g.vertices}
     index = {}
@@ -49,6 +42,8 @@ def scc(g: DescriptionGraph) -> SccPartition:
     components = []
     component_of = {}
     cyclic = []
+    walk = []
+    unbounded = []
     counter = 0
 
     for start in sorted(g.vertices, key=repr):
@@ -90,37 +85,25 @@ def scc(g: DescriptionGraph) -> SccPartition:
                 comp_index = len(components)
                 for w in comp:
                     component_of[w] = comp_index
+                # Every target outside comp lies in a component closed before.
+                loops = len(comp) > 1
+                heaviest = 0
+                reaches_cycle = False
+                for w in comp:
+                    for t in adjacency[w]:
+                        k = component_of[t]
+                        if k == comp_index:
+                            loops = True
+                        else:
+                            heaviest = max(heaviest, walk[k])
+                            reaches_cycle = reaches_cycle or unbounded[k]
                 components.append(frozenset(comp))
-                cyclic.append(len(comp) > 1 or any(w in adjacency[w] for w in comp))
-    return SccPartition(tuple(components), component_of, tuple(cyclic))
-
-
-def condensation(g: DescriptionGraph, partition: SccPartition | None = None) -> Condensation:
-    if partition is None:
-        partition = scc(g)
-    comp_of = partition.component_of
-    dag_edges = set()
-    for src, _, tgt in g.edges:
-        a, b = comp_of[src], comp_of[tgt]
-        if a != b:
-            dag_edges.add((a, b))
-    succ = {i: [] for i in range(len(partition.components))}
-    for a, b in dag_edges:
-        succ[a].append(b)
-    succ = {a: tuple(sorted(bs)) for a, bs in succ.items()}
-    weights = tuple(len(c) for c in partition.components)
-    return Condensation(weights, frozenset(dag_edges), succ, partition.cyclic)
-
-
-def walk_weights(c: Condensation) -> list[int]:
-    """Maximum path weight from each condensation node: its own weight plus
-    the heaviest of its successors'.  Tarjan's algorithm numbers every
-    successor below its predecessor, so one pass in index order finds each
-    successor's value already there."""
-    walk: list[int] = []
-    for node, weight in enumerate(c.weights):
-        walk.append(weight + max((walk[s] for s in c.succ[node]), default=0))
-    return walk
+                cyclic.append(loops)
+                walk.append(len(comp) + heaviest)
+                unbounded.append(loops or reaches_cycle)
+    return SccPartition(
+        tuple(components), component_of, tuple(cyclic), tuple(walk), tuple(unbounded)
+    )
 
 
 def mvf(g: DescriptionGraph, v) -> int:
@@ -128,9 +111,9 @@ def mvf(g: DescriptionGraph, v) -> int:
     if v not in g.vertices:
         raise ValidationError(f"{v!r} is not a vertex")
     partition = scc(g)
-    return walk_weights(condensation(g, partition))[partition.component_of[v]]
+    return partition.walk[partition.component_of[v]]
 
 
 def mmvf(g: DescriptionGraph) -> int:
     """max over all vertices of mvf."""
-    return max(walk_weights(condensation(g)), default=0)
+    return max(scc(g).walk, default=0)

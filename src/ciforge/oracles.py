@@ -40,8 +40,6 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
         the sort key is the rendered form, `render_concept`."""
         pool = list(atoms)
         for f, f_size, f_key in below:
-            if f is BOTTOM:
-                continue
             if isinstance(f, (And, Exists)):
                 f_key = f"({f_key})"
             for role in roles:
@@ -88,13 +86,10 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
     # concept of role depth k has at least k + 1 nodes, so levels deeper
     # than size_cap - 1 add nothing.  The pool `below` levels under the top
     # holds basics of at most size_cap - below nodes, and its conjunctions
-    # are built to that cap.
+    # are built to that cap.  Bottom is no filler: ∃r.⊥ is ⊥.
     pool = basics([])
     for below in range(min(depth, size_cap - 1), 0, -1):
-        pool = basics([
-            (TOP, 1, "Top"), (BOTTOM, 1, "Bottom"), *pool,
-            *conjunctions(pool, size_cap - below),
-        ])
+        pool = basics([(TOP, 1, "Top"), *pool, *conjunctions(pool, size_cap - below)])
     yield TOP, 1
     yield BOTTOM, 1
     for c, size, _ in pool:

@@ -5,6 +5,7 @@ import gc
 import os
 import pathlib
 import pickle
+import re
 import subprocess
 import sys
 
@@ -32,6 +33,7 @@ from ciforge.concepts import (
 )
 from ciforge.errors import ConceptSyntaxError, ValidationError
 from ciforge.simulation import semantic_extension
+from ciforge.storage import interpretation_from_document
 
 from conftest import concepts, interpretations
 from oracles import exists_chain, is_canonical, node_count, signature_of
@@ -409,6 +411,25 @@ def test_conjuncts_of_canonical_concepts():
 def test_signature_rejects_shared_concept_and_role_names():
     with pytest.raises(ValidationError):
         Signature(frozenset({"x"}), frozenset({"x"}))
+
+
+@pytest.mark.parametrize("concept_ext, role_ext, names", [
+    # Non-empty on both sides.
+    ({"x": ["a"]}, {"x": [("a", "a")]}, "['x']"),
+    # An empty concept extension would leave mining to go ahead.
+    ({"x": [], "y": ["a"], "A": ["a"]}, {"x": [("a", "a")], "y": [], "r": []}, "['x', 'y']"),
+])
+def test_interpretation_rejects_a_name_used_as_concept_and_role(concept_ext, role_ext, names):
+    message = re.escape(f"names used as both concept and role: {names}")
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        make_interpretation(["a"], concept_ext, role_ext)
+    doc = {
+        "domain": ["a"],
+        "concepts": concept_ext,
+        "roles": {name: [list(pair) for pair in pairs] for name, pairs in role_ext.items()},
+    }
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        interpretation_from_document(doc)
 
 
 def test_signature_of_collects_atoms_and_roles():

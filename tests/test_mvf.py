@@ -1,4 +1,4 @@
-"""SCCs, condensations, and the walk-coverage measures."""
+"""SCCs, their walks, and the walk-coverage measures."""
 
 import random
 import sys
@@ -9,13 +9,7 @@ from hypothesis import given, strategies as st
 from ciforge.errors import ResourceCapError, ValidationError
 from ciforge.fixtures import builtin_fixture
 from ciforge.graphs import DescriptionGraph, graph_of_interpretation, product_reachable
-from ciforge.mvf import (
-    condensation,
-    mmvf,
-    mvf,
-    scc,
-    walk_weights,
-)
+from ciforge.mvf import mmvf, mvf, scc
 
 from oracles import mvf_oracle, random_graph, reach_count
 
@@ -26,6 +20,18 @@ def fig3_graph():
 
 def fig5_graph():
     return graph_of_interpretation(builtin_fixture("fig5"))
+
+
+def _stepped(g, v) -> set:
+    """The vertices a walk of at least one edge from v ends at."""
+    seen = set()
+    frontier = [v]
+    while frontier:
+        for _, w in g.successors(frontier.pop()):
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
 
 
 def test_the_package_attribute_is_the_module_not_the_function():
@@ -69,38 +75,42 @@ def test_scc_components_partition_the_vertices():
     assert total == len(g.vertices)
 
 
-# -- condensation -----------------------------------------------------------
+# -- condensation: the components' walks ------------------------------------
 
 
 def test_condensation_of_two_city_fixture():
-    g = fig3_graph()
-    partition = scc(g)
-    cond = condensation(g, partition)
+    partition = scc(fig3_graph())
     of = partition.component_of
-    edges = {(of_src, of_tgt) for of_src, of_tgt in cond.dag_edges}
-    assert (of["x1"], of["x5"]) in edges
-    assert (of["x5"], of["x6"]) in edges
-    assert (of["x1"], of["x3"]) in edges
-    assert (of["x2"], of["x4"]) in edges
-    assert (of["x2"], of["x2"]) not in edges  # no self-pairs
-    assert cond.weights[of["x2"]] == 2
+    walk = partition.walk
+    # Each edge between components adds the target's walk to the source's.
+    assert walk[of["x1"]] >= 1 + walk[of["x5"]]
+    assert walk[of["x5"]] == 1 + walk[of["x6"]]
+    assert walk[of["x1"]] >= 1 + walk[of["x3"]]
+    assert walk[of["x2"]] == 2 + walk[of["x4"]]
+    # The x2/x7 component counts its own vertices once.
+    assert len(partition.components[of["x2"]]) == 2
+    assert walk[of["x2"]] == 3
 
 
 def test_condensation_of_a_dag_is_isomorphic_with_unit_weights():
     g = DescriptionGraph(
         ["a", "b", "c"], [("a", "r", "b"), ("b", "r", "c")], {}
     )
-    cond = condensation(g)
-    assert cond.node_count == 3
-    assert set(cond.weights) == {1}
-    assert len(cond.dag_edges) == 2
+    partition = scc(g)
+    assert len(partition.components) == 3
+    assert {len(c) for c in partition.components} == {1}
+    of = partition.component_of
+    assert [partition.walk[of[v]] for v in "abc"] == [3, 2, 1]
+    assert not any(partition.unbounded)
 
 
 def test_condensation_of_coprime_cycles():
-    cond = condensation(fig5_graph())
-    assert sorted(cond.weights) == [1, 1, 2, 3, 5]
-    assert not cond.dag_edges
-    assert all(cond.cyclic)
+    partition = scc(fig5_graph())
+    assert sorted(len(c) for c in partition.components) == [1, 1, 2, 3, 5]
+    # No component reaches another, so each weighs its own size.
+    assert partition.walk == tuple(len(c) for c in partition.components)
+    assert all(partition.cyclic)
+    assert all(partition.unbounded)
 
 
 # -- path weights -----------------------------------------------------------
@@ -108,15 +118,12 @@ def test_condensation_of_coprime_cycles():
 
 def test_max_weight_of_isolated_node_is_its_weight():
     g = DescriptionGraph(["a", "b"], [("a", "r", "b"), ("b", "r", "a")], {})
-    cond = condensation(g)
-    assert walk_weights(cond) == [2]
+    assert scc(g).walk == (2,)
 
 
 def test_max_weight_follows_the_heaviest_path():
-    g = fig3_graph()
-    partition = scc(g)
-    cond = condensation(g, partition)
-    assert walk_weights(cond)[partition.component_of["x1"]] == 3
+    partition = scc(fig3_graph())
+    assert partition.walk[partition.component_of["x1"]] == 3
 
 
 def test_max_weight_of_a_chain_sums_the_weights():
@@ -134,8 +141,7 @@ def test_max_weight_of_a_chain_sums_the_weights():
         {},
     )
     partition = scc(g)
-    cond = condensation(g, partition)
-    assert walk_weights(cond)[partition.component_of["a"]] == 6
+    assert partition.walk[partition.component_of["a"]] == 6
 
 
 def test_walk_coverage_of_a_long_chain():
@@ -207,8 +213,12 @@ def test_oracle_is_capped():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_fast_path_agrees_with_oracle_on_random_graphs(seed):
     g = random_graph(random.Random(seed), max_vertices=8, density=0.3)
+    partition = scc(g)
     for v in sorted(g.vertices):
         assert mvf(g, v) == mvf_oracle(g, v)
+        # v reaches a cyclic component iff it reaches a vertex on a cycle.
+        on_cycle = any(u in _stepped(g, u) for u in {v} | _stepped(g, v))
+        assert partition.unbounded[partition.component_of[v]] == on_cycle
 
 
 @given(st.integers(min_value=0, max_value=10_000))

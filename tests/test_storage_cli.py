@@ -403,6 +403,17 @@ def _one_error_line(err: str) -> str:
     return lines[0]
 
 
+@pytest.mark.parametrize("flag, cap", [
+    ("--max-attrs", "-1"), ("--max-attrs", "0"), ("--product-cap", "0"),
+])
+def test_cli_mine_rejects_a_cap_below_one(tmp_path, capsys, flag, cap):
+    out_path = tmp_path / "t.owlish"
+    assert main(["mine", "--fixture", "fig7", "--output", str(out_path), flag, cap]) == 1
+    line = _one_error_line(capsys.readouterr().err)
+    assert line == f"error: {flag} must be at least 1, got {cap}"
+    assert not out_path.exists()
+
+
 def test_cli_entails_rejects_a_too_deep_concept(tmp_path, capsys):
     # 5,000 levels: parsed, named and completed in loops.
     ci = "A SubClassOf " + "some r." * 5000 + "B"

@@ -38,7 +38,6 @@ from .miner import (
     check_base_complete,
     check_base_sound,
     enumerate_intents,
-    intent_closure,
 )
 from .mmsc import (
     DepthReport,

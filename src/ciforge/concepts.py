@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import gc
 import re
+import sys
 import weakref
-from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import cmp_to_key
 
 from .errors import ConceptSyntaxError, ValidationError
 
@@ -155,6 +156,7 @@ class Concept:
 class Top(Concept):
     __slots__ = ()
     _hash = hash("Top")
+    _key = ("Top",)
 
     def __new__(cls):
         return TOP
@@ -163,6 +165,7 @@ class Top(Concept):
 class Bottom(Concept):
     __slots__ = ()
     _hash = hash("Bottom")
+    _key = ("Bottom",)
 
     def __new__(cls):
         return BOTTOM
@@ -173,7 +176,7 @@ BOTTOM = _new(Bottom)
 
 
 class Atom(Concept):
-    __slots__ = ("name", "_hash", "__weakref__")
+    __slots__ = ("name", "_hash", "_key", "__weakref__")
     _fields = ("name",)
 
     def __new__(cls, name: str):
@@ -183,12 +186,13 @@ class Atom(Concept):
             node = _new(cls)
             _set(node, "name", name)
             _set(node, "_hash", hash((name,)))
+            _set(node, "_key", (name,))
             _ATOMS.add(name, node)
         return node
 
 
 class And(Concept):
-    __slots__ = ("conjuncts", "_hash", "__weakref__")
+    __slots__ = ("conjuncts", "_hash", "_key", "__weakref__")
     _fields = ("conjuncts",)
 
     def __new__(cls, conjuncts: tuple):
@@ -206,7 +210,7 @@ class And(Concept):
 
 
 class Exists(Concept):
-    __slots__ = ("role", "filler", "_hash", "__weakref__")
+    __slots__ = ("role", "filler", "_hash", "_key", "__weakref__")
     _fields = ("role", "filler")
 
     def __new__(cls, role: str, filler: Concept):
@@ -314,64 +318,92 @@ def _render(c: Concept, texts: list) -> str:
 # Canonical form
 
 
-# Characters of a conjunct's text that `conjoin` sorts by.  Siblings almost
-# always differ within them, so building a conjunction at every level of an
-# n-deep concept costs O(n) characters, not the O(n²) of full texts.
-_SORT_PREFIX = 64
+# The order key of a concept: nested tuples of the pieces of its text, which
+# `_compare` orders as the texts are ordered.  An atom, Top or Bottom has the
+# key (name,); ∃r.F has ("some r.", W(F)); a conjunction, which stands only
+# as a filler in canonical form, has ("(", W(c1), " and ", …, W(cn), ")"),
+# where W(x) wraps the key of a restriction x in ("(", key, ")") and is x's
+# key otherwise.  Every delimiter (space, "(", ")", ".") sorts below every
+# identifier character, so where two pieces first differ, or one name runs
+# past another, the keys order as the texts do.  Subconcepts shared by two
+# concepts share one key object, which the comparison skips, so comparing
+# two concepts costs their depth, not their text.  A conjunction or
+# restriction keeps its key in its `_key` slot from the first time it, or a
+# concept it is part of, is sorted: keys are not built for the many concepts
+# that are never sorted.  An atom keeps its key from construction.
 
 
-def _text_prefix(c: Concept) -> str:
-    """The first _SORT_PREFIX characters of c's text (all of it if shorter),
-    written in pre-order from an explicit stack that stops once they are
-    there."""
-    pieces = []
-    size = 0
-    stack = [c]
-    while stack and size < _SORT_PREFIX:
-        item = stack.pop()
-        kind = type(item)
-        if kind is str:
-            piece = item
-        elif kind is Exists:
-            filler = item.filler
-            if type(filler) is And or type(filler) is Exists:
-                piece = f"some {item.role}.("
-                stack += (")", filler)
-            else:
-                piece = f"some {item.role}."
-                stack.append(filler)
-        elif kind is And:
-            todo = []
-            for d in item.conjuncts:
-                if todo:
-                    todo.append(" and ")
-                if type(d) is And or type(d) is Exists:
-                    todo += ("(", d, ")")
-                else:
-                    todo.append(d)
-            stack += reversed(todo)
-            continue
-        elif kind is Atom:
-            piece = item.name
-        elif kind is Top or kind is Bottom:
-            piece = kind.__name__
+class _KeySlots:
+    """`bottom_up`'s memo for order keys: a node's `_key` slot."""
+
+    __slots__ = ()
+
+    def get(self, node):
+        return getattr(node, "_key", None)
+
+    def __setitem__(self, node, key):
+        _set(node, "_key", key)
+
+
+_KEY_SLOTS = _KeySlots()
+
+
+def _key_of(c: Concept, keys: list) -> tuple:
+    kind = type(c)
+    if kind is Exists:
+        return (sys.intern(f"some {c.role}."), _wrapped(c.filler, keys[0]))
+    if kind is And:
+        pieces = ["("]
+        for d, key in zip(c.conjuncts, keys):
+            pieces += (_wrapped(d, key), " and ")
+        pieces[-1] = ")"
+        return tuple(pieces)
+    if kind is Atom or kind is Top or kind is Bottom:
+        return c._key
+    raise TypeError(f"not a concept: {c!r}")
+
+
+def _wrapped(c: Concept, key: tuple) -> tuple:
+    return ("(", key, ")") if type(c) is Exists else key
+
+
+def _compare(a: tuple, b: tuple) -> int:
+    """-1, 0 or 1 as order key a sorts before, with or after order key b:
+    tuple order, read from an explicit stack, so no depth is too deep.  Keys
+    hold a piece of text or a nested key at the same positions."""
+    stack = []
+    k = 0
+    while True:
+        if k < len(a) and k < len(b):
+            x, y = a[k], b[k]
+            k += 1
+            if x is y:
+                continue
+            if type(x) is tuple:
+                stack.append((a, b, k))
+                a, b, k = x, y, 0
+            elif x != y:
+                return -1 if x < y else 1
+        elif len(a) != len(b):
+            return -1 if len(a) < len(b) else 1
+        elif stack:
+            a, b, k = stack.pop()
         else:
-            raise TypeError(f"not a concept: {item!r}")
-        pieces.append(piece)
-        size += len(piece)
-    return "".join(pieces)[:_SORT_PREFIX]
+            return 0
+
+
+_SORT_KEY = cmp_to_key(_compare)
+
+
+def _order(c: Concept):
+    return _SORT_KEY(bottom_up(c, _key_of, _KEY_SLOTS))
 
 
 def conjoin(parts: list) -> Concept:
     """Canonical conjunction of a list of canonical concepts: nested
     conjunctions flattened, Top dropped, Bottom absorbing, duplicates
-    removed, the rest sorted by rendering; one conjunct stands for itself,
-    none for Top.
-
-    The sort reads the first _SORT_PREFIX characters of each text.  Prefixes
-    that differ order their texts the same way, so only conjuncts whose
-    prefixes tie are rendered in full, and the order is that of the full
-    texts."""
+    removed, the rest sorted in the order of their texts, by their order
+    keys; one conjunct stands for itself, none for Top."""
     if len(parts) == 1:
         return parts[0]
     flat = set()
@@ -384,11 +416,7 @@ def conjoin(parts: list) -> Concept:
             flat.add(d)
     if len(flat) < 2:
         return flat.pop() if flat else TOP
-    key = {d: _text_prefix(d) for d in flat}
-    if len(set(key.values())) < len(key):
-        ties = Counter(key.values())
-        key = {d: (p, render_concept(d) if ties[p] > 1 else "") for d, p in key.items()}
-    return And(tuple(sorted(flat, key=key.__getitem__)))
+    return And(tuple(sorted(flat, key=_order)))
 
 
 def canonicalize(c: Concept) -> Concept:

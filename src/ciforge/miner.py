@@ -24,6 +24,7 @@ from .concepts import (
     Interpretation,
     TOP,
     active_signature,
+    conjoin,
     conjuncts_of,
     render_concept,
     role_depth,
@@ -126,11 +127,6 @@ def attribute_set(
     )
 
 
-def intent_closure(a: AttributeSet, U, i: Interpretation) -> frozenset:
-    """{m | extension(⊓U) ⊆ extension(m)} over attribute indices."""
-    return _closed(a, U, i)[0]
-
-
 def _closed(a: AttributeSet, U, i: Interpretation) -> tuple:
     """(intent closure of U, extension of ⊓U); the closure has the same
     extension."""
@@ -161,8 +157,7 @@ def enumerate_intents(a: AttributeSet, i: Interpretation) -> IntentLattice:
 def _conj_of(a: AttributeSet, indices) -> Concept:
     # Attributes are stored in canonical sort order, pairwise distinct, and
     # never Top, so conjoining by ascending index is already the canonical
-    # form.  `conjoin` would re-render the (possibly large) attributes to
-    # sort them again.
+    # form.  `conjoin` would flatten, deduplicate and sort them again.
     parts = tuple(a.attributes[idx] for idx in sorted(indices))
     if not parts:
         return TOP
@@ -442,13 +437,8 @@ def check_base_complete(
             spread = _spread([members_of(k) for k in chosen], budget)
             conjunctions.extend((positions, found) for positions in spread)
     conjunctions.sort(key=itemgetter(0))
-    # Conjuncts in canonical order, the order of their texts, whatever the
-    # order of the pool.
-    texts: dict = {}
-    used = {k for positions, _ in conjunctions for k in positions}
-    text = {k: render_concept(pool[k][0], texts) for k in used}
     for positions, found in conjunctions:
-        c = And(tuple(pool[k][0] for k in sorted(positions, key=text.__getitem__)))
+        c = conjoin([pool[k][0] for k in positions])
         counterexamples.extend(ConceptInclusion(c, e) for e in found)
     subsumers = reasoner.subsumers
     return CompletenessReport(

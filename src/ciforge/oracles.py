@@ -52,10 +52,10 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
         (concept, node count, sort key) triples."""
         # Conjunctions are index-increasing lists of pool positions.  The
         # pool holds distinct concepts in canonical order, so each canonical
-        # And is built exactly once, and as it is: `conjoin` would re-render
-        # the conjuncts to sort them again.  `fitting[b]` lists the positions
-        # of the conjuncts of at most b nodes, so that no conjunct that
-        # cannot fit is scanned.
+        # And is built exactly once, and as it is: `conjoin` would flatten,
+        # deduplicate and sort the conjuncts again.  `fitting[b]` lists the
+        # positions of the conjuncts of at most b nodes, so that no conjunct
+        # that cannot fit is scanned.
         fitting = [
             [k for k, (_, size, _) in enumerate(pool) if size <= budget]
             for budget in range(cap)

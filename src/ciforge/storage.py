@@ -16,13 +16,15 @@ from .errors import CiforgeError, ValidationError
 
 
 def _read_text(path) -> str:
-    """The whole file as UTF-8 text; a byte sequence that is not UTF-8 is a
-    CiforgeError naming the file and the line it is on."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """The whole file as UTF-8 text, less a leading byte-order mark; a byte
+    sequence that is not UTF-8 is a CiforgeError naming the file and the
+    line it is on."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
-            # read() decodes the file in one piece, so exc.object is all of it.
+            # read() decodes the file in one piece, so exc.object is all of
+            # it after any byte-order mark, which holds no newline.
             line = exc.object.count(b"\n", 0, exc.start) + 1
             raise CiforgeError(
                 f"{path}:{line}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x})"

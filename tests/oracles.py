@@ -42,7 +42,7 @@ from ciforge.graphs import (
     graph_of_interpretation,
     tree_of_concept,
 )
-from ciforge.miner import CompletenessReport
+from ciforge.miner import AttributeSet, CompletenessReport
 from ciforge.mmsc import adaptable_depth, mmsc_adaptive, mmsc_at_depth
 from ciforge.mvf import mvf
 from ciforge.oracles import enumerate_concepts
@@ -198,6 +198,15 @@ def closed_extents(domain, extents) -> frozenset:
         closed |= new
         frontier = new
     return frozenset(closed)
+
+
+def intent_closure(a: AttributeSet, U, i: Interpretation) -> frozenset:
+    """{m | extension(⊓U) ⊆ extension(m)} over attribute indices: the
+    closure NextClosure takes, from the attributes' extensions."""
+    common = i.domain
+    for idx in U:
+        common = common & a.ext[idx]
+    return frozenset(m for m in range(len(a)) if common <= a.ext[m])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 import ciforge
 import ciforge.concepts as concepts_module
@@ -116,15 +116,15 @@ def test_conjoin_applies_the_canonical_conjunction_rule():
     assert conjoin([]) == TOP
 
 
-# Atom names that sort around the keyword `some` and the punctuation of the
-# text, and names that reach the sort prefix or run past it.
-_PREFIX = concepts_module._SORT_PREFIX
+# Atom names that sort around the keyword `some`, the role names and the
+# punctuation of the text, and names of 63 to 69 characters.  Role names are
+# prefixes of each other and of atom names.
 _ORDER_NAMES = (
-    "A", "B", "Z", "_", "a", "s", "so", "som", "soma", "somZ", "some_", "somea",
-    "somf", "sp", "t", "x1", "x_1",
-    "L" * (_PREFIX - 1), "L" * _PREFIX, "L" * (_PREFIX + 1),
-    "L" * (_PREFIX + 5) + "A", "L" * (_PREFIX + 5) + "B",
+    "A", "B", "C", "Z", "_", "a", "r", "r_", "ro", "rob", "s", "so", "som",
+    "soma", "somZ", "some_", "somea", "somf", "sp", "t", "x1", "x_1",
+    "L" * 63, "L" * 64, "L" * 65, "L" * 68 + "A", "L" * 68 + "B",
 )
+_ORDER_ROLES = ("r", "r_", "ro", "s", "so")
 
 
 def _ordered_and(parts):
@@ -141,27 +141,29 @@ def _random_canonical(rng, depth):
         return Atom(rng.choice(_ORDER_NAMES))
     if roll < 0.6:
         filler = TOP if rng.random() < 0.1 else _random_canonical(rng, depth - 1)
-        return Exists(rng.choice(("r", "s", "so")), filler)
+        return Exists(rng.choice(_ORDER_ROLES), filler)
     return _ordered_and([_random_canonical(rng, depth - 1) for _ in range(rng.randint(2, 4))])
 
 
 def test_conjoin_orders_conjuncts_by_their_full_text(rng):
-    # Siblings sharing more than the sort prefix: 20-deep chains that differ
-    # only in the innermost atom or conjunction.
-    chains = [exists_chain("r", 20, Atom(name)) for name in _ORDER_NAMES]
-    chains += [
-        exists_chain("r", 20, _ordered_and([Atom("A"), Atom(name)]))
-        for name in ("B", "s", "somea")
-    ]
+    # Siblings that share long texts: 20-deep chains that differ only in
+    # the innermost atom or conjunction, Top among them, and fillers whose
+    # conjunct list extends another's.
+    a, b, c = Atom("A"), Atom("B"), Atom("C")
+    inner = [Atom(name) for name in _ORDER_NAMES] + [TOP]
+    inner += [_ordered_and([a, Atom(name)]) for name in ("B", "s", "somea")]
+    inner += [_ordered_and([a, b]), _ordered_and([a, b, c])]
+    inner += [Exists(role, _ordered_and([a, b])) for role in _ORDER_ROLES]
+    chains = [exists_chain(role, 20, d) for d in inner for role in ("r", "ro")]
+    shallow = [Exists(role, d) for d in inner for role in _ORDER_ROLES]
     for _ in range(400):
         parts = [_random_canonical(rng, 3) for _ in range(rng.randint(1, 5))]
         parts += rng.sample(chains, rng.randint(0, 4))
+        parts += rng.sample(shallow, rng.randint(0, 4))
         if rng.random() < 0.2:
             parts.append(TOP)
         rng.shuffle(parts)
         flat = {d for part in parts for d in conjuncts_of(part)}
-        for d in flat:
-            assert concepts_module._text_prefix(d) == render_concept(d)[:_PREFIX]
         c = conjoin(parts)
         if len(flat) > 1:
             assert c.conjuncts == tuple(sorted(flat, key=render_concept))
@@ -169,23 +171,65 @@ def test_conjoin_orders_conjuncts_by_their_full_text(rng):
             assert c is (flat.pop() if flat else TOP)
 
 
-def test_conjoin_renders_only_conjuncts_whose_prefixes_tie(monkeypatch):
-    rendered = []
-    original = concepts_module.render_concept
+@given(st.lists(concepts(), min_size=2, max_size=8))
+def test_order_keys_sort_as_texts_do(drawn):
+    # A conjunction stands only as a filler in canonical form, so it is
+    # compared under a restriction.
+    found = {canonicalize(c) for c in drawn}
+    found = {c for c in found if not isinstance(c, And)} | {Exists("r", c) for c in found}
+    order = sorted(found, key=concepts_module._order)
+    assert order == sorted(found, key=render_concept)
 
-    def counted(c, _memo=None):
-        rendered.append(c)
-        return original(c, _memo)
 
-    monkeypatch.setattr(concepts_module, "render_concept", counted)
-    # A conjunction at every level of a deep chain sorts by prefixes alone.
+class _Rendered(Exception):
+    pass
+
+
+def _conjoin_unrendered(parts):
+    """conjoin(parts), failing the test if it renders a concept.  The
+    failure carries no traceback, whose arguments could have texts too long
+    to write."""
+
+    def refuse(*args):
+        raise _Rendered
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(concepts_module, "render_concept", refuse)
+        patch.setattr(concepts_module, "_render", refuse)
+        try:
+            return conjoin(parts)
+        except _Rendered:
+            pytest.fail("conjoin rendered a concept", pytrace=False)
+
+
+def test_conjoin_never_renders():
+    # A conjunction at every level of a deep chain.
     c = Atom("A")
     for _ in range(300):
-        c = conjoin([Atom("A"), Exists("r", c)])
-    assert rendered == []
-    long = [exists_chain("r", 20, Atom(name)) for name in ("A", "B")]
-    assert conjoin([Atom("C"), *long]).conjuncts == (Atom("C"), *long)
-    assert sorted(rendered, key=id) == sorted(long, key=id)
+        c = _conjoin_unrendered([Atom("A"), Exists("r", c)])
+    # Siblings that tie for 20 levels, and for more levels than the
+    # interpreter's recursion limit.
+    for depth in (20, 3 * sys.getrecursionlimit()):
+        long = [exists_chain("r", depth, Atom(name)) for name in ("A", "B")]
+        c = _conjoin_unrendered([Atom("C"), *long[::-1]])
+        assert c.conjuncts == (Atom("C"), *long)
+
+
+def _shared_dag(levels, x):
+    """`(some r.P) and (some s.P)` over P, `levels` times, over `A and x`:
+    a DAG of 3·levels + 3 nodes whose text doubles with each level."""
+    c = conjoin([Atom("A"), Atom(x)])
+    for _ in range(levels):
+        c = conjoin([Exists("r", c), Exists("s", c)])
+    return c
+
+
+def test_conjoin_sorts_shared_dags_without_reading_their_text():
+    # The two conjuncts' texts have about 2^40 characters each, and differ
+    # only at their innermost atoms.
+    first, second = (Exists("r", _shared_dag(40, x)) for x in ("B", "C"))
+    c = _conjoin_unrendered([second, first])
+    assert c.conjuncts == (first, second)
 
 
 # -- hash-consing -----------------------------------------------------------

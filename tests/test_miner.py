@@ -28,7 +28,6 @@ from ciforge.miner import (
     check_base_complete,
     check_base_sound,
     enumerate_intents,
-    intent_closure,
 )
 from ciforge.oracles import enumerate_concepts
 from ciforge.reasoner import Reasoner, entails
@@ -41,6 +40,7 @@ from oracles import (
     cycle_interpretation,
     enumerate_fragment,
     exists_chain,
+    intent_closure,
     seeded_instance,
 )
 

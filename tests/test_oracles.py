@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import ciforge
 import ciforge.concepts as concepts_module
-from ciforge import mmsc as mmsc_module
+from ciforge import miner as miner_module, mmsc as mmsc_module
 from ciforge.concepts import (
     And,
     BOTTOM,
@@ -361,6 +361,8 @@ def test_library_holds_only_pipeline_code():
         (ciforge, "node_count"),
         (ciforge, "exists_chain"),
         (ciforge, "lower_approximation"),
+        (miner_module, "intent_closure"),
+        (ciforge, "intent_closure"),
     ):
         assert not hasattr(module, name), (module.__name__, name)
 

@@ -1,5 +1,6 @@
 """File formats and the command-line entry point."""
 
+import codecs
 import json
 import random
 
@@ -57,6 +58,14 @@ def test_document_files_are_deterministic(tmp_path):
     save_interpretation(i, p1)
     save_interpretation(i, p2)
     assert p1.read_text() == p2.read_text()
+
+
+def test_an_interpretation_file_may_begin_with_a_byte_order_mark(tmp_path):
+    i = builtin_fixture("fig3")
+    path = tmp_path / "fig3.json"
+    save_interpretation(i, path)
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert load_interpretation(path) == i
 
 
 def test_invalid_json_reports_the_position(tmp_path):
@@ -255,6 +264,16 @@ def test_tbox_round_trip_merges_equivalences(tmp_path):
     path = tmp_path / "t.owlish"
     save_tbox(tbox, path)
     assert load_tbox(path) == tbox
+
+
+def test_a_tbox_file_may_begin_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "t.owlish"
+    path.write_bytes(codecs.BOM_UTF8 + b"A SubClassOf B\n")
+    assert load_tbox(path) == frozenset({ConceptInclusion(Atom("A"), Atom("B"))})
+    # Lines are still counted from the first: the mark holds no newline.
+    path.write_bytes(codecs.BOM_UTF8 + b"A SubClassOf B\nB SubClassOf \xffC\n")
+    with pytest.raises(CiforgeError, match=r":2: not UTF-8 text \(byte 0xff\)"):
+        load_tbox(path)
 
 
 def test_tbox_comments_and_blanks_are_skipped(tmp_path):

@@ -163,10 +163,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except CiforgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CiforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

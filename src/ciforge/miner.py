@@ -32,7 +32,7 @@ from .concepts import (
 from .errors import CiforgeError, ResourceCapError
 from .graphs import DEFAULT_NODE_CAP
 from .mmsc import adaptable_depth, mmsc_adaptive, mmsc_at_depth
-from .oracles import enumerate_concepts
+from .oracles import _fitting_sets, enumerate_concepts
 from .reasoner import Reasoner
 from .simulation import equivalent_empty, preimage, semantic_extension
 
@@ -328,8 +328,9 @@ def check_base_complete(
     classes of its conjuncts.  So the conjunctions are checked once per set
     of at least two classes whose smallest members fit the cap together; a
     conjunction whose conjuncts share one class has that class's verdict.
-    Only a failing set is expanded into its conjunctions, and the
-    conjunctions are counted with a knapsack over the basics' node counts.
+    Only a failing set is expanded into its conjunctions, by the same search
+    over its classes' members, and the conjunctions are counted with a
+    knapsack over the basics' node counts.
 
     A completion that holds ⊥ settles the verdict (the ⊥ rule of Baader,
     Brandt and Lutz 2005): it entails every right-hand side, and so does
@@ -420,22 +421,33 @@ def check_base_complete(
     # Classes (extension, completion) of the pool; a set of one class
     # stands for the conjunctions of two or more of its members.
     classes = _grouped([((ext, s), size) for _, size, ext, s in pool])
-    members: dict = {}  # class -> its ((pool position,), node count), ascending
-
-    def members_of(k: int) -> list:
-        if k not in members:
-            positions = classes[k][2]
-            members[k] = sorted((((p,), pool[p][1]) for p in positions), key=itemgetter(1))
-        return members[k]
-
     conjunctions = []  # (positions in pool, conjuncts E not entailed)
     for chosen, (ext, s), _ in _fitting_sets(
         classes, budget, combine, settles=lambda key: settled(key[1])
     ):
         if not reasoner.completion_entails(s, targets[ext]):
             found = missing(ext, s)
-            spread = _spread([members_of(k) for k in chosen], budget)
-            conjunctions.extend((positions, found) for positions in spread)
+            # The chosen classes' members that fit beside the smallest
+            # members of the others (a class lists its members in ascending
+            # size), class by class, each to its class's index in `chosen`.
+            # A conjunction takes at least one member of each class, so a
+            # set that skips a class is not extended.
+            spare = budget - sum(classes[k][1] for k in chosen)
+            block = {}
+            for j, k in enumerate(chosen):
+                limit = classes[k][1] + spare
+                fits = itertools.takewhile(lambda p: pool[p][1] <= limit, classes[k][2])
+                block.update((p, j) for p in fits)
+            items = [((p,), pool[p][1]) for p in block]
+            for _, positions, _ in _fitting_sets(
+                items, budget, tuple.__add__, settles=lambda key: _skips(block, key)
+            ):
+                if (
+                    block[positions[-1]] == len(chosen) - 1
+                    and len(positions) > 1
+                    and not _skips(block, positions)
+                ):
+                    conjunctions.append((tuple(sorted(positions)), found))
     conjunctions.sort(key=itemgetter(0))
     for positions, found in conjunctions:
         c = conjoin([pool[k][0] for k in positions])
@@ -451,60 +463,20 @@ def check_base_complete(
 
 def _grouped(keyed: list) -> list:
     """(key, smallest size, positions) per distinct key of `keyed`, a list
-    of (key, size) pairs, in ascending smallest size."""
+    of (key, size) pairs; each key's positions come in ascending size, ties
+    in ascending position."""
     groups: dict = {}
-    for k, (key, size) in enumerate(keyed):
-        entry = groups.setdefault(key, [size, []])
-        entry[0] = min(entry[0], size)
-        entry[1].append(k)
-    return sorted(
-        ((key, size, positions) for key, (size, positions) in groups.items()),
-        key=itemgetter(1),
-    )
+    for k in sorted(range(len(keyed)), key=lambda k: keyed[k][1]):
+        groups.setdefault(keyed[k][0], []).append(k)
+    return [(key, keyed[positions[0]][1], positions) for key, positions in groups.items()]
 
 
-def _fitting_sets(items: list, budget: int, combine, settles=None):
-    """(positions, combined key, size) for every non-empty set of `items`,
-    (key, size, …) tuples in ascending size, whose sizes sum to at most
-    `budget`; the combined key folds `combine` over the members' keys.  One
-    depth-first loop over an explicit stack, extending each set by later
-    items only.  A set whose combined key `settles` is yielded but not
-    extended: the caller knows that combining more keys into a settled key
-    changes nothing it asks, so the sets above it are skipped."""
-    stack = [((), None, 0, 0)]
-    while stack:
-        chosen, value, used, start = stack.pop()
-        for k in range(start, len(items)):
-            key, size = items[k][:2]
-            total = used + size
-            if total > budget:
-                break
-            here = key if value is None else combine(value, key)
-            grown = (*chosen, k)
-            yield grown, here, total
-            if (
-                k + 1 < len(items)
-                and total + items[k + 1][1] <= budget
-                and not (settles and settles(here))
-            ):
-                stack.append((grown, here, total, k + 1))
-
-
-def _spread(groups: list, budget: int) -> list:
-    """Ascending pool positions of every set of at least two pool concepts
-    whose node counts sum to at most `budget` and that takes at least one
-    member of each group and nothing else.  A group lists its members as
-    ((pool position,), node count) in ascending node count."""
-    rest = sum(group[0][1] for group in groups)  # smallest of each group left
-    partial = [((), 0)]
-    for group in groups:
-        rest -= group[0][1]
-        partial = [
-            (chosen + picked, used + size)
-            for chosen, used in partial
-            for _, picked, size in _fitting_sets(group, budget - rest - used, tuple.__add__)
-        ]
-    return [tuple(sorted(chosen)) for chosen, _ in partial if len(chosen) > 1]
+def _skips(block: dict, positions: tuple) -> bool:
+    """Whether the last of `positions` passes over a block, `block` mapping
+    each position to its block's index: it lies more than one block past
+    the position before it or, alone, past the first block."""
+    j = block[positions[-1]]
+    return j > 0 and (len(positions) == 1 or block[positions[-2]] < j - 1)
 
 
 def _conjunction_count(sizes: list, budget: int) -> int:

@@ -34,7 +34,7 @@ def scc(g: DescriptionGraph) -> SccPartition:
     is its size plus the heaviest of theirs, and it is unbounded when it is
     cyclic or one of them is unbounded.
     """
-    adjacency = {v: sorted({tgt for _, tgt in g.successors(v)}, key=repr) for v in g.vertices}
+    adjacency = {v: {tgt for _, tgt in g.successors(v)} for v in g.vertices}
     index = {}
     lowlink = {}
     on_stack = set()
@@ -46,7 +46,7 @@ def scc(g: DescriptionGraph) -> SccPartition:
     unbounded = []
     counter = 0
 
-    for start in sorted(g.vertices, key=repr):
+    for start in g.vertices:
         if start in index:
             continue
         work = [(start, iter(adjacency[start]))]

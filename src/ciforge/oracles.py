@@ -1,12 +1,15 @@
-"""Concept enumeration for the completeness check.
+"""Concept enumeration and the bounded-subset search of the completeness check.
 
-`enumerate_concepts` is the only library code here; `miner.check_base_complete`
-runs it.  It yields the basic concepts of the fragment, not its conjunctions:
-the check counts those.  It stays in this module until the benchmark harness,
-which traces it by the name `ciforge.oracles.enumerate_concepts`, follows it
-into `miner.py` (ROADMAP item 1).  The brute-force oracles the tests use,
-and the whole fragment in order (`enumerate_fragment`), live in
-`tests/oracles.py`.
+`miner.check_base_complete` runs `enumerate_concepts`, and both run
+`_fitting_sets`, the one search for sets of items whose sizes fit a budget:
+the enumerator for the conjunctions of each lower level, the check for its
+classes, the extensions to register and the conjunctions of a failing set
+of classes.  `enumerate_concepts` yields the basic concepts of the fragment,
+not its conjunctions: the check counts those.  Both functions stay in this
+module until the benchmark harness, which traces the enumerator by the name
+`ciforge.oracles.enumerate_concepts`, follows it into `miner.py` (ROADMAP
+item 1).  The brute-force oracles the tests use, and the whole fragment in
+order (`enumerate_fragment`), live in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -50,36 +53,17 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
     def conjunctions(pool: list, cap: int):
         """The conjunctions of pool concepts of at most `cap` nodes, as
         (concept, node count, sort key) triples."""
-        # Conjunctions are index-increasing lists of pool positions.  The
-        # pool holds distinct concepts in canonical order, so each canonical
-        # And is built exactly once, and as it is: `conjoin` would flatten,
-        # deduplicate and sort the conjuncts again.  `fitting[b]` lists the
-        # positions of the conjuncts of at most b nodes, so that no conjunct
-        # that cannot fit is scanned.
-        fitting = [
-            [k for k, (_, size, _) in enumerate(pool) if size <= budget]
-            for budget in range(cap)
+        # The pool holds distinct concepts in canonical order, and each set
+        # joins its conjuncts in ascending position, so each canonical And
+        # is built exactly once, and as it is: `conjoin` would flatten,
+        # deduplicate and sort the conjuncts again.
+        items = [
+            (((c,), f"({key})" if isinstance(c, Exists) else key), size)
+            for c, size, key in pool
         ]
-
-        def extend(start: int, chosen: list, used: int, key: str):
-            # `used` counts the And node and the chosen conjuncts; `key` is
-            # their rendered conjunction.
-            candidates = fitting[cap - used]
-            for k in candidates[bisect_left(candidates, start):]:
-                c, c_size, c_key = pool[k]
-                total = used + c_size
-                chosen.append(c)
-                if isinstance(c, Exists):
-                    c_key = f"({c_key})"
-                if key:
-                    c_key = f"{key} and {c_key}"
-                if len(chosen) > 1:
-                    yield And(tuple(chosen)), total, c_key
-                if total < cap:
-                    yield from extend(k + 1, chosen, total, c_key)
-                chosen.pop()
-
-        return extend(0, [], 1, "")
+        for chosen, (conjuncts, key), size in _fitting_sets(items, cap - 1, _join):
+            if len(chosen) > 1:
+                yield And(conjuncts), size + 1, key
 
     # The basic concepts of role depth <= d restrict the concepts of depth
     # <= d - 1, as triples that live only while the pool above is built.  A
@@ -94,3 +78,38 @@ def enumerate_concepts(sig: Signature, depth: int, size_cap: int):
     yield BOTTOM, 1
     for c, size, _ in pool:
         yield c, size
+
+
+def _join(left: tuple, right: tuple) -> tuple:
+    """The conjuncts and rendered conjunction of two disjoint conjunctions,
+    `left`'s conjuncts first."""
+    return left[0] + right[0], f"{left[1]} and {right[1]}"
+
+
+def _fitting_sets(items: list, budget: int, combine, settles=None):
+    """(positions, combined key, size) for every non-empty set of `items`,
+    (key, size, …) tuples in any order, whose sizes sum to at most
+    `budget`; the positions ascend, and the combined key folds `combine`
+    over the members' keys in that order.  One depth-first loop over an
+    explicit stack, extending each set by later items only.  A set whose
+    combined key `settles` is yielded but not extended: the caller knows
+    that combining more keys into a settled key changes nothing it asks, so
+    the sets above it are skipped."""
+    # `fitting[b]` lists the positions of the items of size at most b, so
+    # that no item that cannot fit is scanned.
+    fitting = [
+        [k for k, item in enumerate(items) if item[1] <= b] for b in range(budget + 1)
+    ]
+    stack = [((), None, 0, 0)]
+    while stack:
+        chosen, value, used, start = stack.pop()
+        candidates = fitting[budget - used]
+        for k in candidates[bisect_left(candidates, start):]:
+            key, size = items[k][:2]
+            total = used + size
+            here = key if value is None else combine(value, key)
+            grown = (*chosen, k)
+            yield grown, here, total
+            later = fitting[budget - total]
+            if later and later[-1] > k and not (settles and settles(here)):
+                stack.append((grown, here, total, k + 1))

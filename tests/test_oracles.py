@@ -28,7 +28,7 @@ from ciforge.concepts import (
 from ciforge.errors import ResourceCapError, ValidationError
 from ciforge.fixtures import builtin_fixture
 from ciforge.miner import _conjunction_count
-from ciforge.oracles import enumerate_concepts
+from ciforge.oracles import _fitting_sets, enumerate_concepts
 
 from oracles import (
     DEFAULT_SEED,
@@ -203,6 +203,29 @@ def test_enumeration_of_fig3s_signature_is_pinned(size_cap, digest):
     assert hashlib.sha256(rendered.encode()).hexdigest() == digest
 
 
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(min_value=1, max_value=4), max_size=8),
+    st.integers(min_value=0, max_value=8),
+    st.none() | st.frozensets(st.integers(min_value=0, max_value=28)),
+)
+def test_fitting_sets_are_the_sets_within_the_budget(sizes, budget, settling):
+    # Items in any order: every set whose sizes sum to at most the budget,
+    # once, with its key folded in ascending position (each item's key is
+    # its own position), and no set above one whose key settles.
+    items = [((k,), size) for k, size in enumerate(sizes)]
+    settles = None if settling is None else (lambda key: sum(key) in settling)
+    expected = [
+        (chosen, chosen, total)
+        for n in range(1, len(items) + 1)
+        for chosen in itertools.combinations(range(len(items)), n)
+        if (total := sum(sizes[k] for k in chosen)) <= budget
+        and not (settles and any(settles(chosen[:m]) for m in range(1, n)))
+    ]
+    yielded = list(_fitting_sets(items, budget, tuple.__add__, settles=settles))
+    assert sorted(yielded) == sorted(expected)
+
+
 class _Recorded(type):
     """A stand-in for And, to the module that uses it: its instances are
     the And nodes, and each node it builds is recorded."""
@@ -368,11 +391,7 @@ def test_library_holds_only_pipeline_code():
 
 
 # Functions that may call themselves, each with why its depth is bounded.
-RECURSION_ALLOWED = {
-    # enumerate_concepts' inner generator recurses once per conjunct chosen,
-    # and a conjunction within the size cap has fewer conjuncts than the cap.
-    ("oracles.py", "extend"),
-}
+RECURSION_ALLOWED: set = set()
 
 
 def test_no_library_function_recurses():

@@ -133,13 +133,37 @@ class Concept:
         return type(self), tuple(getattr(self, f) for f in self._fields)
 
     def __repr__(self):
-        """Dataclass-style text, written in pre-order from an explicit stack."""
-        pieces, stack = [], [self]
+        """Dataclass-style text, written in pre-order from an explicit stack.
+
+        A conjunction or restriction that occurs more than once is written
+        in full where it first occurs, tagged `#k=`, and as `#k` after that,
+        so a shared DAG's text is linear in its distinct nodes; a tree's
+        text has no tags."""
+        uses, stack = {}, [self]
+        while stack:
+            node = stack.pop()
+            kind = type(node)
+            kids = node.conjuncts if kind is And else (node.filler,) if kind is Exists else ()
+            for kid in kids:
+                if type(kid) is And or type(kid) is Exists:
+                    seen = uses.get(kid, 0)
+                    uses[kid] = seen + 1
+                    if not seen:
+                        stack.append(kid)
+        tags = {node: None for node, count in uses.items() if count > 1}
+        pieces, stack, tagged = [], [self], 0
         while stack:
             item = stack.pop()
             if isinstance(item, str):
                 pieces.append(item)
                 continue
+            if item in tags:
+                if tags[item] is not None:
+                    pieces.append(f"#{tags[item]}")
+                    continue
+                tagged += 1
+                tags[item] = tagged
+                pieces.append(f"#{tagged}=")
             todo = [f"{type(item).__name__}("]
             for k, field in enumerate(item._fields):
                 value = getattr(item, field)

@@ -27,9 +27,11 @@ class DescriptionGraph:
     concept names.  Adjacency is indexed at construction time; each vertex's
     successors keep the order of `edges`, duplicates dropped, so a builder
     that passes its edges in a fixed order gets a fixed successor order.
+    A graph is not changed once built, so `mvf.scc` keeps its partition in
+    `_scc`.
     """
 
-    __slots__ = ("vertices", "edges", "labels", "_succ")
+    __slots__ = ("vertices", "edges", "labels", "_succ", "_scc")
 
     def __init__(self, vertices, edges, labels):
         self.vertices = frozenset(vertices)
@@ -46,6 +48,7 @@ class DescriptionGraph:
         for src, role, tgt in ordered:
             succ[src].append((role, tgt))
         self._succ = succ
+        self._scc = None
 
     def successors(self, v):
         return self._succ[v]

@@ -38,10 +38,12 @@ class _Context:
     """The facts about one interpretation: G(I), the elements with only
     bounded walks and mmvf(G(I)), which do not depend on the element set,
     and the depth report and adaptive MMSC of each element set asked for,
-    per (element tuple, node cap).  Built on first use and kept on the
-    interpretation (see `_context`)."""
+    per (element tuple, node cap).  G(I)'s components are found once: `scc`
+    keeps them on the graph, so `mmvf` reads them.  Reachable products are
+    shared between element sets (see `product`).  Built on first use and
+    kept on the interpretation (see `_context`)."""
 
-    __slots__ = ("graph", "bounded", "mmvf", "reports", "mmscs", "_product")
+    __slots__ = ("graph", "bounded", "mmvf", "reports", "mmscs", "homes", "_product")
 
     def __init__(self, i: Interpretation):
         g = graph_of_interpretation(i)
@@ -50,21 +52,41 @@ class _Context:
         self.bounded = frozenset(
             x for x in g.vertices if not partition.unbounded[partition.component_of[x]]
         )
-        # max(partition.walk) is the same number; mmvf finds it again because
-        # the benchmark traces its calls.
         self.mmvf = mmvf(g)
         self.reports: dict = {}  # (elements, node_cap) -> DepthReport
         self.mmscs: dict = {}  # (elements, node_cap) -> MMSC at the report's depth
+        # (elements, node_cap) -> product of its start component, until the
+        # set's MMSC is kept
+        self.homes: dict = {}
         self._product = None  # ((elements, node_cap), product) of the last call
 
     def product(self, elements: tuple, node_cap: int) -> DescriptionGraph:
-        """Reachable product at the elements tuple.  The last one is kept, so
-        `adaptable_depth` and then `mmsc_at_depth` on the same set, as the
-        miner calls them, build it once."""
+        """Reachable product at the elements tuple.
+
+        Every tuple t in the start component of the product P built from S
+        reaches what S reaches, and each vertex's successors are built from
+        the vertex alone, so P is the product at t too, within the same node
+        cap.  So each such t that is an element set's tuple (sorted by repr,
+        no repeats) and whose MMSC is not kept yet is entered in `homes`
+        with P; `mmsc_adaptive` takes it out when it keeps that MMSC.  The
+        last product is kept too, so `adaptable_depth` and then
+        `mmsc_at_depth` on the same set, as the miner calls them, build it
+        once."""
         key = (elements, node_cap)
-        if self._product is None or self._product[0] != key:
-            self._product = (key, product_reachable(self.graph, elements, node_cap=node_cap))
-        return self._product[1]
+        if self._product is not None and self._product[0] == key:
+            return self._product[1]
+        shared = self.homes.get(key)
+        if shared is not None:
+            return shared
+        p = product_reachable(self.graph, elements, node_cap=node_cap)
+        self._product = (key, p)
+        partition = scc(p)
+        start = partition.components[partition.component_of[elements]]
+        if len(start) > 1:
+            for t in start:
+                if t == _sorted_elements(t) and (t, node_cap) not in self.mmscs:
+                    self.homes[(t, node_cap)] = p
+        return p
 
 
 def _context(i: Interpretation) -> _Context:
@@ -168,4 +190,7 @@ def mmsc_adaptive(i: Interpretation, X, node_cap: int = DEFAULT_NODE_CAP) -> Con
         # report is asked for once (the benchmark traces those calls).
         report = ctx.reports.get(key) or adaptable_depth(i, elements, node_cap=node_cap)
         c = ctx.mmscs[key] = mmsc_at_depth(i, elements, report.chosen_depth, node_cap=node_cap)
+        # The MMSC is kept now, so the miner will not ask for this set's
+        # product again.
+        ctx.homes.pop(key, None)
     return c

@@ -26,6 +26,19 @@ class SccPartition:
 
 
 def scc(g: DescriptionGraph) -> SccPartition:
+    """The strongly connected components of g, with their walk measures.
+
+    Found by `_tarjan` on the first call and kept on the graph, which is
+    not changed once built: `mvf`, `mmvf` and the miner's context share one
+    pass per graph however often they ask.
+    """
+    partition = g._scc
+    if partition is None:
+        partition = g._scc = _tarjan(g)
+    return partition
+
+
+def _tarjan(g: DescriptionGraph) -> SccPartition:
     """Tarjan's algorithm, iterative to survive deep graphs.
 
     Role labels are ignored; multi-edges collapse.  Components come out in

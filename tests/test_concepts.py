@@ -8,6 +8,7 @@ import pickle
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -256,6 +257,21 @@ def test_repr_of_a_deep_concept_is_dataclass_style_text():
         "And(conjuncts=(Atom(name='A'), Exists(role='r', filler=Top())))"
     )
     assert repr(And((Atom("A"),))) == "And(conjuncts=(Atom(name='A'),))"
+
+
+def test_repr_of_a_shared_dag_writes_each_shared_node_once():
+    # The tree text has about 2^40 nodes.  The 40 shared conjunctions are
+    # written once each, tagged #k=, and as #k where they occur again.
+    start = time.perf_counter()
+    text = repr(Exists("r", _shared_dag(40, "B")))
+    assert time.perf_counter() - start < 1.0
+    assert len(text) < 30 * (3 * 40 + 4)
+    assert "#40=" in text and "#41" not in text
+    assert repr(Exists("r", _shared_dag(1, "B"))) == (
+        "Exists(role='r', filler=And(conjuncts=("
+        "Exists(role='r', filler=#1=And(conjuncts=(Atom(name='A'), Atom(name='B')))), "
+        "Exists(role='s', filler=#1))))"
+    )
 
 
 def test_concept_functions_walk_any_depth():

@@ -228,6 +228,21 @@ def test_mined_text_is_pinned():
     )
 
 
+def test_mined_text_of_the_cycle_shapes_is_pinned():
+    # fig5's shape without its self-loops, at three cycle lengths: the
+    # inputs on which element sets share reachable products, each of which
+    # is also the start component's product for later sets.
+    digest = hashlib.sha256()
+    for lengths in ((2, 3), (2, 5), (2, 7)):
+        tbox, _ = build_base(cycle_interpretation(*lengths))
+        for line in tbox_lines(tbox):
+            digest.update(line.encode() + b"\n")
+        digest.update(b"\n")
+    assert digest.hexdigest() == (
+        "ad4247508418664beabb9722c67e3b5b6b3ddb5d8d75cd323ef053a62351e648"
+    )
+
+
 @pytest.mark.parametrize("name", ["fig3", "fig4ii"])
 def test_plain_collections_mine_the_same_base(name):
     # An interpretation built from sets or lists, not frozensets, is frozen

@@ -1,7 +1,9 @@
 """Most specific concepts at fixed and adaptively chosen depths."""
 
+import collections
 import functools
 import hashlib
+import itertools
 import json
 import random
 
@@ -22,10 +24,18 @@ from ciforge.concepts import (
 )
 from ciforge.errors import ResourceCapError, ValidationError
 from ciforge.fixtures import builtin_fixture
-from ciforge.graphs import graph_of_interpretation, unravel
+from ciforge.graphs import (
+    DEFAULT_NODE_CAP,
+    concept_of_tree,
+    graph_of_interpretation,
+    product_reachable,
+    unravel,
+)
 from ciforge import mmsc as mmsc_module
+from ciforge import mvf as mvf_module
 from ciforge.miner import build_base
 from ciforge.mmsc import (
+    DepthReport,
     _context,
     adaptable_depth,
     bounded_walks,
@@ -33,7 +43,7 @@ from ciforge.mmsc import (
     mmsc_at_depth,
     prune_subsumed_conjuncts,
 )
-from ciforge.mvf import scc
+from ciforge.mvf import mmvf, mvf, scc
 from ciforge.simulation import (
     equivalent_empty,
     semantic_extension,
@@ -43,6 +53,7 @@ from ciforge.storage import interpretation_to_document
 
 from conftest import concepts
 from oracles import (
+    cycle_interpretation,
     enumerate_fragment,
     lower_approximation,
     product_trees,
@@ -169,8 +180,6 @@ def test_depth_report_internal_consistency(seed):
     if report.branch == "bounded":
         assert report.chosen_depth == report.product_mvf - 1
     else:
-        from ciforge.mvf import mmvf
-
         g = graph_of_interpretation(i)
         assert report.chosen_depth == report.product_mvf * mmvf(g)
     assert all(bounded_walks(i, x) for x in report.x_lim)
@@ -223,21 +232,126 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+def _tuple_successors(g, t):
+    """Successor tuples of t in the product of g with itself, |t| times."""
+    per_vertex = [
+        {role: [w for r, w in g.successors(v) if r == role] for role, _ in g.successors(v)}
+        for v in t
+    ]
+    shared = set.intersection(*(set(roles) for roles in per_vertex))
+    return [
+        combo
+        for role in shared
+        for combo in itertools.product(*(roles[role] for roles in per_vertex))
+    ]
+
+
+def _start_components(i):
+    """Each sorted element tuple of i with the tuples that both reach it and
+    are reached from it in the product: its start component, found by
+    plain searches, not by Tarjan's algorithm."""
+    g = graph_of_interpretation(i)
+
+    @functools.lru_cache(maxsize=None)
+    def reach(t):
+        seen = {t}
+        frontier = [t]
+        while frontier:
+            for w in _tuple_successors(g, frontier.pop()):
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        return frozenset(seen)
+
+    elements = sorted(i.domain, key=repr)
+    return {
+        combo: frozenset(t for t in reach(combo) if combo in reach(t))
+        for n in range(1, len(elements) + 1)
+        for combo in itertools.combinations(elements, n)
+    }
+
+
 def test_mining_builds_the_graph_once_and_each_product_once(monkeypatch):
     # attribute_set builds the depth report and the MMSC of each non-empty
-    # subset, and the axioms of build_base reuse them: over the whole mine,
-    # one product and one unravelling per subset.
+    # subset, and the axioms of build_base reuse them.  Sets whose tuples
+    # share a start component share one product, so over the whole mine
+    # there is one product per distinct start component, and one
+    # unravelling per subset.
     graphs = _counting(monkeypatch, mmsc_module, "graph_of_interpretation")
     products = _counting(monkeypatch, mmsc_module, "product_reachable")
     unravellings = _counting(monkeypatch, mmsc_module, "unravel")
     i = builtin_fixture("fig3")
+    components = _start_components(builtin_fixture("fig3"))
     _, report = build_base(i)
     assert len(graphs) == 1
-    assert len(report.depth_reports) == 2 ** len(i.domain) - 1 == 127
-    assert len(products) == len(unravellings) == 127
+    assert len(report.depth_reports) == len(components) == 2 ** len(i.domain) - 1 == 127
+    assert len(products) == len(set(components.values())) == 126
+    assert len(unravellings) == 127
     # A second mine of the same interpretation builds nothing.
     build_base(i)
-    assert len(products) == len(unravellings) == 127
+    assert len(products) == 126
+    assert len(unravellings) == 127
+
+
+_SHARING_CASES = {
+    **{
+        name: functools.partial(builtin_fixture, name)
+        for name in ("fig3", "fig4i", "fig4ii", "fig7")
+    },
+    **{f"cycles-2-{n}": functools.partial(cycle_interpretation, 2, n) for n in (3, 5, 7)},
+    **{f"seed-{seed}": functools.partial(seeded_instance, seed) for seed in range(10)},
+}
+
+
+@pytest.mark.parametrize("name", ["fig3", "cycles-2-3"])
+def test_mining_finds_each_graphs_components_once(monkeypatch, name):
+    # scc keeps its partition on the graph: G(I) and each product run
+    # Tarjan's algorithm once, though mvf, mmvf and the context all ask.
+    passes = _counting(monkeypatch, mvf_module, "_tarjan")
+    asked = _counting(monkeypatch, mmsc_module, "scc")
+    asked_in_mvf = _counting(monkeypatch, mvf_module, "scc")
+    products = _counting(monkeypatch, mmsc_module, "product_reachable")
+    i = _SHARING_CASES[name]()
+    build_base(i)
+    graphs = [args[0] for args in passes]
+    assert len({id(g) for g in graphs}) == len(graphs) == len(products) + 1
+    assert _context(i).graph in graphs
+    asks = collections.Counter(id(args[0]) for args in asked + asked_in_mvf)
+    assert all(asks[id(g)] >= 2 for g in graphs)
+    build_base(i)
+    assert len(passes) == len(graphs)
+
+
+@pytest.mark.parametrize("name", list(_SHARING_CASES))
+def test_shared_products_give_what_fresh_ones_do(monkeypatch, name):
+    # Asked in the miner's order, so later sets meet the products that
+    # earlier ones shared; each answer must equal one worked out on a fresh
+    # graph and a fresh product of its own.
+    shared = _counting(monkeypatch, mmsc_module, "product_reachable")
+    i = _SHARING_CASES[name]()
+    g = graph_of_interpretation(i)
+    partition = scc(g)
+    graph_bound = mmvf(g)
+    elements = sorted(i.domain, key=repr)
+    for n in range(1, len(elements) + 1):
+        for combo in itertools.combinations(elements, n):
+            report = adaptable_depth(i, combo)
+            c = mmsc_adaptive(i, combo)
+            product = product_reachable(g, combo)
+            d = mvf(product, combo)
+            x_lim = frozenset(
+                x for x in combo if not partition.unbounded[partition.component_of[x]]
+            )
+            if x_lim:
+                expected = DepthReport(x_lim, d, d - 1, "bounded")
+            else:
+                expected = DepthReport(x_lim, d, d * graph_bound, "cyclic")
+            assert report == expected, combo
+            assert c is concept_of_tree(unravel(product, combo, expected.chosen_depth)), combo
+            # Its MMSC is kept, so no product is held for it.
+            assert (combo, DEFAULT_NODE_CAP) not in _context(i).homes
+    if name.startswith(("fig3", "cycles")):
+        assert len(shared) < 2 ** len(elements) - 1  # products were shared
 
 
 def test_interpretations_differing_in_roles_do_not_share_a_context():

@@ -182,6 +182,32 @@ def unravel(g: DescriptionGraph, x, d: int, node_cap: int = DEFAULT_NODE_CAP) ->
     return DescriptionTree(DescriptionGraph(labels, edges, labels), 0)
 
 
+def bisimulation_classes(g: DescriptionGraph) -> dict:
+    """Vertex -> index of its class under the coarsest counting
+    bisimulation: vertices in one class have one label and, for each role
+    and class, as many successors by that role in that class.  Found by
+    partition refinement from the labels, in rounds until the class count
+    stops growing.
+
+    Counting, not only which (role, class) pairs occur, makes the
+    depth-d unravellings of two vertices in one class isomorphic trees,
+    so they have the same size as well as the same concept."""
+    ids: dict = {}
+    class_of = {v: ids.setdefault(g.label(v), len(ids)) for v in g.vertices}
+    count = 0
+    while len(ids) > count:
+        count = len(ids)
+        ids = {}
+        class_of = {
+            v: ids.setdefault(
+                (k, tuple(sorted((role, class_of[w]) for role, w in g.successors(v)))),
+                len(ids),
+            )
+            for v, k in class_of.items()
+        }
+    return class_of
+
+
 def product_reachable(
     g: DescriptionGraph, start: tuple, node_cap: int = DEFAULT_NODE_CAP
 ) -> DescriptionGraph:

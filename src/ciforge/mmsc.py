@@ -16,7 +16,7 @@ from .concepts import (
 from .errors import ValidationError
 from .graphs import (
     DEFAULT_NODE_CAP,
-    DescriptionGraph,
+    bisimulation_classes,
     concept_of_tree,
     graph_of_interpretation,
     product_reachable,
@@ -40,8 +40,10 @@ class _Context:
     and the depth report and adaptive MMSC of each element set asked for,
     per (element tuple, node cap).  G(I)'s components are found once: `scc`
     keeps them on the graph, so `mmvf` reads them.  Reachable products are
-    shared between element sets (see `product`).  Built on first use and
-    kept on the interpretation (see `_context`)."""
+    shared between element sets, and a shared product keeps the MMSC of
+    each of its bisimulation classes at each depth asked for (see
+    `product`).  Built on first use and kept on the interpretation (see
+    `_context`)."""
 
     __slots__ = ("graph", "bounded", "mmvf", "reports", "mmscs", "homes", "_product")
 
@@ -55,21 +57,33 @@ class _Context:
         self.mmvf = mmvf(g)
         self.reports: dict = {}  # (elements, node_cap) -> DepthReport
         self.mmscs: dict = {}  # (elements, node_cap) -> MMSC at the report's depth
-        # (elements, node_cap) -> product of its start component, until the
+        # (elements, node_cap) -> `product`'s answer for the set, until the
         # set's MMSC is kept
         self.homes: dict = {}
-        self._product = None  # ((elements, node_cap), product) of the last call
+        self._product = None  # ((elements, node_cap), answer) of the last call
 
-    def product(self, elements: tuple, node_cap: int) -> DescriptionGraph:
-        """Reachable product at the elements tuple.
+    def product(self, elements: tuple, node_cap: int) -> tuple:
+        """(P, u, classes): a reachable product P, the vertex u of P that
+        stands for the elements tuple, and P's bisimulation classes with
+        the MMSCs built from them, or None.
 
-        Every tuple t in the start component of the product P built from S
+        Every tuple v in the start component of the product P built from S
         reaches what S reaches, and each vertex's successors are built from
-        the vertex alone, so P is the product at t too, within the same node
-        cap.  So each such t that is an element set's tuple (sorted by repr,
-        no repeats) and whose MMSC is not kept yet is entered in `homes`
-        with P; `mmsc_adaptive` takes it out when it keeps that MMSC.  The
-        last product is kept too, so `adaptable_depth` and then
+        the vertex alone, so P is the product at v too.  Permuting the
+        coordinates of every tuple keeps labels (intersections) and edges,
+        so P started at v is the product at v's sorted form, up to that
+        renaming, and has as many vertices, so the node cap fires where a
+        fresh build would.  So each v with no repeated coordinate whose
+        sorted form is an element set's tuple with no MMSC kept yet is
+        entered in `homes` under that form; `mmsc_adaptive` takes the
+        entry out when it keeps that MMSC.
+
+        A start component with more than one tuple serves several sets, so
+        P's counting-bisimulation classes are found once, with a dict for
+        the MMSC of each (class, depth) that `mmsc_at_depth` builds: the
+        vertices of one class unravel to isomorphic trees.  A start
+        component of one tuple serves its own set alone, and `classes` is
+        None.  The last answer is kept too, so `adaptable_depth` and then
         `mmsc_at_depth` on the same set, as the miner calls them, build it
         once."""
         key = (elements, node_cap)
@@ -79,14 +93,19 @@ class _Context:
         if shared is not None:
             return shared
         p = product_reachable(self.graph, elements, node_cap=node_cap)
-        self._product = (key, p)
         partition = scc(p)
         start = partition.components[partition.component_of[elements]]
-        if len(start) > 1:
-            for t in start:
-                if t == _sorted_elements(t) and (t, node_cap) not in self.mmscs:
-                    self.homes[(t, node_cap)] = p
-        return p
+        if len(start) == 1:
+            answer = (p, elements, None)
+        else:
+            classes = (bisimulation_classes(p), {})
+            for v in start:
+                t = _sorted_elements(v)
+                if len(t) == len(v) and (t, node_cap) not in self.mmscs:
+                    self.homes[(t, node_cap)] = (p, v, classes)
+            answer = (p, elements, classes)
+        self._product = (key, answer)
+        return answer
 
 
 def _context(i: Interpretation) -> _Context:
@@ -125,7 +144,8 @@ def adaptable_depth(
     key = (elements, node_cap)
     report = ctx.reports.get(key)
     if report is None:
-        d = mvf(ctx.product(elements, node_cap), elements)
+        product, start, _ = ctx.product(elements, node_cap)
+        d = mvf(product, start)
         x_lim = frozenset(x for x in elements if bounded_walks(i, x))
         if x_lim:
             report = DepthReport(x_lim, d, d - 1, "bounded")
@@ -167,12 +187,23 @@ def mmsc_at_depth(
     The product of the depth-d unravellings of the members of X equals the
     depth-d unravelling of the reachable product started at the X-tuple, so
     the product graph (usually small) is built first and unravelled once.
+    On a product shared by several sets, the sets whose vertices are
+    bisimilar share that unravelling and its concept: their trees are
+    isomorphic, so `conjoin` makes them one concept, and as large, so the
+    node cap fires for all of them or for none.
     """
     elements = _sorted_elements(X)
     if not elements:
         return BOTTOM
-    product = _context(i).product(elements, node_cap)
-    return concept_of_tree(unravel(product, elements, d, node_cap=node_cap))
+    product, start, classes = _context(i).product(elements, node_cap)
+    if classes is None:
+        return concept_of_tree(unravel(product, start, d, node_cap=node_cap))
+    class_of, built = classes
+    key = (class_of[start], d)
+    c = built.get(key)
+    if c is None:
+        c = built[key] = concept_of_tree(unravel(product, start, d, node_cap=node_cap))
+    return c
 
 
 def mmsc_adaptive(i: Interpretation, X, node_cap: int = DEFAULT_NODE_CAP) -> Concept:

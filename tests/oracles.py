@@ -91,6 +91,32 @@ def greatest_simulation(g1: DescriptionGraph, g2: DescriptionGraph) -> set:
     return candidates
 
 
+def bisimulation_by_pairs(g: DescriptionGraph) -> set:
+    """Classes of the coarsest counting bisimulation on g, as a set of
+    frozensets, from a greatest fixpoint over vertex pairs.
+
+    Start from the pairs with one label.  A round keeps (v, w) when, for
+    every role r and every vertex z, v and w have as many r-successors
+    related to z; rounds repeat until one keeps every pair.
+    """
+    vertices = list(g.vertices)
+    roles = {role for v in vertices for role, _ in g.successors(v)}
+    related = {(v, w) for v in vertices for w in vertices if g.label(v) == g.label(w)}
+
+    def count(v, role, z):
+        return sum((x, z) in related for r, x in g.successors(v) if r == role)
+
+    while True:
+        kept = {
+            (v, w)
+            for v, w in related
+            if all(count(v, role, z) == count(w, role, z) for role in roles for z in vertices)
+        }
+        if kept == related:
+            return {frozenset(w for w in vertices if (v, w) in related) for v in vertices}
+        related = kept
+
+
 def simulates(g1: DescriptionGraph, v1, g2: DescriptionGraph, v2) -> bool:
     """True iff a simulation from (g1, v1) to (g2, v2) exists."""
     if v1 not in g1.vertices or v2 not in g2.vertices:
@@ -547,6 +573,30 @@ def cycle_interpretation(*lengths) -> Interpretation:
         a_ext.append(nodes[-1])
         edges += zip(nodes, nodes[1:] + nodes[:1])
     return make_interpretation(domain, {"A": a_ext, "B": b_ext}, {"r": edges})
+
+
+def pendant_cycle_interpretation(seed) -> Interpretation:
+    """cycle_interpretation(2, 3) with two pendant elements p0 and p1 that
+    hold random concept names.  One random cycle element has an s-edge to
+    each pendant, one more s-edge runs from a random cycle element to a
+    random pendant, and p0 has a self-loop by a random role.  Element sets on the cycles share
+    products as on the bare cycles, and the s-edges branch; the pendants'
+    walks are short, so the unravellings stay small."""
+    rng = random.Random(seed)
+    base = cycle_interpretation(2, 3)
+    cycle = sorted(base.domain)
+    pendants = ["p0", "p1"]
+    concept_ext = {
+        a: sorted(ext) + [p for p in pendants if rng.random() < 0.5]
+        for a, ext in base.concept_ext.items()
+    }
+    branch = rng.choice(cycle)
+    role_ext = {
+        "r": sorted(base.role_ext["r"]),
+        "s": [(branch, "p0"), (branch, "p1"), (rng.choice(cycle), rng.choice(pendants))],
+    }
+    role_ext[rng.choice("rs")].append(("p0", "p0"))
+    return make_interpretation(cycle + pendants, concept_ext, role_ext)
 
 
 def random_concept(rng: random.Random, sig: Signature, depth: int) -> Concept:

@@ -1,5 +1,9 @@
 """Description graphs and trees: construction, unravelling, products."""
 
+import functools
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +21,7 @@ from ciforge.fixtures import builtin_fixture
 from ciforge.graphs import (
     DescriptionGraph,
     DescriptionTree,
+    bisimulation_classes,
     concept_of_tree,
     graph_of_interpretation,
     product_reachable,
@@ -26,7 +31,14 @@ from ciforge.graphs import (
 from ciforge.simulation import equivalent_empty
 
 from conftest import concepts, interpretations
-from oracles import product_trees, random_graph
+from oracles import (
+    bisimulation_by_pairs,
+    cycle_interpretation,
+    pendant_cycle_interpretation,
+    product_trees,
+    random_graph,
+    random_interpretation,
+)
 
 
 FIG2_CONCEPT = And(
@@ -337,3 +349,62 @@ def test_product_reachable_honors_node_cap():
     )
     with pytest.raises(ResourceCapError):
         product_reachable(g, ("a", "a", "a", "a"), node_cap=2)
+
+
+# -- bisimulation classes ---------------------------------------------------
+
+
+def _partition(class_of):
+    classes = {}
+    for v, k in class_of.items():
+        classes.setdefault(k, set()).add(v)
+    return {frozenset(vs) for vs in classes.values()}
+
+
+_BISIMULATION_CASES = [
+    *(functools.partial(builtin_fixture, name) for name in ("fig3", "fig4i", "fig4ii", "fig7")),
+    *(functools.partial(cycle_interpretation, 2, n) for n in (3, 5, 7)),
+    *(functools.partial(pendant_cycle_interpretation, seed) for seed in range(3)),
+    *(
+        functools.partial(random_interpretation, random.Random(seed), max_elements=4, density=0.3)
+        for seed in range(20)
+    ),
+]
+
+
+def test_bisimulation_classes_match_the_pair_fixpoint():
+    # G(I) and the reachable product at every set of at most three elements.
+    branching = self_loops = two_roles = checked = 0
+    for case in _BISIMULATION_CASES:
+        i = case()
+        g = graph_of_interpretation(i)
+        elements = sorted(i.domain)
+        graphs = [g] + [
+            product_reachable(g, combo)
+            for n in (1, 2, 3)
+            for combo in itertools.combinations(elements, n)
+        ]
+        for h in graphs:
+            assert _partition(bisimulation_classes(h)) == bisimulation_by_pairs(h)
+            checked += 1
+        edges = {(v, role, w) for v in g.vertices for role, w in g.successors(v)}
+        branching += len({(v, role) for v, role, _ in edges}) < len(edges)
+        self_loops += any(v == w for v, _, w in edges)
+        two_roles += len({role for _, role, _ in edges}) == 2
+    assert branching and self_loops and two_roles and checked > 600
+
+
+def test_bisimulation_classes_count_successors():
+    # a and b both have only A-labelled leaves as r-successors, but a has
+    # two and b one: they satisfy the same concepts, yet a's unravelling is
+    # larger, so a node cap can stop a's and pass b's.
+    g = DescriptionGraph(
+        "abxy", [("a", "r", "x"), ("a", "r", "y"), ("b", "r", "x")], {"x": {"A"}, "y": {"A"}}
+    )
+    class_of = bisimulation_classes(g)
+    assert class_of["x"] == class_of["y"]
+    assert class_of["a"] != class_of["b"]
+    assert concept_of_tree(unravel(g, "a", 1)) is concept_of_tree(unravel(g, "b", 1))
+    unravel(g, "b", 1, node_cap=2)
+    with pytest.raises(ResourceCapError):
+        unravel(g, "a", 1, node_cap=2)

@@ -56,6 +56,7 @@ from oracles import (
     cycle_interpretation,
     enumerate_fragment,
     lower_approximation,
+    pendant_cycle_interpretation,
     product_trees,
     random_concept,
     random_interpretation,
@@ -247,9 +248,12 @@ def _tuple_successors(g, t):
 
 
 def _start_components(i):
-    """Each sorted element tuple of i with the tuples that both reach it and
-    are reached from it in the product: its start component, found by
-    plain searches, not by Tarjan's algorithm."""
+    """Each sorted element tuple of i with its start component (the tuples
+    that both reach it and are reached from it in the product), up to
+    coordinate permutation: the sorted forms of the component's tuples
+    without repeats.  Two sets get one value exactly when one's tuple is a
+    permutation of a tuple in the other's component.  Found by plain
+    searches, not by Tarjan's algorithm."""
     g = graph_of_interpretation(i)
 
     @functools.lru_cache(maxsize=None)
@@ -263,34 +267,49 @@ def _start_components(i):
                     frontier.append(w)
         return frozenset(seen)
 
-    elements = sorted(i.domain, key=repr)
     return {
-        combo: frozenset(t for t in reach(combo) if combo in reach(t))
+        combo: frozenset(
+            tuple(sorted(t, key=repr))
+            for t in reach(combo)
+            if combo in reach(t) and len(set(t)) == len(t)
+        )
+        for combo in _subsets(i)
+    }
+
+
+def _subsets(i):
+    """The non-empty element sets of i as sorted tuples, in the miner's order."""
+    elements = sorted(i.domain, key=repr)
+    return [
+        combo
         for n in range(1, len(elements) + 1)
         for combo in itertools.combinations(elements, n)
-    }
+    ]
 
 
 def test_mining_builds_the_graph_once_and_each_product_once(monkeypatch):
     # attribute_set builds the depth report and the MMSC of each non-empty
     # subset, and the axioms of build_base reuse them.  Sets whose tuples
-    # share a start component share one product, so over the whole mine
-    # there is one product per distinct start component, and one
-    # unravelling per subset.
+    # share a start component up to a permutation of coordinates share one
+    # product, so over the whole mine there is one product per such
+    # component, and one unravelling per bisimulation class and depth of
+    # each product.
     graphs = _counting(monkeypatch, mmsc_module, "graph_of_interpretation")
     products = _counting(monkeypatch, mmsc_module, "product_reachable")
     unravellings = _counting(monkeypatch, mmsc_module, "unravel")
-    i = builtin_fixture("fig3")
-    components = _start_components(builtin_fixture("fig3"))
-    _, report = build_base(i)
-    assert len(graphs) == 1
-    assert len(report.depth_reports) == len(components) == 2 ** len(i.domain) - 1 == 127
-    assert len(products) == len(set(components.values())) == 126
-    assert len(unravellings) == 127
-    # A second mine of the same interpretation builds nothing.
-    build_base(i)
-    assert len(products) == 126
-    assert len(unravellings) == 127
+    for name, built, unravelled in [("fig3", 126, 127), ("cycles-2-7", 59, 79)]:
+        del graphs[:], products[:], unravellings[:]
+        i = _SHARING_CASES[name]()
+        components = _start_components(_SHARING_CASES[name]())
+        _, report = build_base(i)
+        assert len(graphs) == 1
+        assert len(report.depth_reports) == len(components) == 2 ** len(i.domain) - 1
+        assert len(products) == len(set(components.values())) == built, name
+        assert len(unravellings) == unravelled, name
+        # A second mine of the same interpretation builds nothing.
+        build_base(i)
+        assert len(products) == built
+        assert len(unravellings) == unravelled
 
 
 _SHARING_CASES = {
@@ -300,6 +319,10 @@ _SHARING_CASES = {
     },
     **{f"cycles-2-{n}": functools.partial(cycle_interpretation, 2, n) for n in (3, 5, 7)},
     **{f"seed-{seed}": functools.partial(seeded_instance, seed) for seed in range(10)},
+    **{
+        f"pendants-{seed}": functools.partial(pendant_cycle_interpretation, seed)
+        for seed in range(5)
+    },
 }
 
 
@@ -325,33 +348,118 @@ def test_mining_finds_each_graphs_components_once(monkeypatch, name):
 @pytest.mark.parametrize("name", list(_SHARING_CASES))
 def test_shared_products_give_what_fresh_ones_do(monkeypatch, name):
     # Asked in the miner's order, so later sets meet the products that
-    # earlier ones shared; each answer must equal one worked out on a fresh
-    # graph and a fresh product of its own.
+    # earlier ones shared, some through a permutation of coordinates, and
+    # the MMSCs built for bisimilar vertices; each answer must equal one
+    # worked out on a fresh graph, with a fresh product and unravelling of
+    # its own.
     shared = _counting(monkeypatch, mmsc_module, "product_reachable")
+    unravellings = _counting(monkeypatch, mmsc_module, "unravel")
     i = _SHARING_CASES[name]()
     g = graph_of_interpretation(i)
     partition = scc(g)
     graph_bound = mmvf(g)
-    elements = sorted(i.domain, key=repr)
-    for n in range(1, len(elements) + 1):
-        for combo in itertools.combinations(elements, n):
-            report = adaptable_depth(i, combo)
-            c = mmsc_adaptive(i, combo)
-            product = product_reachable(g, combo)
-            d = mvf(product, combo)
-            x_lim = frozenset(
-                x for x in combo if not partition.unbounded[partition.component_of[x]]
-            )
-            if x_lim:
-                expected = DepthReport(x_lim, d, d - 1, "bounded")
-            else:
-                expected = DepthReport(x_lim, d, d * graph_bound, "cyclic")
-            assert report == expected, combo
-            assert c is concept_of_tree(unravel(product, combo, expected.chosen_depth)), combo
-            # Its MMSC is kept, so no product is held for it.
-            assert (combo, DEFAULT_NODE_CAP) not in _context(i).homes
-    if name.startswith(("fig3", "cycles")):
-        assert len(shared) < 2 ** len(elements) - 1  # products were shared
+    sets = _subsets(i)
+    permuted = 0
+    for combo in sets:
+        home = _context(i).homes.get((combo, DEFAULT_NODE_CAP))
+        permuted += home is not None and home[1] != combo
+        report = adaptable_depth(i, combo)
+        c = mmsc_adaptive(i, combo)
+        product = product_reachable(g, combo)
+        d = mvf(product, combo)
+        x_lim = frozenset(
+            x for x in combo if not partition.unbounded[partition.component_of[x]]
+        )
+        if x_lim:
+            expected = DepthReport(x_lim, d, d - 1, "bounded")
+        else:
+            expected = DepthReport(x_lim, d, d * graph_bound, "cyclic")
+        assert report == expected, combo
+        assert c is concept_of_tree(unravel(product, combo, expected.chosen_depth)), combo
+        # Its MMSC is kept, so no product is held for it.
+        assert (combo, DEFAULT_NODE_CAP) not in _context(i).homes
+    if name.startswith(("fig3", "cycles", "pendants")):
+        assert len(shared) < len(sets)  # products were shared
+    if name.startswith(("cycles", "pendants")):
+        assert permuted  # some through a permutation
+        assert len(unravellings) < len(sets)  # and so were unravellings
+
+
+def _hubs_first(i):
+    """i with its hubs h0, h1 renamed a0, a1, so that they sort before the
+    cycle members c..., not after them."""
+    def rename(x):
+        return "a" + x[1:] if x.startswith("h") else x
+
+    return make_interpretation(
+        [rename(x) for x in i.domain],
+        {a: [rename(x) for x in ext] for a, ext in i.concept_ext.items()},
+        {r: [(rename(s), rename(t)) for s, t in pairs] for r, pairs in i.role_ext.items()},
+    )
+
+
+@pytest.mark.parametrize("n, built, unravelled", [(3, 11, 19), (5, 23, 37), (7, 59, 79)])
+def test_sharing_does_not_depend_on_how_the_elements_sort(monkeypatch, n, built, unravelled):
+    # Which tuples of a start component are sorted depends on the names;
+    # which sets are permutations of its tuples does not.
+    products = _counting(monkeypatch, mmsc_module, "product_reachable")
+    unravellings = _counting(monkeypatch, mmsc_module, "unravel")
+    for i in (cycle_interpretation(2, n), _hubs_first(cycle_interpretation(2, n))):
+        del products[:], unravellings[:]
+        build_base(i)
+        assert (len(products), len(unravellings)) == (built, unravelled)
+
+
+def test_a_set_served_through_a_permutation_meets_the_node_cap_of_a_fresh_build(monkeypatch):
+    # Find, in the miner's order, the first set whose product is one built
+    # for another set and entered under it through a permutation.
+    built = []
+
+    def build(g, start, node_cap):
+        p = product_reachable(g, start, node_cap=node_cap)
+        built.append((p, start))
+        return p
+
+    monkeypatch.setattr(mmsc_module, "product_reachable", build)
+    i = cycle_interpretation(2, 3)
+    for combo in _subsets(i):
+        home = _context(i).homes.get((combo, DEFAULT_NODE_CAP))
+        if home is not None and home[1] != combo:
+            break
+        mmsc_adaptive(i, combo)
+    else:
+        pytest.fail("no set was served through a permutation")
+    product = home[0]
+    builder = next(start for p, start in built if p is product)
+    size = len(product.vertices)
+    g = graph_of_interpretation(i)
+    assert builder != combo
+    # One below the product's size: a fresh build at either tuple stops, so
+    # nothing is entered, and the set stops too.
+    small = cycle_interpretation(2, 3)
+    for X in (builder, combo):
+        with pytest.raises(ResourceCapError):
+            product_reachable(g, X, node_cap=size - 1)
+        with pytest.raises(ResourceCapError):
+            adaptable_depth(small, X, node_cap=size - 1)
+    # At the product's size both builds pass, and the set is served the
+    # builder's product through a permutation.
+    exact = cycle_interpretation(2, 3)
+    adaptable_depth(exact, builder, node_cap=size)
+    served = _context(exact).homes[(combo, size)]
+    assert served[1] != combo
+    fresh = product_reachable(g, combo, node_cap=size)
+    assert len(fresh.vertices) == size
+    count = len(built)
+    report = adaptable_depth(exact, combo, node_cap=size)
+    assert report.product_mvf == mvf(fresh, combo)
+    assert len(built) == count
+    # Its unravelling at the chosen depth is larger than the product, so
+    # the MMSC stops at that cap, served or fresh.
+    with pytest.raises(ResourceCapError):
+        unravel(fresh, combo, report.chosen_depth, node_cap=size)
+    with pytest.raises(ResourceCapError):
+        mmsc_adaptive(exact, combo, node_cap=size)
 
 
 def test_interpretations_differing_in_roles_do_not_share_a_context():

@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""Mine a base for every built-in fixture and for the (2, 3), (2, 5) and
-(2, 7) cycle interpretations (fig5's shape without its self-loops, from
+"""Mine a base for every built-in fixture, for the (2, 3), (2, 5) and
+(2, 7) cycle interpretations (fig5's shape without its self-loops) and for
+`random_interpretation(random.Random(506), max_elements=5, density=0.2)`,
+whose attribute dedup compares many large MMSCs (both from
 `tests/oracles.py`), and print the mining reports.
 
 Usage: python scripts/mine_fixtures.py [--out DIR]
@@ -18,6 +20,7 @@ compare with one command:
 import argparse
 import hashlib
 import pathlib
+import random
 import sys
 import time
 
@@ -28,7 +31,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 from ciforge.fixtures import FIXTURE_NAMES, builtin_fixture
 from ciforge.miner import build_base, check_base_sound
 from ciforge.storage import save_tbox, tbox_lines
-from oracles import cycle_interpretation
+from oracles import cycle_interpretation, random_interpretation
 
 CYCLES = ((2, 3), (2, 5), (2, 7))
 
@@ -44,6 +47,9 @@ def main() -> int:
 
     inputs = [(name, builtin_fixture(name)) for name in FIXTURE_NAMES]
     inputs += [(f"cycles-{a}-{b}", cycle_interpretation(a, b)) for a, b in CYCLES]
+    inputs.append(
+        ("random-506", random_interpretation(random.Random(506), max_elements=5, density=0.2))
+    )
     for name, i in inputs:
         t0 = time.perf_counter()
         tbox, report = build_base(i)

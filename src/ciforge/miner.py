@@ -104,18 +104,23 @@ def attribute_set(
     # extension and mutual empty-TBox subsumption (adaptable depths differ
     # per X, so equal extensions alone are not enough).  A candidate equal
     # to an earlier one shares its verdict, so the simulation check runs
-    # once per distinct concept.
+    # once per distinct concept, and each concept's description tree is
+    # built once, the first time it is compared.  A dropped candidate is
+    # never compared again, so its tree goes.
     kept: list[Concept] = []
     kept_ext: list[frozenset] = []
     seen: set = set()  # all earlier candidates
     groups: dict = {}  # extension -> kept concepts
+    trees: dict = {}  # concept -> its description tree
     for c in candidates:
         c_ext = semantic_extension(c, i, memo)
         if c in seen:
             continue
         seen.add(c)
         group = groups.setdefault(c_ext, [])
-        if not any(equivalent_empty(c, other) for other in group):
+        if any(equivalent_empty(c, other, trees) for other in group):
+            trees.pop(c, None)
+        else:
             group.append(c)
             kept.append(c)
             kept_ext.append(c_ext)
@@ -127,28 +132,50 @@ def attribute_set(
     )
 
 
-def _closed(a: AttributeSet, U, i: Interpretation) -> tuple:
-    """(intent closure of U, extension of ⊓U); the closure has the same
-    extension."""
-    common = i.domain
-    for idx in U:
-        common = common & a.ext[idx]
-    return frozenset(idx for idx in range(len(a)) if common <= a.ext[idx]), common
-
-
 def enumerate_intents(a: AttributeSet, i: Interpretation) -> IntentLattice:
     """All closed attribute subsets in lectic order (NextClosure), each with
-    its extension."""
-    intents = [_closed(a, (), i)]
+    its extension.
+
+    Sets of attributes are bit masks, bit k for attribute k, and each
+    element has the mask of the attributes that hold there.  The closure of
+    a set U is the AND of the element masks that contain U (every attribute
+    when none does), and those elements are the extension of U and of its
+    closure.  The lectic successor of a closed set A is the closure of
+    (A below m) + m for the largest m not in A whose closure adds nothing
+    below m."""
+    n = len(a)
+    masks = dict.fromkeys(i.domain, 0)
+    for k, ext in enumerate(a.ext):
+        bit = 1 << k
+        for x in ext:
+            masks[x] |= bit
+    rows = masks.values()
+    every = (1 << n) - 1
+
+    def closure(u: int) -> int:
+        closed = every
+        for row in rows:
+            if row & u == u:
+                closed &= row
+        return closed
+
+    def intent(closed: int) -> tuple:
+        indices = frozenset(k for k in range(n) if closed >> k & 1)
+        return indices, frozenset(x for x, row in masks.items() if row & closed == closed)
+
+    current = closure(0)
+    intents = [intent(current)]
     while True:
-        current = intents[-1][0]
-        for m in reversed(range(len(a))):
-            if m in current:
+        for m in reversed(range(n)):
+            bit = 1 << m
+            if current & bit:
                 continue
-            candidate = _closed(a, [idx for idx in current if idx < m] + [m], i)
-            # lectic successor test: the closure adds nothing below m.
-            if not any(idx < m and idx not in current for idx in candidate[0]):
-                intents.append(candidate)
+            lower = bit - 1
+            below = current & lower
+            candidate = closure(below | bit)
+            if candidate & lower == below:  # the closure adds nothing below m
+                current = candidate
+                intents.append(intent(current))
                 break
         else:
             return IntentLattice(tuple(intents))

@@ -157,23 +157,28 @@ def adaptable_depth(
 
 def prune_subsumed_conjuncts(c: Concept) -> Concept:
     """Drop conjuncts that are consequences of a more specific sibling; keeps
-    emitted MMSCs readable, preserves equivalence."""
-    return bottom_up(c, _prune)
+    emitted MMSCs readable, preserves equivalence.  The siblings are
+    compared pairwise, and each distinct one's description tree is built
+    once for the whole walk."""
+    trees: dict = {}  # concept -> its description tree
 
+    def prune(node: Concept, parts: list) -> Concept:
+        if isinstance(node, Exists):
+            return Exists(node.role, parts[0])
+        if not isinstance(node, And):
+            return node
+        # d goes if a sibling e entails it, unless they are equivalent and d is first.
+        return conjoin([
+            d for idx, d in enumerate(parts)
+            if not any(
+                idx != jdx
+                and subsumed_empty(e, d, trees)
+                and not (idx < jdx and subsumed_empty(d, e, trees))
+                for jdx, e in enumerate(parts)
+            )
+        ])
 
-def _prune(c: Concept, parts: list) -> Concept:
-    if isinstance(c, Exists):
-        return Exists(c.role, parts[0])
-    if not isinstance(c, And):
-        return c
-    # d goes if a sibling e entails it, unless they are equivalent and d is first.
-    return conjoin([
-        d for idx, d in enumerate(parts)
-        if not any(
-            idx != jdx and subsumed_empty(e, d) and not (idx < jdx and subsumed_empty(d, e))
-            for jdx, e in enumerate(parts)
-        )
-    ])
+    return bottom_up(c, prune)
 
 
 def mmsc_at_depth(

@@ -80,18 +80,23 @@ def _decide(t1, v1, t2, v2):
     return True
 
 
-def subsumed_empty(c: Concept, d: Concept) -> bool:
-    """∅ ⊨ c ⊑ d, by simulating d's tree into c's tree (read as a graph)."""
+def subsumed_empty(c: Concept, d: Concept, _trees=None) -> bool:
+    """∅ ⊨ c ⊑ d, by simulating d's tree into c's tree (read as a graph).
+    A dict shared across calls, from concept to its `tree_of_concept` tree,
+    builds each distinct concept's tree once."""
     if isinstance(c, Bottom):
         return True
     if isinstance(d, Top):
         return True
     if isinstance(d, Bottom):
         return False
-    tc = tree_of_concept(c)
-    td = tree_of_concept(d)
+    trees = {} if _trees is None else _trees
+    for e in (c, d):
+        if e not in trees:
+            trees[e] = tree_of_concept(e)
+    tc, td = trees[c], trees[d]
     return tree_simulates(td, td.root, tc, tc.root)
 
 
-def equivalent_empty(c: Concept, d: Concept) -> bool:
-    return subsumed_empty(c, d) and subsumed_empty(d, c)
+def equivalent_empty(c: Concept, d: Concept, _trees=None) -> bool:
+    return subsumed_empty(c, d, _trees) and subsumed_empty(d, c, _trees)

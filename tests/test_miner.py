@@ -41,6 +41,7 @@ from oracles import (
     enumerate_fragment,
     exists_chain,
     intent_closure,
+    random_interpretation,
     seeded_instance,
 )
 
@@ -53,6 +54,13 @@ def fixture_base(name):
 @functools.lru_cache(maxsize=None)
 def seeded_base(seed):
     return build_base(seeded_instance(seed))
+
+
+@functools.lru_cache(maxsize=None)
+def heavy_dedup_instance():
+    """4 elements, 6 r-edges with a self-loop and 1 s-edge: its attribute
+    dedup compares many large MMSCs."""
+    return random_interpretation(random.Random(506), max_elements=5, density=0.2)
 
 
 # -- attribute sets ---------------------------------------------------------
@@ -99,6 +107,45 @@ def test_no_attribute_duplicates_up_to_extension_and_equivalence():
                 attrs.ext[a] == attrs.ext[b]
                 and equivalent_empty(attrs.attributes[a], attrs.attributes[b])
             )
+
+
+@pytest.mark.parametrize(
+    "name", ["fig3", *(f"seed-{seed}" for seed in range(5)), "random-506"]
+)
+def test_the_dedup_builds_one_tree_per_concept_it_compares(monkeypatch, name):
+    # Every concept that meets the tree path of a comparison (no side is
+    # Bottom) gets its description tree built exactly once.
+    import ciforge.miner as miner_module
+    import ciforge.simulation as simulation_module
+
+    if name == "fig3":
+        i = builtin_fixture(name)
+    elif name == "random-506":
+        i = heavy_dedup_instance()
+    else:
+        i = seeded_instance(int(name[5:]))
+    pairs, built = [], []
+    equivalent = miner_module.equivalent_empty
+    tree = simulation_module.tree_of_concept
+
+    def recorded_equivalent(c, d, *args):
+        if BOTTOM not in (c, d):
+            pairs.append((c, d))
+        return equivalent(c, d, *args)
+
+    def recorded_tree(c):
+        built.append(c)
+        return tree(c)
+
+    monkeypatch.setattr(miner_module, "equivalent_empty", recorded_equivalent)
+    monkeypatch.setattr(simulation_module, "tree_of_concept", recorded_tree)
+    attribute_set(i)
+    assert len(built) == len(set(built)), name
+    assert set(built) == {c for pair in pairs for c in pair}, name
+    if name == "random-506":
+        # 100 comparisons on the tree path, which built 244 trees when
+        # each comparison built its own.
+        assert (len(pairs), len(built)) == (100, 22)
 
 
 def test_attribute_mining_is_capped_by_domain_size():
@@ -188,10 +235,17 @@ def _assert_lattice_matches_the_oracle(i, label):
     extents = [ext for _, ext in lattice.intents]
     assert len(set(extents)) == len(extents), label
     assert set(extents) == closed_extents(i.domain, attrs.ext), label
+    # Lectic order: A comes before B when the smallest index in exactly one
+    # of them is in B, so each intent read as a number with index k worth
+    # 2^(n-1-k) is larger than the one before.
+    n = len(attrs)
+    keys = [sum(1 << (n - 1 - k) for k in indices) for indices, _ in lattice.intents]
+    assert all(a < b for a, b in zip(keys, keys[1:])), label
 
 
 def test_closed_extents_match_the_brute_force_oracle_on_fixtures():
-    for name in ("fig3", "fig4i", "fig4ii", "fig7"):
+    # fig5 has 154 attributes, so its attribute sets span several machine words.
+    for name in ("fig3", "fig4i", "fig4ii", "fig5", "fig7"):
         _assert_lattice_matches_the_oracle(builtin_fixture(name), name)
 
 
@@ -225,6 +279,18 @@ def test_mined_text_is_pinned():
         digest.update(b"\n")
     assert digest.hexdigest() == (
         "51da7590907b9fd91661b4792f8a6ad58d6a8490693a0969ec76c4de46b37fec"
+    )
+
+
+def test_mined_text_of_the_heavy_dedup_instance_is_pinned():
+    # tbox_lines sorts its lines, so the digest is the same under every
+    # hash seed.
+    tbox, _ = build_base(heavy_dedup_instance())
+    digest = hashlib.sha256()
+    for line in tbox_lines(tbox):
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "1175541444651e678b81e40d1dbe7c0a3577a979ce2b77284adbd3834a44fa38"
     )
 
 

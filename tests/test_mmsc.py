@@ -17,7 +17,9 @@ from ciforge.concepts import (
     Exists,
     Signature,
     TOP,
+    bottom_up,
     canonicalize,
+    conjoin,
     make_interpretation,
     parse_concept,
     role_depth,
@@ -33,6 +35,7 @@ from ciforge.graphs import (
 )
 from ciforge import mmsc as mmsc_module
 from ciforge import mvf as mvf_module
+from ciforge import simulation as simulation_module
 from ciforge.miner import build_base
 from ciforge.mmsc import (
     DepthReport,
@@ -673,3 +676,20 @@ def test_pruning_conjuncts_preserves_equivalence(c):
     if c == BOTTOM:
         return
     assert equivalent_empty(prune_subsumed_conjuncts(c), c)
+
+
+@pytest.mark.parametrize("k", [2, 6, 12])
+def test_pruning_builds_one_tree_per_distinct_subconcept(monkeypatch, k):
+    # Siblings ∃r.(A1 ⊓ … ⊓ Aj) for j = 1..k, ∃s.A1, ∃s.(A1 ⊓ A2) and B:
+    # ∃s.A1 and each r-sibling but ∃r.(A1 ⊓ … ⊓ Ak) follow from another
+    # sibling, so they go.
+    atoms = [Atom(f"A{j}") for j in range(1, k + 1)]
+    siblings = [Exists("r", conjoin(atoms[:j])) for j in range(1, k + 1)]
+    siblings += [Exists("s", atoms[0]), Exists("s", conjoin(atoms[:2])), Atom("B")]
+    c = conjoin(siblings)
+    subconcepts = set()
+    bottom_up(c, lambda d, parts: subconcepts.add(d) or d)
+    built = _counting(monkeypatch, simulation_module, "tree_of_concept")
+    pruned = prune_subsumed_conjuncts(c)
+    assert pruned == conjoin([siblings[k - 1], siblings[k + 1], Atom("B")])
+    assert len(built) == len(set(built)) <= len(subconcepts)

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Mine a base for every built-in fixture, for the (2, 3), (2, 5) and
-(2, 7) cycle interpretations (fig5's shape without its self-loops) and for
+(2, 7) cycle interpretations (fig5's shape without its self-loops), for
 `random_interpretation(random.Random(506), max_elements=5, density=0.2)`,
-whose attribute dedup compares many large MMSCs (both from
+whose attribute dedup compares many large MMSCs, and for
+`twin_fork_interpretation()`, whose dedup drops a candidate (all from
 `tests/oracles.py`), and print the mining reports.
 
 Usage: python scripts/mine_fixtures.py [--out DIR]
@@ -31,7 +32,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 from ciforge.fixtures import FIXTURE_NAMES, builtin_fixture
 from ciforge.miner import build_base, check_base_sound
 from ciforge.storage import save_tbox, tbox_lines
-from oracles import cycle_interpretation, random_interpretation
+from oracles import cycle_interpretation, random_interpretation, twin_fork_interpretation
 
 CYCLES = ((2, 3), (2, 5), (2, 7))
 
@@ -50,6 +51,7 @@ def main() -> int:
     inputs.append(
         ("random-506", random_interpretation(random.Random(506), max_elements=5, density=0.2))
     )
+    inputs.append(("twin-forks", twin_fork_interpretation()))
     for name, i in inputs:
         t0 = time.perf_counter()
         tbox, report = build_base(i)

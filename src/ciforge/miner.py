@@ -107,8 +107,6 @@ def attribute_set(
     # once per distinct concept, and each concept's description tree is
     # built once, the first time it is compared.  A dropped candidate is
     # never compared again, so its tree goes.
-    kept: list[Concept] = []
-    kept_ext: list[frozenset] = []
     seen: set = set()  # all earlier candidates
     groups: dict = {}  # extension -> kept concepts
     trees: dict = {}  # concept -> its description tree
@@ -122,14 +120,11 @@ def attribute_set(
             trees.pop(c, None)
         else:
             group.append(c)
-            kept.append(c)
-            kept_ext.append(c_ext)
-    order = sorted(range(len(kept)), key=lambda k: render_concept(kept[k]))
-    return AttributeSet(
-        attributes=tuple(kept[k] for k in order),
-        ext=tuple(kept_ext[k] for k in order),
-        depth_reports=tuple(depth_reports),
-    )
+    attributes, ext = zip(*sorted(
+        ((c, c_ext) for c_ext, group in groups.items() for c in group),
+        key=lambda pair: render_concept(pair[0]),
+    ))
+    return AttributeSet(attributes=attributes, ext=ext, depth_reports=tuple(depth_reports))
 
 
 def enumerate_intents(a: AttributeSet, i: Interpretation) -> IntentLattice:

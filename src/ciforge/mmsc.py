@@ -39,13 +39,14 @@ class _Context:
     bounded walks and mmvf(G(I)), which do not depend on the element set,
     and the depth report and adaptive MMSC of each element set asked for,
     per (element tuple, node cap).  G(I)'s components are found once: `scc`
-    keeps them on the graph, so `mmvf` reads them.  Reachable products are
-    shared between element sets, and a shared product keeps the MMSC of
-    each of its bisimulation classes at each depth asked for (see
-    `product`).  Built on first use and kept on the interpretation (see
-    `_context`)."""
+    keeps them on the graph, so `mmvf` reads them.  `homes` is the one
+    product memo: it holds each element set's reachable product until the
+    set's MMSC is kept.  One product serves every set of its start
+    component, up to a permutation of coordinates, and keeps their MMSCs
+    per bisimulation class and depth (see `product`).  Built on first use
+    and kept on the interpretation (see `_context`)."""
 
-    __slots__ = ("graph", "bounded", "mmvf", "reports", "mmscs", "homes", "_product")
+    __slots__ = ("graph", "bounded", "mmvf", "reports", "mmscs", "homes")
 
     def __init__(self, i: Interpretation):
         g = graph_of_interpretation(i)
@@ -60,12 +61,12 @@ class _Context:
         # (elements, node_cap) -> `product`'s answer for the set, until the
         # set's MMSC is kept
         self.homes: dict = {}
-        self._product = None  # ((elements, node_cap), answer) of the last call
 
     def product(self, elements: tuple, node_cap: int) -> tuple:
-        """(P, u, classes): a reachable product P, the vertex u of P that
-        stands for the elements tuple, and P's bisimulation classes with
-        the MMSCs built from them, or None.
+        """(P, u, (class_of, built)): a reachable product P, the vertex u of
+        P that stands for the elements tuple, a map from vertices of P's
+        start component to their bisimulation classes, and a dict for the
+        MMSC of each (class, depth) that `mmsc_at_depth` builds.
 
         Every tuple v in the start component of the product P built from S
         reaches what S reaches, and each vertex's successors are built from
@@ -74,37 +75,30 @@ class _Context:
         so P started at v is the product at v's sorted form, up to that
         renaming, and has as many vertices, so the node cap fires where a
         fresh build would.  So each v with no repeated coordinate whose
-        sorted form is an element set's tuple with no MMSC kept yet is
-        entered in `homes` under that form; `mmsc_adaptive` takes the
-        entry out when it keeps that MMSC.
+        sorted form is an element set's tuple with no MMSC kept yet, S's
+        own among them, is entered in `homes` under that form;
+        `mmsc_adaptive` takes the entry out when it keeps that MMSC.  So
+        `adaptable_depth` and then `mmsc_at_depth` on the same set, as the
+        miner calls them, build it once.
 
-        A start component with more than one tuple serves several sets, so
-        P's counting-bisimulation classes are found once, with a dict for
-        the MMSC of each (class, depth) that `mmsc_at_depth` builds: the
-        vertices of one class unravel to isomorphic trees.  A start
-        component of one tuple serves its own set alone, and `classes` is
-        None.  The last answer is kept too, so `adaptable_depth` and then
-        `mmsc_at_depth` on the same set, as the miner calls them, build it
-        once."""
+        The vertices of one counting-bisimulation class unravel to
+        isomorphic trees, so the sets they stand for share one MMSC per
+        depth.  A start component with more than one tuple finds P's
+        classes once; one of one tuple serves its own set alone, and its
+        class map is the trivial {elements: 0}."""
         key = (elements, node_cap)
-        if self._product is not None and self._product[0] == key:
-            return self._product[1]
-        shared = self.homes.get(key)
-        if shared is not None:
-            return shared
-        p = product_reachable(self.graph, elements, node_cap=node_cap)
-        partition = scc(p)
-        start = partition.components[partition.component_of[elements]]
-        if len(start) == 1:
-            answer = (p, elements, None)
-        else:
-            classes = (bisimulation_classes(p), {})
+        answer = self.homes.get(key)
+        if answer is None:
+            p = product_reachable(self.graph, elements, node_cap=node_cap)
+            partition = scc(p)
+            start = partition.components[partition.component_of[elements]]
+            class_of = bisimulation_classes(p) if len(start) > 1 else {elements: 0}
+            classes = (class_of, {})
             for v in start:
-                t = _sorted_elements(v)
+                t = elements if v == elements else _sorted_elements(v)
                 if len(t) == len(v) and (t, node_cap) not in self.mmscs:
                     self.homes[(t, node_cap)] = (p, v, classes)
             answer = (p, elements, classes)
-        self._product = (key, answer)
         return answer
 
 
@@ -191,19 +185,17 @@ def mmsc_at_depth(
 
     The product of the depth-d unravellings of the members of X equals the
     depth-d unravelling of the reachable product started at the X-tuple, so
-    the product graph (usually small) is built first and unravelled once.
-    On a product shared by several sets, the sets whose vertices are
-    bisimilar share that unravelling and its concept: their trees are
-    isomorphic, so `conjoin` makes them one concept, and as large, so the
-    node cap fires for all of them or for none.
+    the product graph (usually small) is built first and unravelled once
+    per bisimulation class and depth, and the concept kept with it.  The
+    sets whose vertices are bisimilar share that unravelling and its
+    concept: their trees are isomorphic, so `conjoin` makes them one
+    concept, and as large, so the node cap fires for all of them or for
+    none.
     """
     elements = _sorted_elements(X)
     if not elements:
         return BOTTOM
-    product, start, classes = _context(i).product(elements, node_cap)
-    if classes is None:
-        return concept_of_tree(unravel(product, start, d, node_cap=node_cap))
-    class_of, built = classes
+    product, start, (class_of, built) = _context(i).product(elements, node_cap)
     key = (class_of[start], d)
     c = built.get(key)
     if c is None:

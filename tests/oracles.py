@@ -575,6 +575,24 @@ def cycle_interpretation(*lengths) -> Interpretation:
     return make_interpretation(domain, {"A": a_ext, "B": b_ext}, {"r": edges})
 
 
+def twin_fork_interpretation() -> Interpretation:
+    """Two copies, under x and y, of one acyclic shape, all by role r: the
+    root (A) has two children, one B and one D, and each of those has one
+    C child.  The attribute dedup drops exactly one candidate here,
+    ∃r.mmsc({x, y}), as equivalent to ∃r.mmsc({x}) with the same
+    extension."""
+    domain, edges, concept_ext = [], [], {"A": [], "B": [], "C": [], "D": []}
+    for root in "xy":
+        domain.append(root)
+        concept_ext["A"].append(root)
+        for child, name in ((root + "1", "B"), (root + "2", "D")):
+            domain += [child, child + "1"]
+            concept_ext[name].append(child)
+            concept_ext["C"].append(child + "1")
+            edges += [(root, child), (child, child + "1")]
+    return make_interpretation(domain, concept_ext, {"r": edges})
+
+
 def pendant_cycle_interpretation(seed) -> Interpretation:
     """cycle_interpretation(2, 3) with two pendant elements p0 and p1 that
     hold random concept names.  One random cycle element has an s-edge to

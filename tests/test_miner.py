@@ -29,6 +29,7 @@ from ciforge.miner import (
     check_base_sound,
     enumerate_intents,
 )
+from ciforge.mmsc import mmsc_adaptive
 from ciforge.oracles import enumerate_concepts
 from ciforge.reasoner import Reasoner, entails
 from ciforge.simulation import equivalent_empty, semantic_extension
@@ -43,6 +44,7 @@ from oracles import (
     intent_closure,
     random_interpretation,
     seeded_instance,
+    twin_fork_interpretation,
 )
 
 
@@ -97,16 +99,37 @@ def test_attribute_extensions_are_precomputed_correctly():
         assert semantic_extension(c, i, memo) == ext
 
 
-def test_no_attribute_duplicates_up_to_extension_and_equivalence():
-    i = builtin_fixture("fig4ii")
-    attrs = attribute_set(i)
-    n = len(attrs.attributes)
-    for a in range(n):
-        for b in range(a + 1, n):
-            assert not (
-                attrs.ext[a] == attrs.ext[b]
-                and equivalent_empty(attrs.attributes[a], attrs.attributes[b])
-            )
+def test_no_attribute_duplicates_up_to_extension_and_equivalence(monkeypatch):
+    import ciforge.miner as miner_module
+
+    drops = []
+    equivalent = miner_module.equivalent_empty
+
+    def recorded_equivalent(c, d, *args):
+        verdict = equivalent(c, d, *args)
+        if verdict:
+            drops.append((c, d))
+        return verdict
+
+    monkeypatch.setattr(miner_module, "equivalent_empty", recorded_equivalent)
+    twins = twin_fork_interpretation()
+    for i, dropped in [(builtin_fixture("fig4ii"), 0), (twins, 1)]:
+        del drops[:]
+        attrs = attribute_set(i)
+        assert len(drops) == dropped
+        n = len(attrs.attributes)
+        for a in range(n):
+            for b in range(a + 1, n):
+                assert not (
+                    attrs.ext[a] == attrs.ext[b]
+                    and equivalent_empty(attrs.attributes[a], attrs.attributes[b])
+                )
+    # On the twin forks ∃r.mmsc({x, y}) goes as equivalent to ∃r.mmsc({x}),
+    # which is kept.
+    pair, single = (Exists("r", mmsc_adaptive(twins, xs)) for xs in (["x", "y"], ["x"]))
+    assert drops == [(pair, single)]
+    assert single in attrs.attributes and pair not in attrs.attributes
+    assert len(attrs.attributes) == 12
 
 
 @pytest.mark.parametrize(
@@ -294,6 +317,20 @@ def test_mined_text_of_the_heavy_dedup_instance_is_pinned():
     )
 
 
+def test_mined_text_of_the_twin_fork_instance_is_pinned():
+    # The one test input whose attribute dedup drops a candidate.
+    i = twin_fork_interpretation()
+    tbox, _ = build_base(i)
+    assert len(tbox) == 22
+    assert check_base_complete(i, tbox, depth=2, size_cap=6).complete
+    digest = hashlib.sha256()
+    for line in tbox_lines(tbox):
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == (
+        "dbf89d3ec3957817ce8d3f504af896fe42a6c3aaae419a54e6c17e1e137197a3"
+    )
+
+
 def test_mined_text_of_the_cycle_shapes_is_pinned():
     # fig5's shape without its self-loops, at three cycle lengths: the
     # inputs on which element sets share reachable products, each of which
@@ -307,6 +344,26 @@ def test_mined_text_of_the_cycle_shapes_is_pinned():
     assert digest.hexdigest() == (
         "ad4247508418664beabb9722c67e3b5b6b3ddb5d8d75cd323ef053a62351e648"
     )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ResourceCapError,
+    reason=(
+        "mmsc_at_depth unravels each product into a tree, which is exponential "
+        "in the chosen depth (27 here) though the products have a few dozen "
+        "vertices; a builder that memoizes (vertex, remaining depth) needs no tree"
+    ),
+)
+def test_a_cycle_shape_with_one_branching_edge_is_mined():
+    base = cycle_interpretation(2, 3)
+    i = make_interpretation(
+        base.domain,
+        base.concept_ext,
+        {"r": sorted(base.role_ext["r"]) + [("c1_1", "h1")]},
+    )
+    tbox, _ = build_base(i)
+    assert check_base_sound(i, tbox)
 
 
 @pytest.mark.parametrize("name", ["fig3", "fig4ii"])

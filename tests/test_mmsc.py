@@ -65,6 +65,7 @@ from oracles import (
     random_interpretation,
     random_mineable_interpretation,
     seeded_instance,
+    twin_fork_interpretation,
 )
 
 
@@ -296,11 +297,17 @@ def test_mining_builds_the_graph_once_and_each_product_once(monkeypatch):
     # share a start component up to a permutation of coordinates share one
     # product, so over the whole mine there is one product per such
     # component, and one unravelling per bisimulation class and depth of
-    # each product.
+    # each product.  On an acyclic interpretation every start component is
+    # one tuple, so every set builds its own product and unravelling, once,
+    # though adaptable_depth and mmsc_at_depth both ask for it.
     graphs = _counting(monkeypatch, mmsc_module, "graph_of_interpretation")
     products = _counting(monkeypatch, mmsc_module, "product_reachable")
     unravellings = _counting(monkeypatch, mmsc_module, "unravel")
-    for name, built, unravelled in [("fig3", 126, 127), ("cycles-2-7", 59, 79)]:
+    for name, built, unravelled in [
+        ("fig3", 126, 127),
+        ("cycles-2-7", 59, 79),
+        ("twin-forks", 1023, 1023),
+    ]:
         del graphs[:], products[:], unravellings[:]
         i = _SHARING_CASES[name]()
         components = _start_components(_SHARING_CASES[name]())
@@ -326,6 +333,7 @@ _SHARING_CASES = {
         f"pendants-{seed}": functools.partial(pendant_cycle_interpretation, seed)
         for seed in range(5)
     },
+    "twin-forks": twin_fork_interpretation,
 }
 
 

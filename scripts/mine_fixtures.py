@@ -16,6 +16,8 @@ compare with one command:
 
     diff <(python A/scripts/mine_fixtures.py | grep ^sha256) \
          <(python B/scripts/mine_fixtures.py | grep ^sha256)
+
+It exits 1, after every report, when some mined base is unsound.
 """
 
 import argparse
@@ -52,12 +54,15 @@ def main() -> int:
         ("random-506", random_interpretation(random.Random(506), max_elements=5, density=0.2))
     )
     inputs.append(("twin-forks", twin_fork_interpretation()))
+    unsound = []
     for name, i in inputs:
         t0 = time.perf_counter()
         tbox, report = build_base(i)
         elapsed = time.perf_counter() - t0
         sound = check_base_sound(i, tbox)
         print(f"== {name} ({elapsed:.1f}s, sound={sound})")
+        if not sound:
+            unsound.append(name)
         for line in report.summary_lines():
             if not line.startswith("depth "):
                 print(f"   {line}")
@@ -69,6 +74,9 @@ def main() -> int:
         for line in tbox_lines(tbox):
             digest.update(line.encode() + b"\n")
         print(f"sha256 {name} {digest.hexdigest()[:16]}")
+    if unsound:
+        print(f"unsound bases: {', '.join(unsound)}", file=sys.stderr)
+        return 1
     return 0
 
 

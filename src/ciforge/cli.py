@@ -102,21 +102,18 @@ def _cmd_mmsc(args) -> int:
     elements = [e for e in args.elements.split(",") if e]
     if not elements:
         raise CiforgeError(f"--elements names no element: {args.elements!r}")
-    unknown = [e for e in elements if e not in i.domain]
-    if unknown:
-        raise CiforgeError(f"unknown element {unknown[0]!r}")
     if args.depth is not None:
-        concept = prune_subsumed_conjuncts(mmsc_at_depth(i, elements, args.depth))
-        print(render_concept(concept))
-        print(f"depth: fixed {args.depth}")
-        return 0
-    report = adaptable_depth(i, elements)
-    concept = prune_subsumed_conjuncts(mmsc_adaptive(i, elements))
-    print(render_concept(concept))
-    print(
-        f"depth: branch={report.branch} product_mvf={report.product_mvf} "
-        f"chosen={report.chosen_depth} bounded_members={sorted(report.x_lim)}"
-    )
+        concept = mmsc_at_depth(i, elements, args.depth)
+        depth = f"fixed {args.depth}"
+    else:
+        report = adaptable_depth(i, elements)
+        concept = mmsc_adaptive(i, elements)
+        depth = (
+            f"branch={report.branch} product_mvf={report.product_mvf} "
+            f"chosen={report.chosen_depth} bounded_members={sorted(report.x_lim)}"
+        )
+    print(render_concept(prune_subsumed_conjuncts(concept)))
+    print(f"depth: {depth}")
     return 0
 
 

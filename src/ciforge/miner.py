@@ -94,8 +94,9 @@ def attribute_set(
     mmscs = []
     for n in range(1, len(elements) + 1):
         for combo in itertools.combinations(elements, n):
-            depth_reports.append((combo, adaptable_depth(i, combo, node_cap=node_cap)))
-            mmscs.append(mmsc_adaptive(i, combo, node_cap=node_cap))
+            X = frozenset(combo)  # one key object for both memos
+            depth_reports.append((combo, adaptable_depth(i, X, node_cap=node_cap)))
+            mmscs.append(mmsc_adaptive(i, X, node_cap=node_cap))
     for role in sorted(sig.role_names):
         # mmsc output is canonical and never Bottom for non-empty sets, so
         # the restriction is canonical as built.

@@ -10,6 +10,7 @@ from .concepts import (
     Concept,
     Exists,
     Interpretation,
+    _items,
     bottom_up,
     conjoin,
 )
@@ -38,8 +39,8 @@ class _Context:
     """The facts about one interpretation: G(I), the elements with only
     bounded walks and mmvf(G(I)), which do not depend on the element set,
     and the depth report and adaptive MMSC of each element set asked for,
-    per (element tuple, node cap).  G(I)'s components are found once: `scc`
-    keeps them on the graph, so `mmvf` reads them.  `homes` is the one
+    per (element frozenset, node cap).  G(I)'s components are found once:
+    `scc` keeps them on the graph, so `mmvf` reads them.  `homes` is the one
     product memo: it holds each element set's reachable product until the
     set's MMSC is kept.  One product serves every set of its start
     component, up to a permutation of coordinates, and keeps their MMSCs
@@ -58,13 +59,12 @@ class _Context:
         self.mmvf = mmvf(g)
         self.reports: dict = {}  # (elements, node_cap) -> DepthReport
         self.mmscs: dict = {}  # (elements, node_cap) -> MMSC at the report's depth
-        # (elements, node_cap) -> `product`'s answer for the set, until the
-        # set's MMSC is kept
+        # (elements, node_cap) -> `product`'s answer, until the MMSC is kept
         self.homes: dict = {}
 
-    def product(self, elements: tuple, node_cap: int) -> tuple:
+    def product(self, elements: frozenset, node_cap: int) -> tuple:
         """(P, u, (class_of, built)): a reachable product P, the vertex u of
-        P that stands for the elements tuple, a map from vertices of P's
+        P that stands for the element set S, a map from vertices of P's
         start component to their bisimulation classes, and a dict for the
         MMSC of each (class, depth) that `mmsc_at_depth` builds.
 
@@ -74,31 +74,30 @@ class _Context:
         coordinates of every tuple keeps labels (intersections) and edges,
         so P started at v is the product at v's sorted form, up to that
         renaming, and has as many vertices, so the node cap fires where a
-        fresh build would.  So each v with no repeated coordinate whose
-        sorted form is an element set's tuple with no MMSC kept yet, S's
-        own among them, is entered in `homes` under that form;
-        `mmsc_adaptive` takes the entry out when it keeps that MMSC.  So
-        `adaptable_depth` and then `mmsc_at_depth` on the same set, as the
-        miner calls them, build it once.
+        fresh build would.  So each v with no repeated coordinate whose set
+        has no MMSC kept yet, S's own among them, is entered in `homes`
+        under that set; `mmsc_adaptive` takes the entry out when it keeps
+        that MMSC.  So `adaptable_depth` and then `mmsc_at_depth` on the
+        same set, as the miner calls them, build it once.
 
         The vertices of one counting-bisimulation class unravel to
         isomorphic trees, so the sets they stand for share one MMSC per
         depth.  A start component with more than one tuple finds P's
         classes once; one of one tuple serves its own set alone, and its
-        class map is the trivial {elements: 0}."""
-        key = (elements, node_cap)
-        answer = self.homes.get(key)
+        class map is the trivial {u: 0}.  Only here is S sorted, into u."""
+        answer = self.homes.get((elements, node_cap))
         if answer is None:
-            p = product_reachable(self.graph, elements, node_cap=node_cap)
+            u = tuple(sorted(elements))
+            p = product_reachable(self.graph, u, node_cap=node_cap)
             partition = scc(p)
-            start = partition.components[partition.component_of[elements]]
-            class_of = bisimulation_classes(p) if len(start) > 1 else {elements: 0}
+            start = partition.components[partition.component_of[u]]
+            class_of = bisimulation_classes(p) if len(start) > 1 else {u: 0}
             classes = (class_of, {})
             for v in start:
-                t = elements if v == elements else _sorted_elements(v)
-                if len(t) == len(v) and (t, node_cap) not in self.mmscs:
-                    self.homes[(t, node_cap)] = (p, v, classes)
-            answer = (p, elements, classes)
+                key = (frozenset(v), node_cap)
+                if len(key[0]) == len(v) and key not in self.mmscs:
+                    self.homes[key] = (p, v, classes)
+            answer = (p, u, classes)
         return answer
 
 
@@ -120,8 +119,11 @@ def bounded_walks(i: Interpretation, x) -> bool:
     return x in _context(i).bounded
 
 
-def _sorted_elements(X) -> tuple:
-    return tuple(sorted(set(X), key=repr))
+def _elements(i: Interpretation, X) -> frozenset:
+    """X as a frozenset of i's elements, or a ValidationError naming X's fault."""
+    if isinstance(X, frozenset) and X <= i.domain:
+        return X
+    return frozenset(_items(X, "element set", i.domain))
 
 
 def adaptable_depth(
@@ -131,7 +133,7 @@ def adaptable_depth(
     d = mvf of the |X|-fold product at the X-tuple, then d − 1 if some member
     of X has bounded walks, else d times the mmvf of G(I).  Computed once
     per element set and node cap."""
-    elements = _sorted_elements(X)
+    elements = _elements(i, X)
     if not elements:
         raise ValidationError("adaptable depth needs a non-empty element set")
     ctx = _context(i)
@@ -192,7 +194,7 @@ def mmsc_at_depth(
     concept, and as large, so the node cap fires for all of them or for
     none.
     """
-    elements = _sorted_elements(X)
+    elements = _elements(i, X)
     if not elements:
         return BOTTOM
     product, start, (class_of, built) = _context(i).product(elements, node_cap)
@@ -207,7 +209,7 @@ def mmsc_adaptive(i: Interpretation, X, node_cap: int = DEFAULT_NODE_CAP) -> Con
     """MMSC at the adaptable depth; Bottom for the empty set.  Built once per
     element set and node cap, so the miner's attribute and axiom phases
     share it."""
-    elements = _sorted_elements(X)
+    elements = _elements(i, X)
     if not elements:
         return BOTTOM
     ctx = _context(i)

@@ -208,6 +208,30 @@ def member(x, c: Concept, i: Interpretation) -> bool:
     return x in extension(c, i)
 
 
+def gfp_extension(i: Interpretation, X) -> frozenset:
+    """Extension of X's most specific concept under greatest-fixpoint
+    semantics (Baader & Distel, ICFCA 2008): the elements y such that the
+    X-tuple of the |X|-fold product of G(I) is simulated by y in G(I).  No
+    depth enters, so an MMSC's extension reaches it once the depth suffices.
+    The product is built here, over the tuples the X-tuple reaches, apart
+    from `product_reachable`."""
+    g = graph_of_interpretation(i)
+    start = tuple(sorted(set(X)))
+    vertices, edges, frontier = {start}, [], [start]
+    while frontier:
+        tup = frontier.pop()
+        for role in {r for r, _ in g.successors(tup[0])}:
+            targets = [g.successors_by_role(v, role) for v in tup]
+            for combo in itertools.product(*targets):
+                edges.append((tup, role, combo))
+                if combo not in vertices:
+                    vertices.add(combo)
+                    frontier.append(combo)
+    labels = {t: frozenset.intersection(*(g.label(v) for v in t)) for t in vertices}
+    sim = greatest_simulation(DescriptionGraph(vertices, edges, labels), g)
+    return frozenset(y for y in i.domain if (start, y) in sim)
+
+
 # ---------------------------------------------------------------------------
 # Closed extents
 

@@ -58,6 +58,7 @@ from conftest import concepts
 from oracles import (
     cycle_interpretation,
     enumerate_fragment,
+    gfp_extension,
     lower_approximation,
     pendant_cycle_interpretation,
     product_trees,
@@ -172,6 +173,43 @@ def test_too_deep_mmsc_is_a_resource_cap_error():
 def test_depth_rejects_the_empty_set():
     with pytest.raises(ValidationError):
         adaptable_depth(builtin_fixture("fig7"), ())
+
+
+_ASKS = {
+    "adaptable_depth": adaptable_depth,
+    "mmsc_at_depth": lambda i, X: mmsc_at_depth(i, X, 1),
+    "mmsc_adaptive": mmsc_adaptive,
+}
+
+
+@pytest.mark.parametrize("ask", list(_ASKS))
+@pytest.mark.parametrize(
+    "X, named",
+    [
+        ("x1", "not a collection: 'x1'"),
+        (None, "not a collection: None"),
+        ([["x1"]], "unknown element ['x1']"),
+        ([1], "unknown element 1"),
+        (["x9"], "unknown element 'x9'"),
+    ],
+    ids=["string", "none", "nested", "number", "unknown"],
+)
+def test_a_malformed_element_set_is_a_validation_error_naming_it(ask, X, named):
+    with pytest.raises(ValidationError) as raised:
+        _ASKS[ask](builtin_fixture("fig3"), X)
+    assert named in str(raised.value)
+
+
+def test_one_set_in_any_form_shares_one_report_and_one_product(monkeypatch):
+    products = _counting(monkeypatch, mmsc_module, "product_reachable")
+    i = builtin_fixture("fig3")
+    forms = [["x2", "x1"], ("x1", "x2", "x1"), {"x1", "x2"}, frozenset({"x1", "x2"})]
+    assert len({id(adaptable_depth(i, X)) for X in forms}) == 1
+    assert len({id(mmsc_at_depth(i, X, 1)) for X in forms}) == 1
+    assert len({id(mmsc_adaptive(i, X)) for X in forms}) == 1
+    key = (frozenset({"x1", "x2"}), DEFAULT_NODE_CAP)
+    assert list(_context(i).reports) == list(_context(i).mmscs) == [key]
+    assert len(products) == 1
 
 
 @given(st.integers(min_value=0, max_value=2_000))
@@ -372,7 +410,7 @@ def test_shared_products_give_what_fresh_ones_do(monkeypatch, name):
     sets = _subsets(i)
     permuted = 0
     for combo in sets:
-        home = _context(i).homes.get((combo, DEFAULT_NODE_CAP))
+        home = _context(i).homes.get((frozenset(combo), DEFAULT_NODE_CAP))
         permuted += home is not None and home[1] != combo
         report = adaptable_depth(i, combo)
         c = mmsc_adaptive(i, combo)
@@ -388,7 +426,7 @@ def test_shared_products_give_what_fresh_ones_do(monkeypatch, name):
         assert report == expected, combo
         assert c is concept_of_tree(unravel(product, combo, expected.chosen_depth)), combo
         # Its MMSC is kept, so no product is held for it.
-        assert (combo, DEFAULT_NODE_CAP) not in _context(i).homes
+        assert (frozenset(combo), DEFAULT_NODE_CAP) not in _context(i).homes
     if name.startswith(("fig3", "cycles", "pendants")):
         assert len(shared) < len(sets)  # products were shared
     if name.startswith(("cycles", "pendants")):
@@ -434,7 +472,7 @@ def test_a_set_served_through_a_permutation_meets_the_node_cap_of_a_fresh_build(
     monkeypatch.setattr(mmsc_module, "product_reachable", build)
     i = cycle_interpretation(2, 3)
     for combo in _subsets(i):
-        home = _context(i).homes.get((combo, DEFAULT_NODE_CAP))
+        home = _context(i).homes.get((frozenset(combo), DEFAULT_NODE_CAP))
         if home is not None and home[1] != combo:
             break
         mmsc_adaptive(i, combo)
@@ -457,7 +495,7 @@ def test_a_set_served_through_a_permutation_meets_the_node_cap_of_a_fresh_build(
     # builder's product through a permutation.
     exact = cycle_interpretation(2, 3)
     adaptable_depth(exact, builder, node_cap=size)
-    served = _context(exact).homes[(combo, size)]
+    served = _context(exact).homes[(frozenset(combo), size)]
     assert served[1] != combo
     fresh = product_reachable(g, combo, node_cap=size)
     assert len(fresh.vertices) == size
@@ -599,6 +637,55 @@ def test_deep_cycle_interaction_needs_depth_29():
     assert "x4" not in at29
     adaptive = semantic_extension(mmsc_adaptive(i, hubs), i, memo)
     assert "x4" not in adaptive
+
+
+_GFP_CASES = {
+    **{
+        name: functools.partial(builtin_fixture, name)
+        for name in ("fig3", "fig4i", "fig4ii", "fig7")
+    },
+    **{f"cycles-2-{n}": functools.partial(cycle_interpretation, 2, n) for n in (3, 5)},
+    "twin-forks": twin_fork_interpretation,
+    **{f"seed-{seed}": functools.partial(seeded_instance, seed) for seed in range(40)},
+}
+
+
+@pytest.mark.parametrize("name", list(_GFP_CASES))
+def test_adaptive_mmsc_reaches_the_gfp_extension(name):
+    # The greatest-fixpoint MSC has no depth, so its extension is what the
+    # adaptive depth must reach, for every non-empty element set.
+    i = _GFP_CASES[name]()
+    memo: dict = {}
+    for X in _subsets(i):
+        assert semantic_extension(mmsc_adaptive(i, X), i, memo) == gfp_extension(i, X), X
+
+
+def _settle_depth(i, X) -> int:
+    """The least depth whose MMSC's extension is the gfp extension."""
+    target = gfp_extension(i, X)
+    memo: dict = {}
+    d = 0
+    while semantic_extension(mmsc_at_depth(i, X, d), i, memo) != target:
+        d += 1
+    return d
+
+
+@pytest.mark.parametrize(
+    "make, X, settled, chosen",
+    [
+        (functools.partial(builtin_fixture, "fig3"), {"x1"}, 1, 2),
+        (functools.partial(builtin_fixture, "fig3"), {"x2"}, 1, 9),
+        (functools.partial(cycle_interpretation, 2, 3), {"c1_1"}, 4, 9),
+        (functools.partial(cycle_interpretation, 2, 5), {"c1_1"}, 8, 25),
+        (functools.partial(builtin_fixture, "fig5"), {"x1", "x2", "x3"}, 29, 150),
+    ],
+    ids=["fig3-x1", "fig3-x2", "cycles-2-3-c1_1", "cycles-2-5-c1_1", "fig5-hubs"],
+)
+def test_settle_depths_against_the_chosen_depths(make, X, settled, chosen):
+    # The chosen depth is sufficient, not least: the extension settles at or
+    # below it.
+    i = make()
+    assert (_settle_depth(i, X), adaptable_depth(i, X).chosen_depth) == (settled, chosen)
 
 
 def test_mmsc_of_the_whole_trivial_domain_is_top():

@@ -23,6 +23,7 @@ from ciforge.concepts import (
     canonicalize,
     render_concept,
     conjuncts_of,
+    make_interpretation,
     role_depth,
 )
 from ciforge.errors import ResourceCapError, ValidationError
@@ -38,6 +39,7 @@ from oracles import (
     exponential_depth_check,
     fbp_witness_check,
     fragment,
+    gfp_extension,
     harness_seed,
     node_count,
     random_concept,
@@ -339,6 +341,21 @@ def test_unbounded_family_check_rejects_unknown_selector():
 
 def test_coprime_cycle_depth_check_passes():
     assert exponential_depth_check()
+
+
+def test_gfp_extension_follows_labels_around_cycles():
+    # a is A on an r-self-loop; b is A on an r-two-cycle with the unlabelled
+    # c.  a's walk is A forever, which only a covers; b's alternates A and
+    # nothing, which a and b cover; c's, a step behind, a and c.  A pair's
+    # product walks both, labelled by what both members hold.
+    i = make_interpretation(
+        ["a", "b", "c"], {"A": ["a", "b"]}, {"r": [("a", "a"), ("b", "c"), ("c", "b")]}
+    )
+    assert gfp_extension(i, {"a"}) == {"a"}
+    assert gfp_extension(i, {"b"}) == {"a", "b"}
+    assert gfp_extension(i, {"c"}) == {"a", "c"}
+    assert gfp_extension(i, ["b", "a"]) == {"a", "b"}
+    assert gfp_extension(i, {"a", "c"}) == {"a", "c"}
 
 
 @settings(max_examples=40)
